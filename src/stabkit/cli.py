@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .expr import ParseError
+from .expr import EvalError, ParseError
 from .hautus import format_eigenvalue
 from .openness import CoveringGrid, empirical_covering_modulus
 from .report import build_report, report_json, report_text
@@ -75,9 +75,8 @@ def _parse_float_list(text: str) -> list[float]:
 def cmd_analyze(args: argparse.Namespace) -> int:
     system = load_system(args.path)
     analysis = analyze(system, _config_from(args))
-    doc = build_report(analysis, seed=args.seed)
     if args.json:
-        sys.stdout.write(report_json(doc))
+        sys.stdout.write(report_json(build_report(analysis, seed=args.seed)))
     else:
         sys.stdout.write(report_text(analysis))
     return 0
@@ -107,8 +106,8 @@ def cmd_synthesize(args: argparse.Namespace) -> int:
             system, gain, delta=args.delta, samples=args.samples,
             horizon=args.horizon, dt=args.dt, steps=args.steps,
         )
-    doc = build_report(analysis, gain=gain, validation=validation, seed=args.seed)
     if args.json:
+        doc = build_report(analysis, gain=gain, validation=validation, seed=args.seed)
         sys.stdout.write(report_json(doc))
     else:
         sys.stdout.write(report_text(analysis, gain=gain, validation=validation))
@@ -145,7 +144,7 @@ def cmd_covering(args: argparse.Namespace) -> int:
 def _load_gain_file(path: str, system) -> FeedbackGain:
     doc = json.loads(Path(path).read_text())
     payload = doc.get("gain") if isinstance(doc, dict) and "gain" in doc else doc
-    if not isinstance(payload, dict) or "k" not in payload or payload is None:
+    if not isinstance(payload, dict) or "k" not in payload:
         raise ValueError(f"{path} does not contain a gain matrix under 'k'")
     k = np.asarray(payload["k"], dtype=float)
     if k.shape != (system.m, system.n):
@@ -273,7 +272,7 @@ def main(argv: list[str] | None = None) -> int:
     except PlacementError as err:
         sys.stderr.write(f"error: {err}\n")
         return 2
-    except (ParseError, SystemFormatError, SystemValidationError) as err:
+    except (ParseError, EvalError, SystemFormatError, SystemValidationError) as err:
         sys.stderr.write(f"error: {err}\n")
         return 2
     except (FileNotFoundError, IsADirectoryError, PermissionError) as err:

@@ -259,7 +259,10 @@ class _Parser:
     def base(self) -> Expr:
         kind, text, offset = self.advance()
         if kind == "num":
-            return Const(float(text))
+            value = float(text)
+            if math.isinf(value):
+                raise ParseError("number out of range", offset)
+            return Const(value)
         if kind == "name":
             if text in FUNCTIONS:
                 self.expect_op("(")

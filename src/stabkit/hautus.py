@@ -89,15 +89,18 @@ def _distinct(values: tuple[complex, ...], tol: float = 1e-9) -> list[complex]:
     return kept
 
 
+def kalman_matrix(a, b) -> np.ndarray:
+    """Controllability matrix [B, AB, ..., A^(n-1) B]."""
+    a_arr = np.asarray(a, dtype=float)
+    blocks = [np.asarray(b, dtype=float)]
+    for _ in range(a_arr.shape[0] - 1):
+        blocks.append(a_arr @ blocks[-1])
+    return np.hstack(blocks)
+
+
 def kalman_controllability_rank(a, b, tol: float | None = None) -> int:
     """Rank of [B, AB, ..., A^(n-1) B]."""
-    a_arr = np.asarray(a, dtype=float)
-    b_arr = np.asarray(b, dtype=float)
-    n = a_arr.shape[0]
-    blocks = [b_arr]
-    for _ in range(n - 1):
-        blocks.append(a_arr @ blocks[-1])
-    return numerical_rank(np.hstack(blocks), tol)
+    return numerical_rank(kalman_matrix(a, b), tol)
 
 
 def hautus_asymptotic(a, b, profile: SpectralProfile, tol: float | None = None) -> HautusResult:

@@ -47,30 +47,8 @@ class CoveringGrid:
     resolution: float = 1e-3
 
 
-def covering_bound(lin, tol: float | None = None) -> float:
-    """Smallest singular value of [A | B], floored to 0 when rank-deficient."""
-    stacked = lin.augmented
-    svals = singular_values(stacked)
-    if tol is None:
-        tol = rank_tolerance(svals, stacked.shape)
-    rank = int(np.count_nonzero(svals > tol))
-    if rank < stacked.shape[0]:
-        return 0.0
-    return float(svals[-1])
-
-
-def regularity_bound(lin, tol: float | None = None) -> float:
-    """Reciprocal of the covering bound; +inf when the system is not open."""
-    cov = covering_bound(lin, tol)
-    return math.inf if cov == 0.0 else 1.0 / cov
-
-
-def lipschitz_bound(lin) -> float:
-    """Largest singular value of [A | B]."""
-    return float(singular_values(lin.augmented)[0])
-
-
 def openness_report(lin, tol: float | None = None) -> OpennessReport:
+    """All openness bounds of [A | B] from one SVD."""
     stacked = lin.augmented
     svals = singular_values(stacked)
     if tol is None:
@@ -81,6 +59,21 @@ def openness_report(lin, tol: float | None = None) -> OpennessReport:
     reg = math.inf if cov == 0.0 else 1.0 / cov
     lip = float(svals[0]) if len(svals) else 0.0
     return OpennessReport(cov, reg, lip, rank, open_)
+
+
+def covering_bound(lin, tol: float | None = None) -> float:
+    """Smallest singular value of [A | B], floored to 0 when rank-deficient."""
+    return openness_report(lin, tol).cov_bound
+
+
+def regularity_bound(lin, tol: float | None = None) -> float:
+    """Reciprocal of the covering bound; +inf when the system is not open."""
+    return openness_report(lin, tol).reg_bound
+
+
+def lipschitz_bound(lin) -> float:
+    """Largest singular value of [A | B]."""
+    return openness_report(lin).lip_bound
 
 
 def shifted_covering_lower_bound(cov: float, nu: float) -> float:

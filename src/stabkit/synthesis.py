@@ -21,9 +21,10 @@ from .hautus import (
     format_eigenvalue,
     hautus_asymptotic,
     kalman_controllability_rank,
+    kalman_matrix,
     spectral_profile,
 )
-from .linalg import spectrum
+from .linalg import rank_tolerance, spectrum
 from .system import CONTINUOUS, SystemSpec, jacobian
 
 PLACEMENT_TOL = 1e-6
@@ -70,16 +71,10 @@ def staircase_decompose(a, b, tol: float | None = None) -> Staircase:
     controllable pair in the leading controllable_dim rows and columns, and
     the trailing diagonal block carries the uncontrollable modes.
     """
-    a_arr = np.asarray(a, dtype=float)
-    b_arr = np.asarray(b, dtype=float)
-    n = a_arr.shape[0]
-    blocks = [b_arr]
-    for _ in range(n - 1):
-        blocks.append(a_arr @ blocks[-1])
-    kalman = np.hstack(blocks)
+    kalman = kalman_matrix(a, b)
     u, svals, _ = np.linalg.svd(kalman)
     if tol is None:
-        tol = 1e-9 * (float(svals[0]) if len(svals) else 0.0) * max(kalman.shape)
+        tol = rank_tolerance(svals, kalman.shape)
     dim = int(np.count_nonzero(svals > tol))
     return Staircase(transform=u, controllable_dim=dim)
 
@@ -101,22 +96,11 @@ def pole_match_error(achieved: Sequence[complex], desired: Sequence[complex]) ->
     return float(cost[rows, cols].max())
 
 
-def _check_conjugate_closure(values: Sequence[complex], tol: float = 1e-9) -> None:
-    pool = [complex(v) for v in values]
-    while pool:
-        v = pool.pop()
-        if abs(v.imag) <= tol:
-            continue
-        for i, w in enumerate(pool):
-            if abs(w - v.conjugate()) <= tol * (1.0 + abs(v)):
-                pool.pop(i)
-                break
-        else:
-            raise ValueError(f"desired poles are not closed under conjugation near {v}")
-
-
 def _real_block_form(desired: Sequence[complex], tol: float = 1e-9) -> np.ndarray:
-    """Real block-diagonal matrix with the desired spectrum."""
+    """Real block-diagonal matrix with the desired spectrum.
+
+    Raises ValueError when a nonreal pole has no conjugate partner.
+    """
     reals: list[float] = []
     pairs: list[complex] = []
     pool = [complex(v) for v in desired]
@@ -129,6 +113,8 @@ def _real_block_form(desired: Sequence[complex], tol: float = 1e-9) -> np.ndarra
             if abs(w - v.conjugate()) <= tol * (1.0 + abs(v)):
                 pool.pop(i)
                 break
+        else:
+            raise ValueError(f"desired poles are not closed under conjugation near {v}")
         pairs.append(complex(v.real, abs(v.imag)))
     size = len(reals) + 2 * len(pairs)
     out = np.zeros((size, size))
@@ -152,10 +138,7 @@ def _ackermann(a: np.ndarray, b: np.ndarray, desired: Sequence[complex]) -> np.n
     eye = np.eye(n)
     for c in coeffs:
         phi = phi @ a + c * eye
-    blocks = [b]
-    for _ in range(n - 1):
-        blocks.append(a @ blocks[-1])
-    ctrb = np.hstack(blocks)
+    ctrb = kalman_matrix(a, b)
     last_unit = np.zeros(n)
     last_unit[-1] = 1.0
     try:
@@ -166,9 +149,8 @@ def _ackermann(a: np.ndarray, b: np.ndarray, desired: Sequence[complex]) -> np.n
 
 
 def _sylvester(a: np.ndarray, b: np.ndarray, desired: Sequence[complex],
-               rng: np.random.Generator) -> np.ndarray:
+               target: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     m = b.shape[1]
-    target = _real_block_form(desired)
     last_error: Exception | None = None
     for _ in range(_SYLVESTER_TRIES):
         g = rng.standard_normal((m, a.shape[0]))
@@ -206,7 +188,7 @@ def place_poles(a, b, desired: Sequence[complex],
         raise ValueError(f"expected {n} poles, got {len(desired)}")
     if n == 0:
         return np.zeros((b_arr.shape[1], 0))
-    _check_conjugate_closure(desired)
+    target = _real_block_form(desired)
     open_loop = np.linalg.eigvals(a_arr)
     scale = max(1.0, float(np.max(np.abs(open_loop))))
     for p in desired:
@@ -225,7 +207,7 @@ def place_poles(a, b, desired: Sequence[complex],
         return k
     if rng is None:
         rng = np.random.default_rng(0)
-    return _sylvester(a_arr, b_arr, desired, rng)
+    return _sylvester(a_arr, b_arr, desired, target, rng)
 
 
 def default_poles(count: int, mode: str, eta_tilde: float = 0.0,

@@ -83,7 +83,7 @@ class SystemSpec:
             raise SystemValidationError(f"evaluation failed at the equilibrium: {err}") from err
         residual = values - np.asarray(self.x_eq) if self.mode == DISCRETE else values
         norm = float(np.linalg.norm(residual))
-        if norm > EQUILIBRIUM_TOL:
+        if not norm <= EQUILIBRIUM_TOL:
             raise SystemValidationError(
                 f"equilibrium residual {norm:.3e} exceeds {EQUILIBRIUM_TOL:.0e}"
             )

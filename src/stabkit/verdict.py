@@ -6,6 +6,13 @@ decision comes from the first positive rule, then the first negative rule,
 and is INCONCLUSIVE when nothing fires.  Specific-case rules run before the
 general margin rules so a nilpotent-type system is decided by the rule that
 actually matches its structure.
+
+Both time modes share one cascade.  The discrete sufficient conditions are
+the continuous ones with the spectrum classified against the unit circle
+instead of the imaginary axis: D3, D1 and D2 are R2, R1 and R3 read under
+that classification, with D3 asking the whole spectrum (not only its
+unstable part) to sit at zero.  The driftless rule R7 and the necessity
+rules R4-R6 are continuous-only; discrete mode has no negative route.
 """
 
 from __future__ import annotations
@@ -164,66 +171,77 @@ def _affine_structure(system: SystemSpec, cfg: AnalysisConfig) -> AffineStructur
     return AffineStructure(True, span_dim, driftless, input_rank)
 
 
-def _continuous_rules(
+def _rules(
     system: SystemSpec,
     cfg: AnalysisConfig,
     rep: OpennessReport,
     prof: SpectralProfile,
     affine: AffineStructure,
+    real_spectrum: bool,
+    spectrum_wide: bool,
 ) -> tuple[list[FiredRule], list[FiredRule], list[str]]:
     n, m = system.n, system.m
     cov = rep.cov_bound
     tol = cfg.tol_class
     margin = cfg.margin
-    real_spectrum = all(abs(v.imag) <= tol for v in prof.eigenvalues)
+    continuous = system.mode == CONTINUOUS
+    if continuous:
+        zero_rule, margin_rule, wide_rule = "R2", "R1", "R3"
+        positive = EXP_STABILIZABLE_CONT_FEEDBACK
+        zero_set, zero_key = prof.unstable, "max_unstable_modulus"
+    else:
+        zero_rule, margin_rule, wide_rule = "D3", "D1", "D2"
+        positive = ASY_STABILIZABLE_CONT_FEEDBACK
+        zero_set, zero_key = prof.eigenvalues, "max_eigen_modulus"
     positives: list[FiredRule] = []
     negatives: list[FiredRule] = []
     warnings: list[str] = []
 
-    if rep.linearly_open and all(abs(v) <= tol for v in prof.unstable):
-        positives.append(_fire("R2", EXP_STABILIZABLE_CONT_FEEDBACK, {
+    if rep.linearly_open and all(abs(v) <= tol for v in zero_set):
+        positives.append(_fire(zero_rule, positive, {
             "cov": cov,
-            "max_unstable_modulus": max((abs(v) for v in prof.unstable), default=0.0),
+            zero_key: max((abs(v) for v in zero_set), default=0.0),
         }))
     if rep.linearly_open and prof.unstable_real_only and cov > prof.eta + margin:
         witness = 0.5 * (prof.eta + cov) if math.isfinite(prof.eta) else 0.5 * cov
-        positives.append(_fire("R1", EXP_STABILIZABLE_CONT_FEEDBACK, {
+        positives.append(_fire(margin_rule, positive, {
             "cov": cov, "eta": prof.eta, "margin": margin, "kappa_witness": witness,
         }))
-    if real_spectrum and cov > prof.eta_tilde + margin:
-        positives.append(_fire("R3", EXP_STABILIZABLE_CONT_FEEDBACK, {
+    if spectrum_wide:
+        positives.append(_fire(wide_rule, positive, {
             "cov": cov, "eta_tilde": prof.eta_tilde,
         }))
 
-    r7_applicable = affine.driftless and affine.input_rank == m
-    if r7_applicable and m == n:
-        positives.append(_fire("R7", EXP_STABILIZABLE_CONT_FEEDBACK, {
-            "m": m, "n": n, "input_rank": affine.input_rank,
-        }))
-
-    strictly_unstable = all(v.real > tol for v in prof.unstable)
-    if not rep.linearly_open:
-        negatives.append(_fire("R4", NOT_SMOOTHLY_EXP_STABILIZABLE, {
-            "jacobian_rank": rep.jacobian_rank, "n": n,
-        }))
-        if strictly_unstable and prof.unstable:
-            negatives.append(_fire("R5", NOT_SMOOTHLY_ASY_STABILIZABLE, {
-                "jacobian_rank": rep.jacobian_rank, "n": n,
-                "min_unstable_real": min(v.real for v in prof.unstable),
+    if continuous:
+        r7_applicable = affine.driftless and affine.input_rank == m
+        if r7_applicable and m == n:
+            positives.append(_fire("R7", EXP_STABILIZABLE_CONT_FEEDBACK, {
+                "m": m, "n": n, "input_rank": affine.input_rank,
             }))
-    if affine.is_control_affine and affine.span_dim is not None and affine.span_dim < n:
-        decision = (
-            NOT_SMOOTHLY_ASY_STABILIZABLE
-            if strictly_unstable and prof.unstable
-            else NOT_SMOOTHLY_EXP_STABILIZABLE
-        )
-        negatives.append(_fire("R6", decision, {
-            "span_dim": affine.span_dim, "n": n,
-        }))
-    if r7_applicable and m < n:
-        negatives.append(_fire("R7", NOT_SMOOTHLY_EXP_STABILIZABLE, {
-            "m": m, "n": n, "input_rank": affine.input_rank,
-        }))
+
+        strictly_unstable = all(v.real > tol for v in prof.unstable)
+        if not rep.linearly_open:
+            negatives.append(_fire("R4", NOT_SMOOTHLY_EXP_STABILIZABLE, {
+                "jacobian_rank": rep.jacobian_rank, "n": n,
+            }))
+            if strictly_unstable and prof.unstable:
+                negatives.append(_fire("R5", NOT_SMOOTHLY_ASY_STABILIZABLE, {
+                    "jacobian_rank": rep.jacobian_rank, "n": n,
+                    "min_unstable_real": min(v.real for v in prof.unstable),
+                }))
+        if affine.is_control_affine and affine.span_dim is not None and affine.span_dim < n:
+            decision = (
+                NOT_SMOOTHLY_ASY_STABILIZABLE
+                if strictly_unstable and prof.unstable
+                else NOT_SMOOTHLY_EXP_STABILIZABLE
+            )
+            negatives.append(_fire("R6", decision, {
+                "span_dim": affine.span_dim, "n": n,
+            }))
+        if r7_applicable and m < n:
+            negatives.append(_fire("R7", NOT_SMOOTHLY_EXP_STABILIZABLE, {
+                "m": m, "n": n, "input_rank": affine.input_rank,
+            }))
 
     if not positives and not negatives:
         if rep.linearly_open and not prof.unstable_real_only:
@@ -244,53 +262,6 @@ def _continuous_rules(
     return positives, negatives, warnings
 
 
-def _discrete_rules(
-    system: SystemSpec,
-    cfg: AnalysisConfig,
-    rep: OpennessReport,
-    prof: SpectralProfile,
-) -> tuple[list[FiredRule], list[FiredRule], list[str]]:
-    cov = rep.cov_bound
-    tol = cfg.tol_class
-    margin = cfg.margin
-    real_spectrum = all(abs(v.imag) <= tol for v in prof.eigenvalues)
-    positives: list[FiredRule] = []
-    warnings: list[str] = []
-
-    if rep.linearly_open and all(abs(v) <= tol for v in prof.eigenvalues):
-        positives.append(_fire("D3", ASY_STABILIZABLE_CONT_FEEDBACK, {
-            "cov": cov,
-            "max_eigen_modulus": max((abs(v) for v in prof.eigenvalues), default=0.0),
-        }))
-    if rep.linearly_open and prof.unstable_real_only and cov > prof.eta + margin:
-        witness = 0.5 * (prof.eta + cov) if math.isfinite(prof.eta) else 0.5 * cov
-        positives.append(_fire("D1", ASY_STABILIZABLE_CONT_FEEDBACK, {
-            "cov": cov, "eta": prof.eta, "margin": margin, "kappa_witness": witness,
-        }))
-    if real_spectrum and cov > prof.eta_tilde + margin:
-        positives.append(_fire("D2", ASY_STABILIZABLE_CONT_FEEDBACK, {
-            "cov": cov, "eta_tilde": prof.eta_tilde,
-        }))
-
-    if not positives:
-        if rep.linearly_open and not prof.unstable_real_only:
-            warnings.append(
-                "unstable spectrum contains nonreal eigenvalues; "
-                "the sufficiency margin test does not apply"
-            )
-        if rep.linearly_open and prof.unstable_real_only and cov <= prof.eta + margin:
-            warnings.append(
-                f"sufficiency margin failed: cov={cov:.12g} <= "
-                f"eta={prof.eta:.12g} + margin={margin:.12g}"
-            )
-        if real_spectrum and cov <= prof.eta_tilde + margin:
-            warnings.append(
-                f"spectrum-wide margin failed: cov={cov:.12g} <= "
-                f"eta_tilde={prof.eta_tilde:.12g} + margin={margin:.12g}"
-            )
-    return positives, [], warnings
-
-
 def analyze(system: SystemSpec, config: AnalysisConfig | None = None) -> Analysis:
     """Run the full pipeline: linearize, bound, classify, test, decide."""
     cfg = config or AnalysisConfig()
@@ -302,10 +273,11 @@ def analyze(system: SystemSpec, config: AnalysisConfig | None = None) -> Analysi
     kalman = kalman_controllability_rank(lin.a, lin.b, tol=cfg.tol_rank)
     affine = _affine_structure(system, cfg)
 
-    if system.mode == CONTINUOUS:
-        positives, negatives, warnings = _continuous_rules(system, cfg, rep, prof, affine)
-    else:
-        positives, negatives, warnings = _discrete_rules(system, cfg, rep, prof)
+    real_spectrum = all(abs(v.imag) <= cfg.tol_class for v in prof.eigenvalues)
+    spectrum_wide = real_spectrum and rep.cov_bound > prof.eta_tilde + cfg.margin
+    positives, negatives, warnings = _rules(
+        system, cfg, rep, prof, affine, real_spectrum, spectrum_wide
+    )
 
     fired = tuple(positives + negatives)
     if positives:
@@ -327,17 +299,8 @@ def analyze(system: SystemSpec, config: AnalysisConfig | None = None) -> Analysi
             "the margin comparison is tolerance-sensitive"
         )
 
-    real_spectrum = all(abs(v.imag) <= cfg.tol_class for v in prof.eigenvalues)
-    small_time: bool | None = None
-    if system.mode == CONTINUOUS and real_spectrum and rep.cov_bound > prof.eta_tilde + cfg.margin:
-        small_time = True
-    if (
-        system.mode == CONTINUOUS
-        and cfg.assume_bounded_perturbation
-        and is_affine_system(system)
-        and real_spectrum
-        and rep.cov_bound > prof.eta_tilde + cfg.margin
-    ):
+    small_time = True if system.mode == CONTINUOUS and spectrum_wide else None
+    if small_time and cfg.assume_bounded_perturbation and is_affine_system(system):
         notes.append(
             "with the asserted bounded perturbation, this linear system with real "
             "spectrum and covering bound above the spectral radius is globally "

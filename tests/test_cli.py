@@ -286,6 +286,19 @@ def test_malformed_file_reports_line(run_cli, tmp_path):
     assert err == "error: line 4: unrecognized directive 'bogus'\n"
 
 
+
+def test_evaluation_error_exits_two(run_cli, tmp_path):
+    # x1^0.5 evaluates at 0 but its derivative there does not exist
+    path = tmp_path / "sqrt.stab"
+    path.write_text("mode continuous\nstates 1\ncontrols 1\neq x = 0\neq u = 0\n"
+                    "f1 = x1^0.5 + u1\n")
+    code, out, err = run_cli("analyze", path)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
+    assert err.count("\n") == 1
+    assert "Traceback" not in err
+
 def test_version_flag(run_cli, capsys):
     with pytest.raises(SystemExit) as exc:
         run_cli("--version")

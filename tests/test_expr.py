@@ -65,6 +65,8 @@ def test_unparse_known_strings():
         ("", "empty", None),
         ("sin()", "found ')'", None),
         ("x0", "indices start at 1", None),
+        ("1e999", "number out of range", 0),
+        ("x1 + u1 + 1e999 - 1e999", "number out of range", 10),
     ],
 )
 def test_parse_errors(text, message_part, offset):

@@ -83,6 +83,14 @@ def test_equilibrium_residual_rejected():
         system_from_strings("discrete", ["x1 + 1 + u1"], m=1)
 
 
+
+def test_nonfinite_equilibrium_residual_rejected():
+    # 1e308*10 overflows to inf at evaluation, so the residual is inf - inf = nan
+    with pytest.raises(SystemValidationError, match="residual nan"):
+        system_from_strings("continuous", ["x1 + u1 + 1e308*10 - 1e308*10"], m=1)
+    with pytest.raises(SystemValidationError, match="residual nan"):
+        system_from_strings("continuous", ["x1 + u1"], x_eq=[float("nan")], m=1)
+
 def test_out_of_range_variable_rejected():
     with pytest.raises(SystemValidationError, match="x3"):
         system_from_strings("continuous", ["x3", "u1"], m=1)

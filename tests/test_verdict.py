@@ -209,6 +209,37 @@ def test_discrete_has_no_necessity_route():
     assert any("Hautus rank test fails at lambda=2" in w for w in a.verdict.warnings)
 
 
+DISCRETE_NOTE = (
+    "no necessity criteria are available in discrete mode; "
+    "the sufficiency tests were inconclusive"
+)
+NONREAL_WARNING = (
+    "unstable spectrum contains nonreal eigenvalues; "
+    "the sufficiency margin test does not apply"
+)
+
+
+@pytest.mark.parametrize(
+    "mode, components, margin, warnings, notes",
+    [
+        ("continuous", ["x1 + x2", "-x1 + x2 + u1"], 0.0, (NONREAL_WARNING,), ()),
+        ("discrete", ["x1 + x2", "-x1 + x2 + u1"], 0.0, (NONREAL_WARNING,), (DISCRETE_NOTE,)),
+        ("discrete", ["2*x1 + u1"], 5.0, (
+            "sufficiency margin failed: cov=2.2360679775 <= eta=2 + margin=5",
+            "spectrum-wide margin failed: cov=2.2360679775 <= eta_tilde=2 + margin=5",
+        ), (DISCRETE_NOTE,)),
+        ("discrete", ["x2", "0"], 0.0, (
+            "spectrum-wide margin failed: cov=0 <= eta_tilde=0 + margin=0",
+        ), (DISCRETE_NOTE,)),
+    ],
+)
+def test_margin_warnings_in_both_modes(mode, components, margin, warnings, notes):
+    a = analyze(system_from_strings(mode, components, m=1), AnalysisConfig(margin=margin))
+    assert a.verdict.decision == INCONCLUSIVE
+    assert a.verdict.fired_rules == ()
+    assert a.verdict.warnings == warnings
+    assert a.verdict.notes == notes
+
 # --- bookkeeping --------------------------------------------------------
 
 def test_rule_table_is_complete():
