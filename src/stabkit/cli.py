@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -32,14 +33,25 @@ from .system import CONTINUOUS, SystemFormatError, SystemValidationError, load_s
 from .verdict import POSITIVE_DECISIONS, AnalysisConfig, analyze
 
 
+def _finite_float(text: str) -> float:
+    """argparse type: a float that is neither NaN nor infinite."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be a finite number, got {text!r}")
+    return value
+
+
 def _add_tolerance_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--tol-rank", type=float, default=None,
+    sub.add_argument("--tol-rank", type=_finite_float, default=None,
                      help="rank cutoff for singular values (default: adaptive)")
-    sub.add_argument("--tol-class", type=float, default=1e-8,
+    sub.add_argument("--tol-class", type=_finite_float, default=1e-8,
                      help="spectral classification tolerance")
-    sub.add_argument("--margin", type=float, default=0.0,
+    sub.add_argument("--margin", type=_finite_float, default=0.0,
                      help="extra margin demanded by the sufficiency tests")
-    sub.add_argument("--span-radius", type=float, default=0.1,
+    sub.add_argument("--span-radius", type=_finite_float, default=0.1,
                      help="sampling radius for the affine span estimate")
     sub.add_argument("--span-samples", type=int, default=64,
                      help="sample count for the affine span estimate")
@@ -67,9 +79,12 @@ def _parse_pole_list(text: str) -> list[complex]:
 
 def _parse_float_list(text: str) -> list[float]:
     try:
-        return [float(tok.strip()) for tok in text.split(",") if tok.strip()]
+        values = [float(tok.strip()) for tok in text.split(",") if tok.strip()]
     except ValueError:
         raise ValueError(f"could not parse number list {text!r}") from None
+    if not all(math.isfinite(v) for v in values):
+        raise ValueError(f"number list {text!r} must hold finite numbers")
+    return values
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
@@ -175,7 +190,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     else:
         sys.stdout.write(csv)
         summary_stream = sys.stderr
-    final_norm = float(np.linalg.norm(traj.states[-1]))
+    final_norm = float(np.linalg.norm(traj.states[-1] - traj.x_eq))
     summary_stream.write(
         f"samples={len(traj.times)} final_norm={final_norm:.12g} "
         f"diverged={'yes' if traj.diverged else 'no'}\n"
@@ -220,13 +235,13 @@ def build_parser() -> argparse.ArgumentParser:
                               "(the Hautus test must still hold)")
     p_synth.add_argument("--validate", action="store_true",
                          help="run the local stability verification on the result")
-    p_synth.add_argument("--delta", type=float, default=0.05,
+    p_synth.add_argument("--delta", type=_finite_float, default=0.05,
                          help="shell radius for --validate")
     p_synth.add_argument("--samples", type=int, default=100,
                          help="sample count for --validate")
-    p_synth.add_argument("--horizon", type=float, default=20.0,
+    p_synth.add_argument("--horizon", type=_finite_float, default=20.0,
                          help="integration horizon for --validate (continuous)")
-    p_synth.add_argument("--dt", type=float, default=1e-3,
+    p_synth.add_argument("--dt", type=_finite_float, default=1e-3,
                          help="integration step for --validate (continuous)")
     p_synth.add_argument("--steps", type=int, default=200,
                          help="iteration count for --validate (discrete)")
@@ -252,9 +267,10 @@ def build_parser() -> argparse.ArgumentParser:
     source.add_argument("--feedback", default=None,
                         help="semicolon-separated feedback expressions in x1..xn")
     p_sim.add_argument("--x0", required=True, help="comma-separated initial state")
-    p_sim.add_argument("--horizon", type=float, default=20.0,
+    p_sim.add_argument("--horizon", type=_finite_float, default=20.0,
                        help="integration horizon (continuous)")
-    p_sim.add_argument("--dt", type=float, default=1e-3, help="integration step (continuous)")
+    p_sim.add_argument("--dt", type=_finite_float, default=1e-3,
+                       help="integration step (continuous)")
     p_sim.add_argument("--steps", type=int, default=200, help="iteration count (discrete)")
     p_sim.add_argument("--out", default=None, help="write CSV here instead of stdout")
     p_sim.set_defaults(func=cmd_simulate)

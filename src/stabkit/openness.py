@@ -186,7 +186,7 @@ def empirical_covering_modulus(
         raise ValueError(
             f"empirical covering search supports n + m <= {MAX_SEARCH_DIM}, got {joint}"
         )
-    if radius <= 0:
+    if not radius > 0:
         raise ValueError("radius must be positive")
     if center is None:
         x0 = np.asarray(system.x_eq, dtype=float)

@@ -2,11 +2,12 @@
 
 Continuous systems integrate with fixed-step RK4 plus a per-step Richardson
 check (the half-step result replaces the full step when the estimated local
-error exceeds 1e-8); discrete systems iterate the map.  Norm trajectories
-are fitted in log space after a transient skip to certify an exponential
-envelope ||x(t)|| <= M ||x0|| exp(-alpha t).  All sampling is deterministic:
-initial conditions come from a Halton sequence pushed through the inverse
-normal transform, on shells of radius delta, delta/2, delta/4.
+error exceeds 1e-8); discrete systems iterate the map.  Deviation norms
+||x - x*|| are fitted in log space after a transient skip to certify an
+exponential envelope ||x(t) - x*|| <= M ||x0 - x*|| exp(-alpha t).  All
+sampling is deterministic: initial conditions come from a Halton sequence
+pushed through the inverse normal transform, on shells of radius delta,
+delta/2, delta/4 around x*.
 """
 
 from __future__ import annotations
@@ -16,8 +17,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.special import ndtri
-from scipy.stats import qmc
 
 from . import expr as ex
 from .synthesis import FeedbackGain, gain_expressions
@@ -43,18 +42,26 @@ class DecayFit:
 
 @dataclass(frozen=True)
 class Trajectory:
+    """Sampled closed-loop states; decay is measured to x_eq (default: the origin)."""
+
     times: np.ndarray
     states: np.ndarray
     feedback_used: str
     diverged: bool
+    x_eq: np.ndarray | None = None
 
     def __post_init__(self):
         times = np.asarray(self.times, dtype=float)
         states = np.asarray(self.states, dtype=float)
-        times.setflags(write=False)
-        states.setflags(write=False)
+        if self.x_eq is None:
+            x_eq = np.zeros(states.shape[-1])
+        else:
+            x_eq = np.asarray(self.x_eq, dtype=float)
+        for arr in (times, states, x_eq):
+            arr.setflags(write=False)
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "states", states)
+        object.__setattr__(self, "x_eq", x_eq)
 
 
 @dataclass(frozen=True)
@@ -141,8 +148,8 @@ def _rk4_double_step(g, states: np.ndarray, h: float) -> np.ndarray:
     return np.where(use_half[..., None], half, full)
 
 
-def _run_batch(step, x0s: np.ndarray, steps: int):
-    """Advance all rows, freezing each at its first divergence."""
+def _run_batch(step, x0s: np.ndarray, steps: int, x_eq: np.ndarray):
+    """Advance all rows, freezing each at its first divergence from x_eq."""
     count, n = x0s.shape
     states = np.empty((count, steps + 1, n))
     states[:, 0] = x0s
@@ -155,7 +162,7 @@ def _run_batch(step, x0s: np.ndarray, steps: int):
             advanced = step(current)
             finite = np.isfinite(advanced).all(axis=1)
             advanced = np.where((alive & finite)[:, None], advanced, current)
-            norms = np.linalg.norm(advanced, axis=1)
+            norms = np.linalg.norm(advanced - x_eq, axis=1)
             newly_bad = alive & (~finite | (norms > DIVERGENCE_NORM))
             states[:, k + 1] = advanced
             first_bad[newly_bad & (first_bad > steps)] = k + 1
@@ -163,6 +170,12 @@ def _run_batch(step, x0s: np.ndarray, steps: int):
             alive &= ~newly_bad
             current = advanced
     return states, diverged, first_bad
+
+
+def _check_time_grid(horizon: float, dt: float) -> None:
+    # written so that NaN fails too
+    if not (horizon > 0 and dt > 0):
+        raise ValueError("horizon and dt must be positive")
 
 
 def integrate_closed_loop(
@@ -175,18 +188,19 @@ def integrate_closed_loop(
     """RK4 integration of dx/dt = f(x, u(x)) from x0 over [0, horizon]."""
     if system.mode != CONTINUOUS:
         raise ValueError("integrate_closed_loop requires a continuous-mode system")
-    if dt <= 0 or horizon <= 0:
-        raise ValueError("horizon and dt must be positive")
+    _check_time_grid(horizon, dt)
     fb = make_feedback(system, feedback)
     g = _closed_loop_field(system, fb)
     steps = max(1, int(round(horizon / dt)))
+    x_eq = np.asarray(system.x_eq, dtype=float)
     x0_arr = np.asarray(x0, dtype=float)[None, :]
     states, diverged, first_bad = _run_batch(
-        lambda cur: _rk4_double_step(g, cur, dt), x0_arr, steps
+        lambda cur: _rk4_double_step(g, cur, dt), x0_arr, steps, x_eq
     )
     times = np.arange(steps + 1) * dt
     end = int(first_bad[0]) if diverged[0] else steps
-    return Trajectory(times[: end + 1], states[0, : end + 1], fb.description, bool(diverged[0]))
+    return Trajectory(times[: end + 1], states[0, : end + 1], fb.description,
+                      bool(diverged[0]), x_eq)
 
 
 def iterate_closed_loop(
@@ -202,11 +216,13 @@ def iterate_closed_loop(
         raise ValueError("steps must be positive")
     fb = make_feedback(system, feedback)
     g = _closed_loop_field(system, fb)
+    x_eq = np.asarray(system.x_eq, dtype=float)
     x0_arr = np.asarray(x0, dtype=float)[None, :]
-    states, diverged, first_bad = _run_batch(g, x0_arr, steps)
+    states, diverged, first_bad = _run_batch(g, x0_arr, steps, x_eq)
     times = np.arange(steps + 1, dtype=float)
     end = int(first_bad[0]) if diverged[0] else steps
-    return Trajectory(times[: end + 1], states[0, : end + 1], fb.description, bool(diverged[0]))
+    return Trajectory(times[: end + 1], states[0, : end + 1], fb.description,
+                      bool(diverged[0]), x_eq)
 
 
 def _fit_decay(times: np.ndarray, norms: np.ndarray, transient_skip: float) -> DecayFit:
@@ -234,17 +250,44 @@ def estimate_decay(traj: Trajectory, transient_skip: float = 0.1) -> DecayFit:
         raise ValueError("cannot fit a decay envelope on a divergent trajectory")
     if not 0.0 <= transient_skip < 1.0:
         raise ValueError("transient_skip must lie in [0, 1)")
-    norms = np.linalg.norm(traj.states, axis=1)
-    return _fit_decay(np.asarray(traj.times, dtype=float), norms, transient_skip)
+    norms = np.linalg.norm(traj.states - traj.x_eq, axis=1)
+    return _fit_decay(traj.times, norms, transient_skip)
+
+
+def _first_primes(count: int) -> list[int]:
+    primes: list[int] = []
+    candidate = 2
+    while len(primes) < count:
+        if all(candidate % p for p in primes if p * p <= candidate):
+            primes.append(candidate)
+        candidate += 1
+    return primes
+
+
+def _halton(count: int, dim: int) -> np.ndarray:
+    """Points 1..count of the unscrambled Halton sequence in the first dim prime bases.
+
+    Radical inverse (Halton 1960), accumulated digit by digit in the same
+    floating-point order as scipy.stats.qmc.Halton(scramble=False) after
+    fast_forward(1), so the points agree with it bit for bit.
+    """
+    bases = np.array(_first_primes(dim))
+    index = np.repeat(np.arange(1, count + 1)[:, None], dim, axis=1)
+    weight = np.ones(dim)
+    points = np.zeros((count, dim))
+    while index.any():
+        weight /= bases
+        points += weight * (index % bases)
+        index //= bases
+    return points
 
 
 def _sphere_directions(count: int, dim: int) -> np.ndarray:
     if dim == 1:
         return np.array([[1.0 if i % 2 == 0 else -1.0] for i in range(count)])
-    sampler = qmc.Halton(d=dim, scramble=False)
-    sampler.fast_forward(1)
-    u = sampler.random(count)
-    z = ndtri(np.clip(u, 1e-12, 1.0 - 1e-12))
+    from scipy.special import ndtri  # only validation pays for this import
+
+    z = ndtri(np.clip(_halton(count, dim), 1e-12, 1.0 - 1e-12))
     norms = np.linalg.norm(z, axis=1, keepdims=True)
     norms[norms == 0.0] = 1.0
     return z / norms
@@ -267,26 +310,29 @@ def verify_local_stability(
     decay fit to certify; the reported min_alpha is the worst fitted rate.
     Trajectories are advanced together, so the aggregate is order-independent.
     """
-    if delta <= 0:
+    if not delta > 0:
         raise ValueError("delta must be positive")
     if samples < 1:
         raise ValueError("need at least one sample")
+    if system.mode == CONTINUOUS:
+        _check_time_grid(horizon, dt)
     fb = make_feedback(system, feedback)
     g = _closed_loop_field(system, fb)
     directions = _sphere_directions(samples, system.n)
     radii = delta / 2.0 ** (np.arange(samples) % 3)
-    x0s = np.asarray(system.x_eq) + directions * radii[:, None]
+    x_eq = np.asarray(system.x_eq, dtype=float)
+    x0s = x_eq + directions * radii[:, None]
 
     if system.mode == CONTINUOUS:
         nsteps = max(1, int(round(horizon / dt)))
         times = np.arange(nsteps + 1) * dt
         states, diverged, _ = _run_batch(
-            lambda cur: _rk4_double_step(g, cur, dt), x0s, nsteps
+            lambda cur: _rk4_double_step(g, cur, dt), x0s, nsteps, x_eq
         )
     else:
         nsteps = steps
         times = np.arange(nsteps + 1, dtype=float)
-        states, diverged, _ = _run_batch(g, x0s, nsteps)
+        states, diverged, _ = _run_batch(g, x0s, nsteps, x_eq)
 
     fits: list[DecayFit | None] = []
     failures: list[tuple[float, ...]] = []
@@ -299,7 +345,7 @@ def verify_local_stability(
             failures.append(tuple(x0s[i]))
             min_alpha = -math.inf
             continue
-        fit = _fit_decay(times, np.linalg.norm(states[i], axis=1), transient_skip)
+        fit = _fit_decay(times, np.linalg.norm(states[i] - x_eq, axis=1), transient_skip)
         fits.append(fit)
         if not fit.certified:
             failures.append(tuple(x0s[i]))

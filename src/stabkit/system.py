@@ -374,7 +374,7 @@ def span_dimension_estimate(
     """
     center_arr = np.asarray(center, dtype=float)
     dim = center_arr.shape[0]
-    if radius <= 0:
+    if not radius > 0:
         raise ValueError("radius must be positive")
     if samples < 1:
         raise ValueError("need at least one sample point")

@@ -119,6 +119,14 @@ class AnalysisConfig:
     assume_bounded_perturbation: bool = False
     seed: int = 0
 
+    def __post_init__(self):
+        # a negative cutoff would count every singular value as nonzero and
+        # read a rank-0 Jacobian as full rank; `not x >= 0` also rejects NaN
+        if self.tol_rank is not None and not self.tol_rank >= 0:
+            raise ValueError("tol_rank must be non-negative")
+        if not self.tol_class >= 0:
+            raise ValueError("tol_class must be non-negative")
+
 
 @dataclass(frozen=True)
 class AffineStructure:

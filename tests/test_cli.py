@@ -2,10 +2,15 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import jsonschema
 import pytest
 
+import stabkit
 from stabkit.report import load_schema
 
 SQRT_TENTH = 0.31622776601683794
@@ -262,6 +267,26 @@ def test_simulate_discrete_steps(run_cli, examples_dir):
     assert "certified=yes" in err
 
 
+def test_simulate_measures_decay_to_the_equilibrium(run_cli, examples_dir, tmp_path):
+    moved = tmp_path / "planar_translated.stab"
+    moved.write_text("mode continuous\nstates 2\ncontrols 1\neq x = 1 0\neq u = 0\n"
+                     "f1 = (x1 - 1)^3 + x2\nf2 = u1\n")
+    gain_path = tmp_path / "gain.json"
+    gain_path.write_text(json.dumps({"k": [[-1.5, -2.5]]}))
+
+    def summary(path, x0):
+        code, _, err = run_cli("simulate", path, "--gain", gain_path, "--x0", x0,
+                               "--horizon", "10", "--dt", "1e-2")
+        assert code == 0
+        return dict(item.split("=") for item in err.split())
+
+    ref = summary(examples_dir / "planar_cubic.stab", "0.1,0")
+    got = summary(moved, "1.1,0")
+    assert got["certified"] == "yes" and got["diverged"] == "no"
+    assert float(got["alpha_hat"]) == pytest.approx(float(ref["alpha_hat"]), abs=1e-6)
+    assert float(got["final_norm"]) == pytest.approx(float(ref["final_norm"]), abs=1e-9)
+
+
 def test_simulate_x0_length_error(run_cli, examples_dir):
     code, _, err = run_cli(
         "simulate", examples_dir / "planar_cubic.stab", "--feedback=-x1", "--x0", "0.1"
@@ -298,6 +323,85 @@ def test_evaluation_error_exits_two(run_cli, tmp_path):
     assert err.startswith("error: ")
     assert err.count("\n") == 1
     assert "Traceback" not in err
+
+@pytest.mark.parametrize("command, flag", [
+    ("analyze", "--tol-rank"),
+    ("analyze", "--tol-class"),
+    ("analyze", "--margin"),
+    ("analyze", "--span-radius"),
+    ("synthesize", "--delta"),
+    ("synthesize", "--horizon"),
+    ("synthesize", "--dt"),
+    ("simulate", "--horizon"),
+    ("simulate", "--dt"),
+])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_nonfinite_numeric_flags_exit_two(run_cli, capsys, examples_dir, command, flag, value):
+    argv = [command, examples_dir / "planar_cubic.stab", f"{flag}={value}"]
+    if command == "synthesize":
+        argv.append("--validate")
+    if command == "simulate":
+        argv += ["--feedback=-x1 - x2", "--x0", "0.1,0"]
+    with pytest.raises(SystemExit) as exc:
+        run_cli(*argv)
+    err = capsys.readouterr().err
+    assert exc.value.code == 2
+    assert f"error: argument {flag}: must be a finite number" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["synthesize", "--validate", "--delta=0"],
+    ["synthesize", "--validate", "--horizon=-1"],
+    ["synthesize", "--validate", "--dt=0"],
+    ["simulate", "--feedback=-x1 - x2", "--x0", "0.1,0", "--dt=-1e-3"],
+    ["analyze", "--span-radius=0"],
+    ["covering", "--radius", "0"],
+])
+def test_nonpositive_numeric_flags_exit_two(run_cli, examples_dir, argv):
+    code, out, err = run_cli(argv[0], examples_dir / "planar_cubic.stab", *argv[1:])
+    assert code == 2
+    assert err.startswith("error: ") and "must be positive" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["covering", "--radius", "0.1,inf"],
+    ["simulate", "--feedback=-x1 - x2", "--x0", "nan,0"],
+])
+def test_nonfinite_number_lists_exit_two(run_cli, examples_dir, argv):
+    code, out, err = run_cli(argv[0], examples_dir / "planar_cubic.stab", *argv[1:])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "must hold finite numbers" in err
+
+
+@pytest.mark.parametrize("flag", ["--tol-rank=-1", "--tol-class=-1e-8"])
+def test_negative_tolerances_exit_two(run_cli, examples_dir, flag):
+    # a negative rank cutoff would read the rank-0 cubic_input as stabilizable
+    code, out, err = run_cli("analyze", examples_dir / "cubic_input.stab", flag)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "must be non-negative" in err
+
+
+def test_analyze_and_single_input_synthesize_load_no_scipy(examples_dir):
+    path = str(examples_dir / "planar_cubic.stab")
+    script = (
+        "import contextlib, io, sys\n"
+        "from stabkit.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    codes = [main(['analyze', {path!r}]), main(['analyze', {path!r}, '--json']),\n"
+        f"             main(['synthesize', {path!r}, '--json'])]\n"
+        "print(codes, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    src = str(Path(stabkit.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                         text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[0, 0, 0] []"
+
 
 def test_version_flag(run_cli, capsys):
     with pytest.raises(SystemExit) as exc:

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
+from scipy.stats import qmc
 
 from stabkit import sim
 from stabkit.synthesis import synthesize
@@ -112,6 +113,22 @@ def test_verify_reports_failures():
     assert len(check.failures) == 6
 
 
+def test_translated_equilibrium_validates_like_the_original(examples_dir):
+    # planar_cubic moved to x* = (1, 0): decay is measured to x*, not to 0
+    base = load_system(examples_dir / "planar_cubic.stab")
+    moved = system_from_strings("continuous", ["(x1 - 1)^3 + x2", "u1"], x_eq=[1.0, 0.0])
+    kwargs = dict(delta=0.05, samples=12, horizon=6.0, dt=1e-2)
+    ref = sim.verify_local_stability(base, synthesize(base), **kwargs)
+    check = sim.verify_local_stability(moved, synthesize(moved), **kwargs)
+    assert ref.passed and check.passed
+    assert check.min_alpha == pytest.approx(ref.min_alpha, abs=1e-6)
+    traj = sim.integrate_closed_loop(moved, synthesize(moved), [1.1, 0.0], horizon=6.0, dt=1e-2)
+    ref_traj = sim.integrate_closed_loop(base, synthesize(base), [0.1, 0.0], horizon=6.0, dt=1e-2)
+    assert list(traj.x_eq) == [1.0, 0.0]
+    assert sim.estimate_decay(traj).alpha_hat == pytest.approx(
+        sim.estimate_decay(ref_traj).alpha_hat, abs=1e-6)
+
+
 def test_verify_is_deterministic(examples_dir):
     sys = load_system(examples_dir / "planar_cubic.stab")
     kwargs = dict(delta=0.05, samples=9, horizon=4.0, dt=1e-2)
@@ -119,6 +136,13 @@ def test_verify_is_deterministic(examples_dir):
     b = sim.verify_local_stability(sys, ["-1.5*x1 - 2.5*x2"], **kwargs)
     assert a.min_alpha == b.min_alpha
     assert a.worst_x0 == b.worst_x0
+
+
+@pytest.mark.parametrize("dim", range(2, 51))
+def test_halton_matches_scipy(dim):
+    sampler = qmc.Halton(d=dim, scramble=False)
+    sampler.fast_forward(1)
+    assert np.array_equal(sim._halton(100, dim), sampler.random(100))
 
 
 # --- feedback normalization ---------------------------------------------
@@ -158,6 +182,18 @@ def test_mode_and_argument_guards():
     with pytest.raises(ValueError, match="transient_skip"):
         traj = sim.integrate_closed_loop(cont, ["-x1"], [0.1], horizon=1.0, dt=0.1)
         sim.estimate_decay(traj, transient_skip=1.0)
+
+
+def test_nan_and_nonpositive_grids_are_rejected():
+    cont = system_from_strings("continuous", ["u1"], m=1)
+    nan = float("nan")
+    with pytest.raises(ValueError, match="delta"):
+        sim.verify_local_stability(cont, ["0"], delta=nan)
+    for grid in (dict(horizon=nan), dict(dt=nan), dict(dt=0.0), dict(horizon=-1.0)):
+        with pytest.raises(ValueError, match="positive"):
+            sim.verify_local_stability(cont, ["0"], delta=0.1, **grid)
+        with pytest.raises(ValueError, match="positive"):
+            sim.integrate_closed_loop(cont, ["0"], [0.1], **grid)
 
 
 # --- CSV rendering ------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.optimize import linear_sum_assignment
 
 from stabkit import expr as ex
 from stabkit.synthesis import (
@@ -167,6 +168,27 @@ def test_pole_match_error_is_permutation_invariant():
     assert pole_match_error(achieved, desired) == 0.0
     with pytest.raises(ValueError, match="equal length"):
         pole_match_error(achieved, desired[:2])
+
+
+def _assignment_error(achieved, desired) -> float:
+    cost = np.abs(np.subtract.outer(np.asarray(achieved), np.asarray(desired)))
+    rows, cols = linear_sum_assignment(cost)
+    return float(cost[rows, cols].max())
+
+
+def test_pole_match_error_equals_assignment_solver():
+    rng = np.random.default_rng(7)
+    for case in range(600):
+        n = int(rng.integers(1, 9))
+        desired = rng.normal(size=n) + 1j * rng.normal(size=n) * (case % 2)
+        if case % 3 == 0 and n > 1:  # repeated targets
+            desired[rng.integers(1, n)] = desired[0]
+        noise = rng.normal(size=n) + 1j * rng.normal(size=n)
+        achieved = rng.permutation(desired) + 10.0 ** rng.uniform(-14, 0.5) * noise
+        assert pole_match_error(achieved, desired) == _assignment_error(achieved, desired)
+    # two achieved poles share a nearest target: the solver path decides
+    achieved, desired = [0.0, 0.1], [0.05, 5.0]
+    assert pole_match_error(achieved, desired) == _assignment_error(achieved, desired)
 
 
 # --- helpers ------------------------------------------------------------
