@@ -46,6 +46,12 @@ class CoveringGrid:
     attain_rel_tol: float = 1e-6
     resolution: float = 1e-3
 
+    def __post_init__(self):
+        # an empty target set or a one-point axis would pass the search vacuously
+        for name, low in (("directions", 1), ("radial_levels", 1), ("axis_points", 2)):
+            if getattr(self, name) < low:
+                raise ValueError(f"covering grid needs {name} >= {low}, got {getattr(self, name)}")
+
 
 def openness_report(lin, tol: float | None = None) -> OpennessReport:
     """All openness bounds of [A | B] from one SVD."""
@@ -86,7 +92,14 @@ def shifted_covering_lower_bound(cov: float, nu: float) -> float:
 # --- empirical covering search --------------------------------------------
 
 
-def _sphere_directions(dim: int, count: int) -> np.ndarray:
+def _covering_directions(dim: int, count: int) -> np.ndarray:
+    """Target directions on a fixed lattice: both signs, a regular polygon or
+    a Fibonacci sphere for dim 1, 2 or 3 (the search caps n + m at 3).
+
+    Not merged with ``sim._halton_directions``: the covering search needs
+    this fixed lattice, and sharing either generator would move the README
+    covering table or validation's ``worst_x0``.
+    """
     if dim == 1:
         return np.array([[1.0], [-1.0]])
     if dim == 2:
@@ -213,7 +226,7 @@ def empirical_covering_modulus(
     if spread == 0.0:
         return 0.0
 
-    directions = _sphere_directions(n, grid.directions)
+    directions = _covering_directions(n, grid.directions)
     attain_tol = grid.attain_rel_tol * radius
     initial_step = 2.0 * radius / grid.axis_points
 

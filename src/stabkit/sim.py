@@ -1,8 +1,9 @@
 """Closed-loop simulation and empirical decay certification.
 
-Continuous systems integrate with fixed-step RK4 plus a per-step Richardson
-check (the half-step result replaces the full step when the estimated local
-error exceeds 1e-8); discrete systems iterate the map.  Deviation norms
+One private runner, ``_simulate``, serves every entry point.  Continuous
+systems integrate with fixed-step RK4 plus a per-step Richardson check (the
+half-step result replaces the full step when the estimated local error
+exceeds 1e-8); discrete systems iterate the map.  Deviation norms
 ||x - x*|| are fitted in log space after a transient skip to certify an
 exponential envelope ||x(t) - x*|| <= M ||x0 - x*|| exp(-alpha t).  All
 sampling is deterministic: initial conditions come from a Halton sequence
@@ -32,7 +33,7 @@ ALPHA_FLOOR = 1e-12
 
 @dataclass(frozen=True)
 class DecayFit:
-    """Fitted exponential envelope ||x(t)|| <= m_hat ||x0|| exp(-alpha_hat t)."""
+    """Fitted envelope ||x(t) - x*|| <= m_hat ||x0 - x*|| exp(-alpha_hat t)."""
 
     m_hat: float
     alpha_hat: float
@@ -123,15 +124,6 @@ def make_feedback(system: SystemSpec, fb) -> Feedback:
     return Feedback(expr_fn, "; ".join(ex.unparse(e) for e in parsed), smooth)
 
 
-def _closed_loop_field(system: SystemSpec, feedback: Feedback):
-    field = ex.compile_field(system.components)
-
-    def g(states: np.ndarray) -> np.ndarray:
-        return field(states, feedback(states))
-
-    return g
-
-
 def _rk4_step(g, states: np.ndarray, h: float) -> np.ndarray:
     k1 = g(states)
     k2 = g(states + 0.5 * h * k1)
@@ -148,15 +140,36 @@ def _rk4_double_step(g, states: np.ndarray, h: float) -> np.ndarray:
     return np.where(use_half[..., None], half, full)
 
 
-def _run_batch(step, x0s: np.ndarray, steps: int, x_eq: np.ndarray):
-    """Advance all rows, freezing each at its first divergence from x_eq."""
+def _simulate(system: SystemSpec, feedback, x0s: np.ndarray, horizon, dt, steps):
+    """Run the closed loop from every row of x0s on the mode's time grid.
+
+    Each row freezes at its first divergence from x*.  Returns the feedback,
+    times, states (rows, samples, n), divergence flags and last valid indices.
+    """
+    if system.mode == CONTINUOUS:
+        # written so that NaN fails too
+        if not (horizon > 0 and dt > 0):
+            raise ValueError("horizon and dt must be positive")
+        steps = max(1, int(round(horizon / dt)))
+        times = np.arange(steps + 1) * dt
+    else:
+        if not steps >= 1:
+            raise ValueError("steps must be positive")
+        times = np.arange(steps + 1, dtype=float)
+    fb = make_feedback(system, feedback)
+    field = ex.compile_field(system.components)
+
+    def g(states: np.ndarray) -> np.ndarray:
+        return field(states, fb(states))
+
+    step = g if system.mode == DISCRETE else (lambda cur: _rk4_double_step(g, cur, dt))
+    x_eq = np.asarray(system.x_eq, dtype=float)
     count, n = x0s.shape
     states = np.empty((count, steps + 1, n))
     states[:, 0] = x0s
     alive = np.ones(count, dtype=bool)
-    diverged = np.zeros(count, dtype=bool)
-    first_bad = np.full(count, steps + 1)
-    current = x0s.astype(float).copy()
+    last = np.full(count, steps)
+    current = x0s.astype(float)
     with np.errstate(all="ignore"):
         for k in range(steps):
             advanced = step(current)
@@ -165,17 +178,19 @@ def _run_batch(step, x0s: np.ndarray, steps: int, x_eq: np.ndarray):
             norms = np.linalg.norm(advanced - x_eq, axis=1)
             newly_bad = alive & (~finite | (norms > DIVERGENCE_NORM))
             states[:, k + 1] = advanced
-            first_bad[newly_bad & (first_bad > steps)] = k + 1
-            diverged |= newly_bad
+            last[newly_bad] = k + 1
             alive &= ~newly_bad
             current = advanced
-    return states, diverged, first_bad
+    return fb, times, states, ~alive, last
 
 
-def _check_time_grid(horizon: float, dt: float) -> None:
-    # written so that NaN fails too
-    if not (horizon > 0 and dt > 0):
-        raise ValueError("horizon and dt must be positive")
+def _trajectory(system: SystemSpec, feedback, x0, horizon, dt, steps) -> Trajectory:
+    """One run from x0, cut after its last valid sample."""
+    x0s = np.asarray(x0, dtype=float)[None, :]
+    fb, times, states, diverged, last = _simulate(system, feedback, x0s, horizon, dt, steps)
+    end = int(last[0]) + 1
+    return Trajectory(times[:end], states[0, :end], fb.description, bool(diverged[0]),
+                      system.x_eq)
 
 
 def integrate_closed_loop(
@@ -188,19 +203,7 @@ def integrate_closed_loop(
     """RK4 integration of dx/dt = f(x, u(x)) from x0 over [0, horizon]."""
     if system.mode != CONTINUOUS:
         raise ValueError("integrate_closed_loop requires a continuous-mode system")
-    _check_time_grid(horizon, dt)
-    fb = make_feedback(system, feedback)
-    g = _closed_loop_field(system, fb)
-    steps = max(1, int(round(horizon / dt)))
-    x_eq = np.asarray(system.x_eq, dtype=float)
-    x0_arr = np.asarray(x0, dtype=float)[None, :]
-    states, diverged, first_bad = _run_batch(
-        lambda cur: _rk4_double_step(g, cur, dt), x0_arr, steps, x_eq
-    )
-    times = np.arange(steps + 1) * dt
-    end = int(first_bad[0]) if diverged[0] else steps
-    return Trajectory(times[: end + 1], states[0, : end + 1], fb.description,
-                      bool(diverged[0]), x_eq)
+    return _trajectory(system, feedback, x0, horizon, dt, None)
 
 
 def iterate_closed_loop(
@@ -212,17 +215,12 @@ def iterate_closed_loop(
     """Iteration of x+ = f(x, u(x)) from x0 for the given number of steps."""
     if system.mode != DISCRETE:
         raise ValueError("iterate_closed_loop requires a discrete-mode system")
-    if steps < 1:
-        raise ValueError("steps must be positive")
-    fb = make_feedback(system, feedback)
-    g = _closed_loop_field(system, fb)
-    x_eq = np.asarray(system.x_eq, dtype=float)
-    x0_arr = np.asarray(x0, dtype=float)[None, :]
-    states, diverged, first_bad = _run_batch(g, x0_arr, steps, x_eq)
-    times = np.arange(steps + 1, dtype=float)
-    end = int(first_bad[0]) if diverged[0] else steps
-    return Trajectory(times[: end + 1], states[0, : end + 1], fb.description,
-                      bool(diverged[0]), x_eq)
+    return _trajectory(system, feedback, x0, None, None, steps)
+
+
+def _check_transient_skip(transient_skip: float) -> None:
+    if not 0.0 <= transient_skip < 1.0:
+        raise ValueError("transient_skip must lie in [0, 1)")
 
 
 def _fit_decay(times: np.ndarray, norms: np.ndarray, transient_skip: float) -> DecayFit:
@@ -248,8 +246,7 @@ def estimate_decay(traj: Trajectory, transient_skip: float = 0.1) -> DecayFit:
     """Least-squares exponential envelope of a non-divergent trajectory."""
     if traj.diverged:
         raise ValueError("cannot fit a decay envelope on a divergent trajectory")
-    if not 0.0 <= transient_skip < 1.0:
-        raise ValueError("transient_skip must lie in [0, 1)")
+    _check_transient_skip(transient_skip)
     norms = np.linalg.norm(traj.states - traj.x_eq, axis=1)
     return _fit_decay(traj.times, norms, transient_skip)
 
@@ -282,7 +279,13 @@ def _halton(count: int, dim: int) -> np.ndarray:
     return points
 
 
-def _sphere_directions(count: int, dim: int) -> np.ndarray:
+def _halton_directions(count: int, dim: int) -> np.ndarray:
+    """Unit vectors from Halton points pushed through the inverse normal CDF.
+
+    Not merged with ``openness._covering_directions``: that one is a fixed
+    lattice for dim <= 3, so sharing either generator would move
+    validation's ``worst_x0`` or the README covering table.
+    """
     if dim == 1:
         return np.array([[1.0 if i % 2 == 0 else -1.0] for i in range(count)])
     from scipy.special import ndtri  # only validation pays for this import
@@ -314,39 +317,23 @@ def verify_local_stability(
         raise ValueError("delta must be positive")
     if samples < 1:
         raise ValueError("need at least one sample")
-    if system.mode == CONTINUOUS:
-        _check_time_grid(horizon, dt)
-    fb = make_feedback(system, feedback)
-    g = _closed_loop_field(system, fb)
-    directions = _sphere_directions(samples, system.n)
+    _check_transient_skip(transient_skip)
+    directions = _halton_directions(samples, system.n)
     radii = delta / 2.0 ** (np.arange(samples) % 3)
     x_eq = np.asarray(system.x_eq, dtype=float)
     x0s = x_eq + directions * radii[:, None]
+    _, times, states, diverged, _ = _simulate(system, feedback, x0s, horizon, dt, steps)
 
-    if system.mode == CONTINUOUS:
-        nsteps = max(1, int(round(horizon / dt)))
-        times = np.arange(nsteps + 1) * dt
-        states, diverged, _ = _run_batch(
-            lambda cur: _rk4_double_step(g, cur, dt), x0s, nsteps, x_eq
-        )
-    else:
-        nsteps = steps
-        times = np.arange(nsteps + 1, dtype=float)
-        states, diverged, _ = _run_batch(g, x0s, nsteps, x_eq)
-
-    fits: list[DecayFit | None] = []
     failures: list[tuple[float, ...]] = []
     worst: DecayFit | None = None
     worst_x0: tuple[float, ...] | None = None
     min_alpha = math.inf
     for i in range(samples):
         if diverged[i]:
-            fits.append(None)
             failures.append(tuple(x0s[i]))
             min_alpha = -math.inf
             continue
         fit = _fit_decay(times, np.linalg.norm(states[i] - x_eq, axis=1), transient_skip)
-        fits.append(fit)
         if not fit.certified:
             failures.append(tuple(x0s[i]))
         if fit.alpha_hat < min_alpha:

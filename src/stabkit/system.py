@@ -87,6 +87,9 @@ class SystemSpec:
             raise SystemValidationError(
                 f"equilibrium residual {norm:.3e} exceeds {EQUILIBRIUM_TOL:.0e}"
             )
+        # a non-finite x* or u* can still leave a zero residual (f1 = u1, x* = nan)
+        if not np.isfinite(self.x_eq + self.u_eq).all():
+            raise SystemValidationError("equilibrium values must be finite")
 
 
 def evaluate(system: SystemSpec, x: Sequence[float], u: Sequence[float]) -> np.ndarray:

@@ -62,6 +62,42 @@ def test_text_and_json_numbers_agree(run_cli, examples_dir):
     assert f"perturbation_margin: {doc['verdict']['perturbation_margin']:.12g}" in text
 
 
+STABLE_SYSTEM = ("mode continuous\nstates 2\ncontrols 1\neq x = 0 0\neq u = 0\n"
+                 "f1 = -x1 + u1\nf2 = -2*x2 + x1^2\n")
+DIVERGING_VALIDATION = ["synthesize", "--validate", "--delta", "3", "--samples", "12",
+                        "--horizon", "2", "--dt", "0.01"]
+
+
+@pytest.mark.parametrize("source, argv, text_parts, json_paths", [
+    ("cubic_input.stab", ["analyze"], ["reg_bound=inf "], [("openness", "reg_bound")]),
+    (STABLE_SYSTEM, ["analyze"],
+     ["spectral: eta=-inf ", "perturbation_margin: inf\n",
+      "R1 [EXP_STABILIZABLE_CONT_FEEDBACK] (cov=1.41421356237, eta=-inf, margin=0,"],
+     [("spectral", "eta"), ("verdict", "perturbation_margin"),
+      ("verdict", "fired_rules", 1, "evidence", "eta")]),
+    ("planar_cubic.stab", DIVERGING_VALIDATION, ["passed=no delta=3 samples=12 min_alpha=-inf\n"],
+     [("validation", "min_alpha")]),
+], ids=["cubic_input", "stable", "diverging"])
+def test_nonfinite_numbers_are_inf_in_text_and_null_in_json(
+        run_cli, examples_dir, tmp_path, source, argv, text_parts, json_paths):
+    path = examples_dir / source
+    if "\n" in source:
+        path = tmp_path / "stable.stab"
+        path.write_text(source)
+    code, text, _ = run_cli(argv[0], path, *argv[1:])
+    assert code == 0
+    for part in text_parts:
+        assert part in text
+    code, raw, _ = run_cli(argv[0], path, *argv[1:], "--json")
+    assert code == 0
+    doc = json.loads(raw)
+    for keys in json_paths:
+        value = doc
+        for key in keys:
+            value = value[key]
+        assert value is None, keys
+
+
 def test_analyze_flag_plumbing(run_cli, examples_dir):
     code, out, _ = run_cli(
         "analyze", examples_dir / "three_state_mixed.stab", "--margin", "0.5"
@@ -324,6 +360,19 @@ def test_evaluation_error_exits_two(run_cli, tmp_path):
     assert err.count("\n") == 1
     assert "Traceback" not in err
 
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize("argv", [["analyze"], ["analyze", "--json"],
+                                  ["synthesize", "--validate"]])
+def test_nonfinite_equilibrium_exits_two(run_cli, tmp_path, value, argv):
+    # f1 = u1 has a zero residual at any x*, so only the finiteness check stops it
+    path = tmp_path / "eq.stab"
+    path.write_text(f"mode continuous\nstates 1\ncontrols 1\neq x = {value}\neq u = 0\n"
+                    "f1 = u1\n")
+    assert run_cli(argv[0], path, *argv[1:]) == (
+        2, "", "error: equilibrium values must be finite\n")
+
+
 @pytest.mark.parametrize("command, flag", [
     ("analyze", "--tol-rank"),
     ("analyze", "--tol-class"),
@@ -363,6 +412,26 @@ def test_nonpositive_numeric_flags_exit_two(run_cli, examples_dir, argv):
     assert code == 2
     assert err.startswith("error: ") and "must be positive" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("steps", ["0", "-3"])
+def test_discrete_validation_steps_exit_two(run_cli, examples_dir, steps):
+    assert run_cli("synthesize", examples_dir / "discrete_quadratic.stab", "--validate",
+                   f"--steps={steps}") == (2, "", "error: steps must be positive\n")
+
+
+@pytest.mark.parametrize("flag, message", [
+    ("--directions=0", "directions >= 1, got 0"),
+    ("--levels=0", "radial_levels >= 1, got 0"),
+    ("--axis-points=0", "axis_points >= 2, got 0"),
+    ("--axis-points=1", "axis_points >= 2, got 1"),
+])
+def test_degenerate_covering_grid_exits_two(run_cli, examples_dir, flag, message):
+    # an empty target set or a one-point axis would pass the covering search vacuously
+    code, out, err = run_cli("covering", examples_dir / "identity_input.stab",
+                             "--radius", "0.1", flag)
+    assert (code, out) == (2, "")
+    assert err == f"error: covering grid needs {message}\n"
 
 
 @pytest.mark.parametrize("argv", [

@@ -5,6 +5,8 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import qmc
 
 from stabkit import sim
@@ -129,6 +131,39 @@ def test_translated_equilibrium_validates_like_the_original(examples_dir):
         sim.estimate_decay(ref_traj).alpha_hat, abs=1e-6)
 
 
+def _translated(mode: str, c: tuple[float, float, float]):
+    """planar_cubic (continuous) or discrete_quadratic, moved to x* = c[:n], u* = c[2]."""
+    x1, x2, u1 = (f"(x1 - ({c[0]!r}))", f"(x2 - ({c[1]!r}))", f"(u1 - ({c[2]!r}))")
+    if mode == "continuous":
+        return system_from_strings(mode, [f"{x1}^3 + {x2}", u1], x_eq=c[:2], u_eq=c[2:])
+    return system_from_strings(
+        mode, [f"({c[0]!r}) + 1.5*{x1} + {u1} + {x1}^2"], x_eq=c[:1], u_eq=c[2:])
+
+
+@pytest.mark.parametrize("mode", ["continuous", "discrete"])
+@settings(derandomize=True, max_examples=6, deadline=None)
+@given(c=st.tuples(*[st.floats(-5.0, 5.0)] * 3))
+def test_translation_shifts_trajectories_and_validation(mode, c):
+    base, moved = _translated(mode, (0.0, 0.0, 0.0)), _translated(mode, c)
+    shift = np.asarray(moved.x_eq)
+    results = []
+    for system in (base, moved):
+        gain = synthesize(system)
+        x0 = np.asarray(system.x_eq) + 0.1
+        if mode == "continuous":
+            traj = sim.integrate_closed_loop(system, gain, x0, horizon=1.0, dt=1e-2)
+        else:
+            traj = sim.iterate_closed_loop(system, gain, x0, steps=15)
+        check = sim.verify_local_stability(
+            system, gain, delta=0.05, samples=6, horizon=2.0, dt=1e-2, steps=15)
+        results.append((traj, check))
+    (ref_traj, ref), (traj, check) = results
+    assert np.array_equal(traj.times, ref_traj.times)
+    np.testing.assert_allclose(traj.states - shift, ref_traj.states, rtol=0, atol=1e-9)
+    assert check.passed == ref.passed
+    assert check.min_alpha == pytest.approx(ref.min_alpha, abs=1e-6)
+
+
 def test_verify_is_deterministic(examples_dir):
     sys = load_system(examples_dir / "planar_cubic.stab")
     kwargs = dict(delta=0.05, samples=9, horizon=4.0, dt=1e-2)
@@ -182,6 +217,9 @@ def test_mode_and_argument_guards():
     with pytest.raises(ValueError, match="transient_skip"):
         traj = sim.integrate_closed_loop(cont, ["-x1"], [0.1], horizon=1.0, dt=0.1)
         sim.estimate_decay(traj, transient_skip=1.0)
+    for skip in (-0.1, 1.0, float("nan")):
+        with pytest.raises(ValueError, match="transient_skip"):
+            sim.verify_local_stability(cont, ["-x1"], delta=0.1, transient_skip=skip)
 
 
 def test_nan_and_nonpositive_grids_are_rejected():
@@ -194,6 +232,12 @@ def test_nan_and_nonpositive_grids_are_rejected():
             sim.verify_local_stability(cont, ["0"], delta=0.1, **grid)
         with pytest.raises(ValueError, match="positive"):
             sim.integrate_closed_loop(cont, ["0"], [0.1], **grid)
+    disc = system_from_strings("discrete", ["u1"], m=1)
+    for steps in (0, -3, nan):
+        with pytest.raises(ValueError, match="steps must be positive"):
+            sim.verify_local_stability(disc, ["0"], delta=0.1, steps=steps)
+        with pytest.raises(ValueError, match="steps must be positive"):
+            sim.iterate_closed_loop(disc, ["0"], [0.1], steps=steps)
 
 
 # --- CSV rendering ------------------------------------------------------

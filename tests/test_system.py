@@ -91,6 +91,19 @@ def test_nonfinite_equilibrium_residual_rejected():
     with pytest.raises(SystemValidationError, match="residual nan"):
         system_from_strings("continuous", ["x1 + u1"], x_eq=[float("nan")], m=1)
 
+
+@pytest.mark.parametrize("x_eq, u_eq", [
+    ([float("nan")], [0.0]),
+    ([float("inf")], [0.0]),
+    ([0.0], [float("-inf")]),
+])
+def test_nonfinite_equilibrium_rejected(x_eq, u_eq):
+    # -x1 at x = 0 and u1 at u = 0 leave a zero residual whatever the other value is
+    comp = "u1" if u_eq == [0.0] else "-x1"
+    with pytest.raises(SystemValidationError, match="equilibrium values must be finite"):
+        system_from_strings("continuous", [comp], x_eq=x_eq, u_eq=u_eq, m=1)
+
+
 def test_out_of_range_variable_rejected():
     with pytest.raises(SystemValidationError, match="x3"):
         system_from_strings("continuous", ["x3", "u1"], m=1)
