@@ -242,7 +242,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_synth.add_argument("--horizon", type=_finite_float, default=20.0,
                          help="integration horizon for --validate (continuous)")
     p_synth.add_argument("--dt", type=_finite_float, default=1e-3,
-                         help="integration step for --validate (continuous)")
+                         help="sampling step of the decay fit for --validate (continuous)")
     p_synth.add_argument("--steps", type=int, default=200,
                          help="iteration count for --validate (discrete)")
     _add_tolerance_flags(p_synth)
@@ -253,7 +253,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_cov.add_argument("--radius", required=True,
                        help="comma-separated ball radii, largest first")
     p_cov.add_argument("--directions", type=int, default=48,
-                       help="target directions per shell")
+                       help="target directions per shell (a 1-state system always "
+                            "uses the two signs)")
     p_cov.add_argument("--levels", type=int, default=4, help="radial shells per target ball")
     p_cov.add_argument("--axis-points", type=int, default=15,
                        help="coarse grid points per axis")

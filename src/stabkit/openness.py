@@ -93,8 +93,9 @@ def shifted_covering_lower_bound(cov: float, nu: float) -> float:
 
 
 def _covering_directions(dim: int, count: int) -> np.ndarray:
-    """Target directions on a fixed lattice: both signs, a regular polygon or
-    a Fibonacci sphere for dim 1, 2 or 3 (the search caps n + m at 3).
+    """Target directions on a fixed lattice: both signs for dim 1 (``count`` is
+    not used there), a regular ``count``-gon for dim 2.  The search caps
+    n + m at 3 with m >= 1, so dim is never larger.
 
     Not merged with ``sim._halton_directions``: the covering search needs
     this fixed lattice, and sharing either generator would move the README
@@ -102,15 +103,8 @@ def _covering_directions(dim: int, count: int) -> np.ndarray:
     """
     if dim == 1:
         return np.array([[1.0], [-1.0]])
-    if dim == 2:
-        angles = 2.0 * np.pi * np.arange(count) / count
-        return np.column_stack([np.cos(angles), np.sin(angles)])
-    golden = np.pi * (3.0 - np.sqrt(5.0))
-    k = np.arange(count)
-    z = 1.0 - (2.0 * k + 1.0) / count
-    rho = np.sqrt(np.maximum(0.0, 1.0 - z * z))
-    theta = golden * k
-    return np.column_stack([rho * np.cos(theta), rho * np.sin(theta), z])
+    angles = 2.0 * np.pi * np.arange(count) / count
+    return np.column_stack([np.cos(angles), np.sin(angles)])
 
 
 def _cube_grid(dim: int, radius: float, axis_points: int) -> np.ndarray:

@@ -1,14 +1,20 @@
 """Closed-loop simulation and empirical decay certification.
 
-One private runner, ``_simulate``, serves every entry point.  Continuous
+Trajectories (``integrate_closed_loop``, ``iterate_closed_loop``, discrete
+validation) go through one private runner, ``_simulate``: continuous
 systems integrate with fixed-step RK4 plus a per-step Richardson check (the
 half-step result replaces the full step when the estimated local error
-exceeds 1e-8); discrete systems iterate the map.  Deviation norms
-||x - x*|| are fitted in log space after a transient skip to certify an
-exponential envelope ||x(t) - x*|| <= M ||x0 - x*|| exp(-alpha t).  All
-sampling is deterministic: initial conditions come from a Halton sequence
-pushed through the inverse normal transform, on shells of radius delta,
-delta/2, delta/4 around x*.
+exceeds 1e-8), discrete systems iterate the map, and every state is kept.
+Continuous validation needs only the distances ||x - x*||, so it integrates
+with an adaptive Dormand-Prince 5(4) pair and reads the distances on the dt
+grid from its continuous extension, storing no states.  Both share the grid
+check, whose cap MAX_STORED_FLOATS bounds memory, and the compiled
+closed-loop field.  Distances are fitted in log space after a transient
+skip to certify an exponential envelope
+||x(t) - x*|| <= M ||x0 - x*|| exp(-alpha t).  All sampling is
+deterministic: initial conditions come from a Halton sequence pushed
+through the inverse normal transform, on shells of radius delta, delta/2,
+delta/4 around x*.
 """
 
 from __future__ import annotations
@@ -28,6 +34,13 @@ DEFAULT_HORIZON = 20.0
 DEFAULT_DT = 1e-3
 DEFAULT_STEPS = 200
 STEP_ERROR_TOL = 1e-8
+# absolute part of validation's adaptive error test, about the round-off of
+# O(1) numbers: the relative part alone asks for digits the field cannot
+# deliver once ||x - x*|| has decayed that far (u* + K(x - x*) cancels)
+STEP_ERROR_FLOOR = 1e-16
+# cap on the floats one run stores (64 MiB): states for a trajectory batch,
+# norms for a continuous validation; every CLI default at n <= 50 fits
+MAX_STORED_FLOATS = 1 << 23
 ALPHA_FLOOR = 1e-12
 
 
@@ -124,8 +137,7 @@ def make_feedback(system: SystemSpec, fb) -> Feedback:
     return Feedback(expr_fn, "; ".join(ex.unparse(e) for e in parsed), smooth)
 
 
-def _rk4_step(g, states: np.ndarray, h: float) -> np.ndarray:
-    k1 = g(states)
+def _rk4_step(g, states: np.ndarray, h: float, k1: np.ndarray) -> np.ndarray:
     k2 = g(states + 0.5 * h * k1)
     k3 = g(states + 0.5 * h * k2)
     k4 = g(states + h * k3)
@@ -133,11 +145,48 @@ def _rk4_step(g, states: np.ndarray, h: float) -> np.ndarray:
 
 
 def _rk4_double_step(g, states: np.ndarray, h: float) -> np.ndarray:
-    full = _rk4_step(g, states, h)
-    half = _rk4_step(g, _rk4_step(g, states, 0.5 * h), 0.5 * h)
+    k1 = g(states)  # the full step and the first half step start from the same slope
+    full = _rk4_step(g, states, h, k1)
+    mid = _rk4_step(g, states, 0.5 * h, k1)
+    half = _rk4_step(g, mid, 0.5 * h, g(mid))
     err = np.linalg.norm(full - half, axis=-1) / 15.0
     use_half = ~np.isfinite(err) | (err > STEP_ERROR_TOL)
     return np.where(use_half[..., None], half, full)
+
+
+def _time_grid(system: SystemSpec, horizon, dt, steps, floats_per_sample: int) -> np.ndarray:
+    """The mode's sample times, checked to be positive and to fit MAX_STORED_FLOATS.
+
+    ``floats_per_sample`` is what the caller stores per time: rows x n for
+    states, rows for norms.
+    """
+    if system.mode == CONTINUOUS:
+        # written so that NaN fails too
+        if not (horizon > 0 and dt > 0):
+            raise ValueError("horizon and dt must be positive")
+        ratio = horizon / dt
+        steps = max(1, int(round(ratio))) if math.isfinite(ratio) else ratio
+    elif not steps >= 1:
+        raise ValueError("steps must be positive")
+    if (steps + 1) * floats_per_sample > MAX_STORED_FLOATS:
+        raise ValueError(
+            f"the time grid of {steps + 1:.6g} points x {floats_per_sample} values per point "
+            f"exceeds the limit of {MAX_STORED_FLOATS} stored numbers; "
+            "use a shorter or coarser grid, or fewer samples")
+    if system.mode == CONTINUOUS:
+        return np.arange(steps + 1) * dt
+    return np.arange(steps + 1, dtype=float)
+
+
+def _closed_loop(system: SystemSpec, feedback):
+    """The normalized feedback and the compiled closed-loop field x -> f(x, u(x))."""
+    fb = make_feedback(system, feedback)
+    field = ex.compile_field(system.components)
+
+    def g(states: np.ndarray) -> np.ndarray:
+        return field(states, fb(states))
+
+    return fb, g
 
 
 def _simulate(system: SystemSpec, feedback, x0s: np.ndarray, horizon, dt, steps):
@@ -146,25 +195,12 @@ def _simulate(system: SystemSpec, feedback, x0s: np.ndarray, horizon, dt, steps)
     Each row freezes at its first divergence from x*.  Returns the feedback,
     times, states (rows, samples, n), divergence flags and last valid indices.
     """
-    if system.mode == CONTINUOUS:
-        # written so that NaN fails too
-        if not (horizon > 0 and dt > 0):
-            raise ValueError("horizon and dt must be positive")
-        steps = max(1, int(round(horizon / dt)))
-        times = np.arange(steps + 1) * dt
-    else:
-        if not steps >= 1:
-            raise ValueError("steps must be positive")
-        times = np.arange(steps + 1, dtype=float)
-    fb = make_feedback(system, feedback)
-    field = ex.compile_field(system.components)
-
-    def g(states: np.ndarray) -> np.ndarray:
-        return field(states, fb(states))
-
+    count, n = x0s.shape
+    times = _time_grid(system, horizon, dt, steps, count * n)
+    steps = len(times) - 1
+    fb, g = _closed_loop(system, feedback)
     step = g if system.mode == DISCRETE else (lambda cur: _rk4_double_step(g, cur, dt))
     x_eq = np.asarray(system.x_eq, dtype=float)
-    count, n = x0s.shape
     states = np.empty((count, steps + 1, n))
     states[:, 0] = x0s
     alive = np.ones(count, dtype=bool)
@@ -182,6 +218,96 @@ def _simulate(system: SystemSpec, feedback, x0s: np.ndarray, horizon, dt, steps)
             alive &= ~newly_bad
             current = advanced
     return fb, times, states, ~alive, last
+
+
+# Dormand & Prince (1980) 5(4) pair.  Row s of _DP_A gives stage s + 1 from
+# the slopes k[0..s]; the last row is the fifth-order solution, whose slope
+# k[6] is the next step's k[0] (first same as last).  _DP_E weighs the
+# difference of the fifth- and fourth-order solutions, and _DP_D is
+# Shampine's (1986) fourth-order continuous extension in the form of
+# Hairer, Norsett and Wanner's DOPRI5.
+_DP_A = tuple(np.array(row) for row in (
+    (1 / 5,),
+    (3 / 40, 9 / 40),
+    (44 / 45, -56 / 15, 32 / 9),
+    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
+    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
+    (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
+))
+_DP_E = np.array((71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525,
+                  -1 / 40))
+_DP_D = np.array((-12715105075 / 11282082432, 0.0, 87487479700 / 32700410799,
+                  -10690763975 / 1880347072, 701980252875 / 199316789632,
+                  -1453857185 / 822651844, 69997945 / 29380423))
+
+
+def _weigh(weights: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """sum_j weights[j] k[j], as one matrix-vector product over the slopes."""
+    s = len(weights)
+    return (weights @ k[:s].reshape(s, -1)).reshape(k.shape[1:])
+
+
+def _dp54_norms(g, x0s: np.ndarray, x_eq: np.ndarray, times: np.ndarray):
+    """Distances ||x(t) - x*|| on the grid ``times`` for every row of x0s.
+
+    One adaptive step size serves the batch; a step is accepted when every
+    live row's local error is within STEP_ERROR_TOL ||x - x*|| plus
+    STEP_ERROR_FLOOR.  Grid values come from the continuous extension, so
+    no states are stored.  A row that turns non-finite or leaves the ball
+    of radius DIVERGENCE_NORM is marked diverged and leaves step control.
+    Returns the norms (rows, samples) and the divergence flags.
+    """
+    count = len(x0s)
+    norms = np.empty((count, len(times)))
+    norms[:, 0] = np.linalg.norm(x0s - x_eq, axis=1)
+    diverged = np.zeros(count, dtype=bool)
+    rows = np.arange(count)
+    y = x0s.astype(float)
+    dist = norms[:, 0]
+    k = np.empty((7,) + y.shape)
+    t, end, h = 0.0, times[-1], times[1]
+    recorded = 1
+    with np.errstate(all="ignore"):
+        k[0] = g(y)
+        while rows.size and t < end:
+            final = h >= end - t
+            if final:
+                h = end - t
+            for s, a in enumerate(_DP_A, start=1):
+                stage = y + h * _weigh(a, k)
+                k[s] = g(stage)
+            # the last stage is the fifth-order solution at t + h
+            dist_new = np.linalg.norm(stage - x_eq, axis=1)
+            scale = STEP_ERROR_TOL * np.maximum(dist, dist_new) + STEP_ERROR_FLOOR
+            err = np.linalg.norm(h * _weigh(_DP_E, k), axis=1) / scale
+            bad = ~(dist_new <= DIVERGENCE_NORM) | ~np.isfinite(err)
+            if bad.any():
+                diverged[rows[bad]] = True
+                keep = ~bad
+                rows, y, k, stage, dist, dist_new, err = (
+                    rows[keep], y[keep], k[:, keep], stage[keep], dist[keep],
+                    dist_new[keep], err[keep])
+            worst = err.max(initial=0.0)
+            factor = 0.9 * worst ** -0.2
+            if worst > 1.0:
+                h *= max(0.2, factor)
+                continue
+            t_new = end if final else t + h
+            stop = int(np.searchsorted(times, t_new, side="right"))
+            if stop > recorded:
+                theta = ((times[recorded:stop] - t) / h)[:, None, None]
+                diff = stage - y
+                spline = h * k[0] - diff
+                curve = diff - h * k[6] - spline
+                dense = h * _weigh(_DP_D, k)
+                at = y + theta * (diff + (1.0 - theta) * (
+                    spline + theta * (curve + (1.0 - theta) * dense)))
+                norms[rows, recorded:stop] = np.linalg.norm(at - x_eq, axis=2).T
+                recorded = stop
+            t, y, dist = t_new, stage, dist_new
+            k[0] = k[6]
+            h *= min(5.0, max(0.2, factor))
+    return norms, diverged
 
 
 def _trajectory(system: SystemSpec, feedback, x0, horizon, dt, steps) -> Trajectory:
@@ -296,6 +422,13 @@ def _halton_directions(count: int, dim: int) -> np.ndarray:
     return z / norms
 
 
+def _initial_states(system: SystemSpec, delta: float, samples: int) -> np.ndarray:
+    """Validation's starts: shells of radius delta, delta/2, delta/4 around x*."""
+    directions = _halton_directions(samples, system.n)
+    radii = delta / 2.0 ** (np.arange(samples) % 3)
+    return np.asarray(system.x_eq, dtype=float) + directions * radii[:, None]
+
+
 def verify_local_stability(
     system: SystemSpec,
     feedback,
@@ -311,18 +444,25 @@ def verify_local_stability(
     Samples sit on shells of radius delta, delta/2 and delta/4 in Halton
     directions.  Passing requires every trajectory to stay finite and every
     decay fit to certify; the reported min_alpha is the worst fitted rate.
-    Trajectories are advanced together, so the aggregate is order-independent.
+    Trajectories are advanced together (continuous ones with one shared
+    adaptive step), so the aggregate is order-independent.
     """
     if not delta > 0:
         raise ValueError("delta must be positive")
     if samples < 1:
         raise ValueError("need at least one sample")
     _check_transient_skip(transient_skip)
-    directions = _halton_directions(samples, system.n)
-    radii = delta / 2.0 ** (np.arange(samples) % 3)
     x_eq = np.asarray(system.x_eq, dtype=float)
-    x0s = x_eq + directions * radii[:, None]
-    _, times, states, diverged, _ = _simulate(system, feedback, x0s, horizon, dt, steps)
+    # the grid is checked before the starts are drawn, so a huge samples fails fast
+    per_sample = samples if system.mode == CONTINUOUS else samples * system.n
+    times = _time_grid(system, horizon, dt, steps, per_sample)
+    x0s = _initial_states(system, delta, samples)
+    if system.mode == CONTINUOUS:
+        _, g = _closed_loop(system, feedback)
+        norms, diverged = _dp54_norms(g, x0s, x_eq, times)
+    else:
+        _, _, states, diverged, _ = _simulate(system, feedback, x0s, horizon, dt, steps)
+        norms = np.linalg.norm(states - x_eq, axis=2)
 
     failures: list[tuple[float, ...]] = []
     worst: DecayFit | None = None
@@ -333,7 +473,7 @@ def verify_local_stability(
             failures.append(tuple(x0s[i]))
             min_alpha = -math.inf
             continue
-        fit = _fit_decay(times, np.linalg.norm(states[i] - x_eq, axis=1), transient_skip)
+        fit = _fit_decay(times, norms[i], transient_skip)
         if not fit.certified:
             failures.append(tuple(x0s[i]))
         if fit.alpha_hat < min_alpha:

@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -418,6 +419,19 @@ def test_nonpositive_numeric_flags_exit_two(run_cli, examples_dir, argv):
 def test_discrete_validation_steps_exit_two(run_cli, examples_dir, steps):
     assert run_cli("synthesize", examples_dir / "discrete_quadratic.stab", "--validate",
                    f"--steps={steps}") == (2, "", "error: steps must be positive\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "planar_cubic", "--feedback=-x1 - x2", "--x0", "0.1,0", "--horizon=1e12"],
+    ["synthesize", "planar_cubic", "--validate", "--horizon=1e12"],
+    ["synthesize", "discrete_quadratic", "--validate", "--steps=1000000000000"],
+])
+def test_oversized_time_grid_exits_two(run_cli, examples_dir, argv):
+    # the grid is checked against the storage cap before anything is allocated
+    command, name, *flags = argv
+    code, out, err = run_cli(command, examples_dir / f"{name}.stab", *flags)
+    assert (code, out) == (2, "")
+    assert re.match(r"error: the time grid of 1e\+1[25] points .* exceeds the limit", err)
 
 
 @pytest.mark.parametrize("flag, message", [

@@ -82,6 +82,51 @@ def test_equilibrium_start_has_nothing_to_fit():
         sim.estimate_decay(traj)
 
 
+def test_double_step_shares_its_first_slope():
+    # RK4 over h and over two h/2 halves, with the slope at the start taken once
+    calls = []
+
+    def feedback(states):
+        calls.append(len(states))
+        return -states
+
+    sys = system_from_strings("continuous", ["u1"], m=1)
+    traj = sim.integrate_closed_loop(sys, feedback, [0.1], horizon=0.05, dt=1e-2)
+    assert len(traj.times) == 6
+    assert len(calls) == 5 * 11
+
+
+# --- bounded storage ----------------------------------------------------
+
+def test_cli_default_grids_fit_the_storage_cap():
+    cont = system_from_strings("continuous", ["u1"], m=1)
+    disc = system_from_strings("discrete", ["u1"], m=1)
+    n, samples = 50, 100  # the largest supported system, the --samples default
+    grid = dict(horizon=sim.DEFAULT_HORIZON, dt=sim.DEFAULT_DT, steps=sim.DEFAULT_STEPS)
+    # simulate stores one run's states, continuous validation one norm per run,
+    # discrete validation every run's states
+    assert len(sim._time_grid(cont, floats_per_sample=n, **grid)) == 20001
+    assert len(sim._time_grid(cont, floats_per_sample=samples, **grid)) == 20001
+    assert len(sim._time_grid(disc, floats_per_sample=samples * n, **grid)) == 201
+
+
+def test_oversized_time_grids_are_rejected():
+    cont = system_from_strings("continuous", ["u1"], m=1)
+    disc = system_from_strings("discrete", ["u1"], m=1)
+    for grid in (dict(horizon=1e12), dict(dt=1e-300), dict(horizon=1e300, dt=1e-300)):
+        with pytest.raises(ValueError, match="exceeds the limit"):
+            sim.integrate_closed_loop(cont, ["-x1"], [0.1], **grid)
+        with pytest.raises(ValueError, match="exceeds the limit"):
+            sim.verify_local_stability(cont, ["-x1"], delta=0.1, **grid)
+    with pytest.raises(ValueError, match="exceeds the limit"):
+        sim.iterate_closed_loop(disc, ["0"], [0.1], steps=10**12)
+    with pytest.raises(ValueError, match="exceeds the limit"):
+        sim.verify_local_stability(disc, ["0"], delta=0.1, steps=10**12)
+    for system in (cont, disc):
+        with pytest.raises(ValueError, match="exceeds the limit"):
+            sim.verify_local_stability(system, ["0"], delta=0.1, samples=10**9)
+
+
 # --- stability certification --------------------------------------------
 
 def test_verify_planar_cubic(examples_dir):
@@ -113,6 +158,55 @@ def test_verify_reports_failures():
     assert not check.passed
     assert check.min_alpha == -math.inf
     assert len(check.failures) == 6
+
+
+def _fixed_step_reference(system, gain, delta, samples, horizon, dt):
+    """Validation redone on the fixed-step RK4 runner from the same starts."""
+    x0s = sim._initial_states(system, delta, samples)
+    _, times, states, diverged, _ = sim._simulate(system, gain, x0s, horizon, dt, None)
+    assert not diverged.any()
+    norms = np.linalg.norm(states - np.asarray(system.x_eq), axis=2)
+    return [sim._fit_decay(times, row, 0.1).alpha_hat for row in norms]
+
+
+@pytest.mark.parametrize("system", [
+    "planar_cubic",
+    "three_state_mixed",
+    ("continuous", ["(x1 - 1)^3 + x2", "u1"], [1.0, 0.0]),
+], ids=["planar_cubic", "three_state_mixed", "planar_translated"])
+def test_adaptive_validation_matches_the_fixed_step_reference(examples_dir, system):
+    if isinstance(system, str):
+        system = load_system(examples_dir / f"{system}.stab")
+    else:
+        mode, components, x_eq = system
+        system = system_from_strings(mode, components, x_eq=x_eq)
+    gain = synthesize(system)
+    grid = dict(delta=0.05, samples=12, horizon=6.0, dt=1e-2)
+    check = sim.verify_local_stability(system, gain, **grid)
+    reference = _fixed_step_reference(system, gain, **grid)
+    assert check.passed
+    assert check.min_alpha == pytest.approx(min(reference), abs=1e-3)
+
+
+@pytest.mark.parametrize("component, feedback, bad_x0", [
+    ("x1^0.5 + u1", "-2*x1", -0.05),  # the negative start turns NaN at once
+    ("x1^2 + u1", "0", 0.1),  # the positive start blows up at t = 10
+])
+def test_failing_rows_end_as_failures_in_bounded_work(component, feedback, bad_x0):
+    calls = []
+    system = system_from_strings("continuous", [component], m=1)
+    fb = sim.make_feedback(system, [feedback])
+
+    def counted(states):
+        calls.append(len(states))
+        return fb(states)
+
+    check = sim.verify_local_stability(system, counted, delta=0.1, samples=4)
+    assert not check.passed
+    assert check.min_alpha == -math.inf
+    assert (bad_x0,) in check.failures
+    # the fixed-step runner would take 11 calls per step for 20 000 steps
+    assert len(calls) <= 5000
 
 
 def test_translated_equilibrium_validates_like_the_original(examples_dir):
