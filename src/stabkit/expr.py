@@ -16,9 +16,9 @@ away from division singularities and fractional powers of zero.  ``abs`` and
 other nonsmooth primitives are deliberately absent.
 
 The module provides parsing with character-offset diagnostics, exact scalar
-evaluation, forward-mode directional derivatives, a precedence-aware unparser
-whose output reparses to the identical tree, and compilation of component
-lists into vectorized numpy evaluators for the batch-heavy callers.
+evaluation, forward-mode derivatives, a precedence-aware unparser whose output
+reparses to the identical tree, and compilation of component lists into
+vectorized numpy evaluators for the batch-heavy callers.
 """
 
 from __future__ import annotations
@@ -354,16 +354,23 @@ def eval_tangent(
     e: Expr,
     x: Sequence[float],
     u: Sequence[float],
-    tx: Sequence[float],
-    tu: Sequence[float],
-) -> tuple[float, float]:
-    """Forward-mode value and directional derivative along the seed (tx, tu)."""
+    tx: Sequence,
+    tu: Sequence,
+) -> tuple[float, float | np.ndarray]:
+    """Forward-mode value and derivative along the seeds (tx, tu) of x and u.
+
+    Float seeds give one directional derivative: the scalar oracle that the
+    finite-difference acceptance criterion checks.  With ndarray seeds, such
+    as the rows of ``np.eye(n + m)``, each node carries a gradient row through
+    the same arithmetic, bit for bit, so one walk yields a Jacobian row
+    (vector forward mode, Griewank & Walther, *Evaluating Derivatives*, ch. 3).
+    """
     if isinstance(e, Const):
         return e.value, 0.0
     if isinstance(e, StateVar):
-        return float(x[e.index - 1]), float(tx[e.index - 1])
+        return float(x[e.index - 1]), tx[e.index - 1]
     if isinstance(e, ControlVar):
-        return float(u[e.index - 1]), float(tu[e.index - 1])
+        return float(u[e.index - 1]), tu[e.index - 1]
     if isinstance(e, Neg):
         v, dv = eval_tangent(e.arg, x, u, tx, tu)
         return -v, -dv
@@ -376,7 +383,7 @@ def eval_tangent(
             return a - b, da - db
         if e.op == "*":
             return a * b, da * b + a * db
-        if b == 0.0:
+        if b * b == 0.0:  # b = 0, or so small that the derivative's b^2 underflows
             raise EvalError("division by zero")
         return a / b, (da * b - a * db) / (b * b)
     if isinstance(e, Pow):

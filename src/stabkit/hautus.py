@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -103,25 +104,32 @@ def kalman_controllability_rank(a, b, tol: float | None = None) -> int:
     return numerical_rank(kalman_matrix(a, b), tol)
 
 
-def hautus_asymptotic(a, b, profile: SpectralProfile, tol: float | None = None) -> HautusResult:
-    """Pencil rank test at every unstable eigenvalue.
+def hautus_tests(
+    a, b, unstable, eigenvalues, tol: float | None = None
+) -> tuple[HautusResult, bool]:
+    """Both Hautus tests, ranking [A - lam I | B] once per distinct eigenvalue.
 
-    Holds exactly when rank [A - lam I | B] = n for each unstable lam, the
-    linear-systems criterion for stabilizability.
+    The first holds when the rank is n at every unstable lam, the criterion
+    for stabilizability; its failures are the cluster representatives of
+    ``unstable``.  The second runs the test over ``eigenvalues``: over the
+    whole spectrum it is equivalent to Kalman rank n.
     """
-    n = np.asarray(a).shape[0]
-    failures = tuple(
-        lam for lam in _distinct(profile.unstable)
-        if complex_pencil_rank(a, lam, b, tol) < n
-    )
-    return HautusResult(holds=not failures, failures=failures)
+    n = np.shape(a)[0]
+
+    @cache
+    def full_rank(lam: complex) -> bool:
+        return complex_pencil_rank(a, lam, b, tol) == n
+
+    failures = tuple(lam for lam in _distinct(unstable) if not full_rank(lam))
+    full = all(full_rank(lam) for lam in _distinct(eigenvalues))
+    return HautusResult(holds=not failures, failures=failures), full
+
+
+def hautus_asymptotic(a, b, profile: SpectralProfile, tol: float | None = None) -> HautusResult:
+    """Pencil rank test at every unstable eigenvalue; see :func:`hautus_tests`."""
+    return hautus_tests(a, b, profile.unstable, (), tol)[0]
 
 
 def hautus_full_spectrum(a, b, tol: float | None = None) -> bool:
     """Pencil rank test at every eigenvalue; equivalent to Kalman rank n."""
-    arr = np.asarray(a, dtype=float)
-    n = arr.shape[0]
-    eigenvalues = tuple(complex(v) for v in spectrum(arr))
-    return all(
-        complex_pencil_rank(arr, lam, b, tol) == n for lam in _distinct(eigenvalues)
-    )
+    return hautus_tests(a, b, (), tuple(spectrum(a)), tol)[1]

@@ -9,6 +9,7 @@ actually satisfy to 1e-9.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import Sequence
 
@@ -90,6 +91,10 @@ class SystemSpec:
         # a non-finite x* or u* can still leave a zero residual (f1 = u1, x* = nan)
         if not np.isfinite(self.x_eq + self.u_eq).all():
             raise SystemValidationError("equilibrium values must be finite")
+
+    @cached_property
+    def _linearization(self) -> Linearization:
+        return jacobian(self, self.x_eq, self.u_eq)
 
 
 def evaluate(system: SystemSpec, x: Sequence[float], u: Sequence[float]) -> np.ndarray:
@@ -239,23 +244,25 @@ class Linearization:
 
 def jacobian(system: SystemSpec, x: Sequence[float] | None = None,
              u: Sequence[float] | None = None) -> Linearization:
-    """Exact Jacobians at a point (default: the equilibrium), via forward mode."""
+    """Exact Jacobians at a point (default: the equilibrium), via forward mode.
+
+    Each component is walked once with the rows of the identity as seeds.  The
+    equilibrium linearization is computed once per spec instance and kept.
+    """
+    if x is None and u is None:
+        return system._linearization
     x = tuple(system.x_eq if x is None else x)
     u = tuple(system.u_eq if u is None else u)
     n, m = system.n, system.m
-    a = np.empty((n, n))
-    b = np.empty((n, m))
-    zero_x = (0.0,) * n
-    zero_u = (0.0,) * m
-    for j in range(n):
-        seed = tuple(1.0 if k == j else 0.0 for k in range(n))
+    if len(x) != n or len(u) != m:
+        raise ValueError(f"expected a point with n={n} states and m={m} controls, "
+                         f"got {len(x)} and {len(u)}")
+    seeds = np.eye(n + m)
+    rows = np.empty((n, n + m))
+    with np.errstate(all="ignore"):  # overflow to inf/nan is silent, as with Python floats
         for i, comp in enumerate(system.components):
-            a[i, j] = ex.eval_tangent(comp, x, u, seed, zero_u)[1]
-    for j in range(m):
-        seed = tuple(1.0 if k == j else 0.0 for k in range(m))
-        for i, comp in enumerate(system.components):
-            b[i, j] = ex.eval_tangent(comp, x, u, zero_x, seed)[1]
-    return Linearization(a, b)
+            rows[i] = ex.eval_tangent(comp, x, u, seeds[:n], seeds[n:])[1]
+    return Linearization(rows[:, :n].copy(), rows[:, n:].copy())
 
 
 # --- structural analysis --------------------------------------------------

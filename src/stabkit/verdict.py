@@ -28,8 +28,7 @@ from .hautus import (
     SpectralProfile,
     TOL_CLASS,
     format_eigenvalue,
-    hautus_asymptotic,
-    hautus_full_spectrum,
+    hautus_tests,
     kalman_controllability_rank,
     spectral_profile,
 )
@@ -276,8 +275,7 @@ def analyze(system: SystemSpec, config: AnalysisConfig | None = None) -> Analysi
     lin = jacobian(system)
     rep = openness_report(lin, tol=cfg.tol_rank)
     prof = spectral_profile(lin.a, system.mode, tol_class=cfg.tol_class)
-    haut = hautus_asymptotic(lin.a, lin.b, prof, tol=cfg.tol_rank)
-    full = hautus_full_spectrum(lin.a, lin.b, tol=cfg.tol_rank)
+    haut, full = hautus_tests(lin.a, lin.b, prof.unstable, prof.eigenvalues, tol=cfg.tol_rank)
     kalman = kalman_controllability_rank(lin.a, lin.b, tol=cfg.tol_rank)
     affine = _affine_structure(system, cfg)
 

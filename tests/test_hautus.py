@@ -5,14 +5,20 @@ import math
 import numpy as np
 import pytest
 
+from perfbench.workloads import large_systems
+from stabkit import hautus
 from stabkit.hautus import (
+    _distinct,
     format_eigenvalue,
     hautus_asymptotic,
     hautus_full_spectrum,
+    hautus_tests,
     kalman_controllability_rank,
     spectral_profile,
 )
-from stabkit.system import jacobian, load_system
+from stabkit.linalg import complex_pencil_rank, spectrum
+from stabkit.system import jacobian, load_system, parse_system
+from stabkit.verdict import analyze
 
 SQRT_TENTH = 0.31622776601683794
 
@@ -132,6 +138,57 @@ def test_full_spectrum_implies_asymptotic():
         a, b, _ = _random_pair(rng, controllable=True)
         prof = spectral_profile(a, "continuous")
         assert hautus_asymptotic(a, b, prof).holds
+
+
+def _separate_hautus_tests(a, b, prof):
+    """Reference: the asymptotic and full-spectrum tests as two separate loops."""
+    n = a.shape[0]
+    failures = tuple(
+        lam for lam in _distinct(prof.unstable) if complex_pencil_rank(a, lam, b) < n
+    )
+    eigenvalues = tuple(complex(v) for v in spectrum(a))
+    full = all(complex_pencil_rank(a, lam, b) == n for lam in _distinct(eigenvalues))
+    return failures, full
+
+
+def test_shared_pencil_ranks_match_the_separate_tests():
+    rng = np.random.default_rng(23)
+    cases = [(*_random_pair(rng, controllable=trial % 2 == 0)[:2], mode)
+             for trial in range(60) for mode in ("continuous", "discrete")]
+    for g in large_systems(0, False):
+        lin = jacobian(parse_system(g.text))
+        cases.append((lin.a, lin.b, g.mode))
+    outcomes = set()
+    for a, b, mode in cases:
+        prof = spectral_profile(a, mode)
+        haut, full = hautus_tests(a, b, prof.unstable, prof.eigenvalues)
+        assert (haut.failures, full) == _separate_hautus_tests(a, b, prof)
+        assert haut.holds == (not haut.failures)
+        if a.shape[0] < 10:  # the readers on the small pairs only, to keep this quick
+            assert hautus_asymptotic(a, b, prof) == haut
+            assert hautus_full_spectrum(a, b) == full
+        outcomes.add((haut.holds, full))
+    # both tests pass and fail somewhere on these pairs
+    assert outcomes == {(True, True), (True, False), (False, False)}
+
+
+def test_analyze_ranks_each_eigenvalue_once(monkeypatch, examples_dir):
+    ranked = []
+
+    def counted(a, lam, b, tol=None):
+        ranked.append(lam)
+        return complex_pencil_rank(a, lam, b, tol)
+
+    monkeypatch.setattr(hautus, "complex_pencil_rank", counted)
+    specs = [load_system(path) for path in sorted(examples_dir.glob("*.stab"))]
+    specs += [parse_system(g.text) for g in large_systems(0, False) if g.n <= 30]
+    unstable_seen = 0
+    for spec in specs:
+        ranked.clear()
+        prof = analyze(spec).profile
+        assert len(ranked) == len(set(ranked)) <= len(prof.eigenvalues)
+        unstable_seen += bool(prof.unstable)
+    assert unstable_seen >= len(specs) // 2
 
 
 def test_format_eigenvalue():

@@ -2,8 +2,11 @@
 
 import numpy as np
 import pytest
+from test_expr import _random_expr
 
+from perfbench import gen
 from stabkit import expr as ex
+from stabkit.synthesis import synthesize
 from stabkit.system import (
     SystemFormatError,
     SystemSpec,
@@ -17,6 +20,7 @@ from stabkit.system import (
     span_dimension_estimate,
     system_from_strings,
 )
+from stabkit.verdict import analyze
 
 WELL_FORMED = """\
 # comment line
@@ -141,6 +145,108 @@ def test_jacobian_away_from_equilibrium(examples_dir):
     spec = load_system(examples_dir / "planar_cubic.stab")
     lin = jacobian(spec, x=[0.5, 0.0], u=[0.0])
     assert lin.a[0, 0] == pytest.approx(3 * 0.5**2)
+
+
+@pytest.mark.parametrize("x, u", [([0.5], None), ([0.5, 0.0, 9.0], [0.0, 7.0]),
+                                  ([0.5, 0.0], [0.0, 7.0])])
+def test_jacobian_rejects_points_of_the_wrong_length(examples_dir, x, u):
+    spec = load_system(examples_dir / "planar_cubic.stab")
+    with pytest.raises(ValueError, match="n=2 states and m=1 controls"):
+        jacobian(spec, x=x, u=u)
+
+
+def _scalar_jacobian(spec, x, u):
+    """Reference: one scalar eval_tangent walk per component and unit seed."""
+    n, m = spec.n, spec.m
+    a = np.empty((n, n))
+    b = np.empty((n, m))
+    for j in range(n + m):
+        seed = [1.0 if k == j else 0.0 for k in range(n + m)]
+        for i, comp in enumerate(spec.components):
+            d = ex.eval_tangent(comp, x, u, seed[:n], seed[n:])[1]
+            if j < n:
+                a[i, j] = d
+            else:
+                b[i, j - n] = d
+    return a, b
+
+
+def _assert_bit_identical(spec, x=None, u=None):
+    lin = jacobian(spec, x, u)
+    a, b = _scalar_jacobian(spec, spec.x_eq if x is None else x, spec.u_eq if u is None else u)
+    assert lin.a.tobytes() == a.tobytes()
+    assert lin.b.tobytes() == b.tobytes()
+
+
+def test_jacobian_is_bit_identical_to_the_scalar_walks(examples_dir):
+    rng = np.random.default_rng(7)
+    for path in sorted(examples_dir.glob("*.stab")):
+        spec = load_system(path)
+        _assert_bit_identical(spec)
+        _assert_bit_identical(spec, rng.uniform(-1, 1, spec.n), rng.uniform(-1, 1, spec.m))
+    # criterion 07's random trees, shifted so that a drawn point is the equilibrium
+    for _ in range(60):
+        n, m = int(rng.integers(1, 4)), int(rng.integers(1, 3))
+        x0, u0 = rng.uniform(-0.5, 0.5, n), rng.uniform(-0.5, 0.5, m)
+        trees = [_random_expr(rng, n, m, depth=3) for _ in range(n)]
+        comps = [ex.BinOp("-", t, ex.Const(ex.eval_expr(t, x0, u0))) for t in trees]
+        spec = SystemSpec(n, m, "continuous", comps, x0, u0)
+        _assert_bit_identical(spec)
+        _assert_bit_identical(spec, rng.uniform(-1, 1, n), rng.uniform(-1, 1, m))
+    for n in (10, 30, 50):
+        for mode in ("continuous", "discrete"):
+            g = gen.large_system(rng, "large", mode, n)
+            spec = parse_system(g.text)
+            _assert_bit_identical(spec)
+            _assert_bit_identical(spec, rng.uniform(-1, 1, n), rng.uniform(-1, 1, spec.m))
+
+
+@pytest.mark.parametrize("text, message", [
+    ("x1^0.5 - 1", "power is not differentiable at zero base"),
+    ("1/x1 - 1", "division by zero"),
+])
+def test_singular_points_raise_the_scalar_walks_error(text, message):
+    spec = system_from_strings("continuous", [text, "u1"], x_eq=(1.0, 0.0))
+    with pytest.raises(ex.EvalError) as vector:
+        jacobian(spec, x=[0.0, 0.0], u=[0.0])
+    with pytest.raises(ex.EvalError) as scalar:
+        _scalar_jacobian(spec, (0.0, 0.0), (0.0,))
+    assert str(vector.value) == str(scalar.value) == message
+
+
+def test_underflowing_denominator_is_an_eval_error():
+    # (1e-200)^2 underflows to zero, which used to escape as ZeroDivisionError
+    spec = system_from_strings("continuous", ["x1/x2 + u1", "u1"], x_eq=(0.0, 1e-200))
+    with pytest.raises(ex.EvalError, match="division by zero"):
+        jacobian(spec)
+
+
+def test_analyze_then_synthesize_linearize_once(monkeypatch, examples_dir):
+    text = (examples_dir / "three_state_mixed.stab").read_text()
+    walks = []
+    scalar_walk = ex.eval_tangent
+
+    def counted(*args):
+        walks.append(args[0])
+        return scalar_walk(*args)
+
+    monkeypatch.setattr(ex, "eval_tangent", counted)
+    spec = parse_system(text)
+    jacobian(spec, spec.x_eq, spec.u_eq)
+    per_linearization = len(walks)
+    assert per_linearization > 0
+
+    walks.clear()
+    spec = parse_system(text)
+    analyze(spec)
+    synthesize(spec)
+    assert jacobian(spec) is jacobian(spec)
+    assert len(walks) == per_linearization
+
+    # the cache lives on the instance: a fresh parse of the same text walks again
+    walks.clear()
+    analyze(parse_system(text))
+    assert len(walks) == per_linearization
 
 
 def test_control_affine_reconstruction(examples_dir):
