@@ -8,6 +8,7 @@ input or validation errors, 3 when the synthesis precondition fails.
 from __future__ import annotations
 
 import argparse
+import cmath
 import json
 import math
 import sys
@@ -16,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .expr import EvalError, ParseError
+from .expr import EvalError
 from .hautus import format_eigenvalue
 from .openness import CoveringGrid, empirical_covering_modulus
 from .report import build_report, report_json, report_text
@@ -29,7 +30,7 @@ from .sim import (
     verify_local_stability,
 )
 from .synthesis import FeedbackGain, PlacementError, UncontrollableError, synthesize
-from .system import CONTINUOUS, SystemFormatError, SystemValidationError, load_system
+from .system import CONTINUOUS, load_system
 from .verdict import POSITIVE_DECISIONS, AnalysisConfig, analyze
 
 
@@ -72,9 +73,12 @@ def _config_from(args: argparse.Namespace) -> AnalysisConfig:
 
 def _parse_pole_list(text: str) -> list[complex]:
     try:
-        return [complex(tok.strip()) for tok in text.split(",") if tok.strip()]
+        poles = [complex(tok.strip()) for tok in text.split(",") if tok.strip()]
     except ValueError:
         raise ValueError(f"could not parse pole list {text!r}") from None
+    if not all(cmath.isfinite(p) for p in poles):
+        raise ValueError(f"pole list {text!r} must hold finite numbers")
+    return poles
 
 
 def _parse_float_list(text: str) -> list[float]:
@@ -286,16 +290,10 @@ def main(argv: list[str] | None = None) -> int:
     except UncontrollableError as err:
         sys.stderr.write(f"error: {err}\n")
         return 3
-    except PlacementError as err:
-        sys.stderr.write(f"error: {err}\n")
-        return 2
-    except (ParseError, EvalError, SystemFormatError, SystemValidationError) as err:
-        sys.stderr.write(f"error: {err}\n")
-        return 2
-    except (FileNotFoundError, IsADirectoryError, PermissionError) as err:
-        sys.stderr.write(f"error: {err}\n")
-        return 2
-    except (ValueError, json.JSONDecodeError) as err:
+    except (PlacementError, EvalError, FileNotFoundError, IsADirectoryError,
+            PermissionError, ValueError) as err:
+        # ParseError, SystemFormatError, SystemValidationError and
+        # json.JSONDecodeError are ValueErrors
         sys.stderr.write(f"error: {err}\n")
         return 2
 

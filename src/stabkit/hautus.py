@@ -112,7 +112,9 @@ def hautus_tests(
     The first holds when the rank is n at every unstable lam, the criterion
     for stabilizability; its failures are the cluster representatives of
     ``unstable``.  The second runs the test over ``eigenvalues``: over the
-    whole spectrum it is equivalent to Kalman rank n.
+    whole spectrum it is equivalent to Kalman rank n.  Each pencil is ranked
+    as a complex matrix under the cutoff every other rank uses, so at lam = 0
+    the test agrees with the openness rank of [A | B].
     """
     n = np.shape(a)[0]
 

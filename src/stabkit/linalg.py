@@ -1,8 +1,8 @@
 """Dense linear-algebra kernels shared by the analysis pipeline.
 
 Everything here targets desk-scale problems (state dimension up to 50) and
-leans on LAPACK through numpy; the value added is the rank-tolerance policy
-and the real embedding used to take ranks of complex pencils.
+leans on LAPACK through numpy; the value added is the rank-tolerance policy,
+which every rank in stabkit, real or complex, reads from one function here.
 """
 
 from __future__ import annotations
@@ -58,27 +58,27 @@ def rank_tolerance(svals: np.ndarray, shape: tuple[int, int]) -> float:
     return DEFAULT_RANK_SCALE * largest * max(shape)
 
 
-def numerical_rank(m, tol: float | None = None) -> int:
-    """Number of singular values strictly above the tolerance."""
-    arr = np.asarray(m)
-    svals = singular_values(arr)
+def rank_from_singular_values(svals: np.ndarray, shape: tuple[int, int],
+                              tol: float | None = None) -> int:
+    """Number of singular values strictly above ``tol``, by default
+    :func:`rank_tolerance` of the matrix they came from."""
     if tol is None:
-        tol = rank_tolerance(svals, arr.shape)
+        tol = rank_tolerance(svals, shape)
     return int(np.count_nonzero(svals > tol))
 
 
-def real_embedding(m: np.ndarray) -> np.ndarray:
-    """Map a complex matrix M to [[Re M, -Im M], [Im M, Re M]].
-
-    The embedding doubles every singular value's multiplicity, so complex
-    ranks come back as the embedded rank divided by two.
-    """
-    arr = np.asarray(m, dtype=complex)
-    return np.block([[arr.real, -arr.imag], [arr.imag, arr.real]])
+def numerical_rank(m, tol: float | None = None) -> int:
+    """Number of singular values strictly above the tolerance."""
+    arr = np.asarray(m)
+    return rank_from_singular_values(singular_values(arr), arr.shape, tol)
 
 
 def complex_pencil_rank(a, lam: complex, b, tol: float | None = None) -> int:
-    """Rank over the complex numbers of [A - lam*I | B]."""
+    """Rank over the complex numbers of [A - lam*I | B].
+
+    The complex pencil is ranked as it is, under the same cutoff as any real
+    matrix of its shape, so at lam = 0 this is the rank of [A | B].
+    """
     a_arr = _as_matrix(a, "a")
     b_arr = _as_matrix(b, "b")
     n = a_arr.shape[0]
@@ -86,6 +86,4 @@ def complex_pencil_rank(a, lam: complex, b, tol: float | None = None) -> int:
         raise ValueError("a must be square")
     if b_arr.shape[0] != n:
         raise ValueError("a and b must have the same number of rows")
-    pencil = np.hstack([a_arr - complex(lam) * np.eye(n), b_arr.astype(complex)])
-    embedded = real_embedding(pencil)
-    return numerical_rank(embedded, tol) // 2
+    return numerical_rank(np.hstack([a_arr - complex(lam) * np.eye(n), b_arr]), tol)

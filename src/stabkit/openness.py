@@ -19,10 +19,12 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import expr as ex
-from .linalg import rank_tolerance, singular_values
+from .linalg import rank_from_singular_values, singular_values
 from .system import SystemSpec, evaluate
 
 MAX_SEARCH_DIM = 3
+ATTAIN_REL_TOL = 1e-6  # a target counts as attained within this fraction of the radius
+KAPPA_RESOLUTION = 1e-3  # the bisection stops at this fraction of its upper bracket
 
 
 @dataclass(frozen=True)
@@ -43,8 +45,6 @@ class CoveringGrid:
     directions: int = 48
     radial_levels: int = 4
     axis_points: int = 15
-    attain_rel_tol: float = 1e-6
-    resolution: float = 1e-3
 
     def __post_init__(self):
         # an empty target set or a one-point axis would pass the search vacuously
@@ -57,9 +57,7 @@ def openness_report(lin, tol: float | None = None) -> OpennessReport:
     """All openness bounds of [A | B] from one SVD."""
     stacked = lin.augmented
     svals = singular_values(stacked)
-    if tol is None:
-        tol = rank_tolerance(svals, stacked.shape)
-    rank = int(np.count_nonzero(svals > tol))
+    rank = rank_from_singular_values(svals, stacked.shape, tol)
     open_ = rank == stacked.shape[0]
     cov = float(svals[-1]) if open_ else 0.0
     reg = math.inf if cov == 0.0 else 1.0 / cov
@@ -180,10 +178,10 @@ def empirical_covering_modulus(
 ) -> float:
     """Measured covering rate of f over the joint (x, u) ball of given radius.
 
-    Returns the largest kappa (up to the configured resolution) such that
+    Returns the largest kappa (up to ``KAPPA_RESOLUTION``) such that
     every sampled target in the ball of radius kappa*r around f(z) is
-    attained by f from the joint ball of radius r around z, to within the
-    attainment tolerance.  Deterministic: the search uses fixed grids and a
+    attained by f from the joint ball of radius r around z, to within
+    ``ATTAIN_REL_TOL * r``.  Deterministic: the search uses fixed grids and a
     projected pattern search, no randomness.
     """
     grid = grid or CoveringGrid()
@@ -221,7 +219,7 @@ def empirical_covering_modulus(
         return 0.0
 
     directions = _covering_directions(n, grid.directions)
-    attain_tol = grid.attain_rel_tol * radius
+    attain_tol = ATTAIN_REL_TOL * radius
     initial_step = 2.0 * radius / grid.axis_points
 
     def attained_everywhere(kappa: float) -> bool:
@@ -246,7 +244,7 @@ def empirical_covering_modulus(
     if attained_everywhere(hi):
         return float(hi)
     lo = 0.0
-    width_target = grid.resolution * hi
+    width_target = KAPPA_RESOLUTION * hi
     while hi - lo > width_target:
         mid = 0.5 * (lo + hi)
         if attained_everywhere(mid):

@@ -10,6 +10,7 @@ transform first and only the controllable block is placed.
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -22,7 +23,7 @@ from .hautus import (
     kalman_matrix,
     spectral_profile,
 )
-from .linalg import rank_tolerance, spectrum
+from .linalg import rank_from_singular_values, spectrum
 from .system import CONTINUOUS, SystemSpec, jacobian
 
 PLACEMENT_TOL = 1e-6
@@ -71,9 +72,7 @@ def staircase_decompose(a, b, tol: float | None = None) -> Staircase:
     """
     kalman = kalman_matrix(a, b)
     u, svals, _ = np.linalg.svd(kalman)
-    if tol is None:
-        tol = rank_tolerance(svals, kalman.shape)
-    dim = int(np.count_nonzero(svals > tol))
+    dim = rank_from_singular_values(svals, kalman.shape, tol)
     return Staircase(transform=u, controllable_dim=dim)
 
 
@@ -278,9 +277,9 @@ def synthesize(system: SystemSpec, poles: Sequence[complex] | None = None,
                 f"expected {dim} poles for the controllable block, got {len(desired)}"
             )
         if system.mode == CONTINUOUS:
-            bad = [p for p in desired if p.real >= 0.0]
+            bad = [p for p in desired if not (p.real < 0.0 and cmath.isfinite(p))]
         else:
-            bad = [p for p in desired if abs(p) >= 1.0]
+            bad = [p for p in desired if not abs(p) < 1.0]
         if bad:
             raise ValueError(f"requested poles are not stable for {system.mode} mode: {bad}")
 

@@ -166,11 +166,8 @@ def _affine_structure(system: SystemSpec, cfg: AnalysisConfig) -> AffineStructur
         return AffineStructure(False, None, False, None)
     drift = fields[0]
     driftless = all(isinstance(c, ex.Const) and c.value == 0.0 for c in drift)
-    columns = []
-    for g in fields[1:]:
-        columns.append([ex.eval_expr(c, system.x_eq, system.u_eq) for c in g])
-    input_matrix = np.array(columns).T if columns else np.zeros((system.n, 0))
-    input_rank = numerical_rank(input_matrix, cfg.tol_rank) if columns else 0
+    columns = [[ex.eval_expr(c, system.x_eq, system.u_eq) for c in g] for g in fields[1:]]
+    input_rank = numerical_rank(np.array(columns).T, cfg.tol_rank)
     samples = max(cfg.span_samples, 4 * system.n)
     span_dim = span_dimension_estimate(
         fields, system.x_eq, cfg.span_radius, samples, tol=cfg.tol_rank, seed=cfg.seed

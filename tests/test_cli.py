@@ -186,6 +186,35 @@ def test_synthesize_pole_errors(run_cli, examples_dir):
     assert "expected 2 poles for the controllable block" in err
 
 
+@pytest.mark.parametrize("name, poles", [
+    ("planar_cubic", "nan,-1"),
+    ("planar_cubic", "-1,inf"),
+    ("discrete_quadratic", "nan"),
+])
+def test_synthesize_nonfinite_poles_exit_two(run_cli, examples_dir, name, poles):
+    code, out, err = run_cli("synthesize", examples_dir / f"{name}.stab", f"--poles={poles}")
+    assert (code, out) == (2, "")
+    assert err == f"error: pole list {poles!r} must hold finite numbers\n"
+
+
+def test_hautus_at_zero_agrees_with_the_openness_rank(run_cli, tmp_path):
+    # x1 decays at rate 5e-9 and no input reaches it; [A | B] = diag(-5e-9, 0) | e2
+    path = tmp_path / "slow_mode.stab"
+    path.write_text(
+        "mode continuous\nstates 2\ncontrols 1\neq x = 0 0\neq u = 0\n"
+        "f1 = -5e-9*x1\nf2 = u1\n"
+    )
+    code, out, _ = run_cli("analyze", path)
+    assert code == 0
+    assert "jacobian_rank=2/2 linearly_open=yes" in out
+    assert "hautus failures: -5e-09\n" in out
+    code, out, _ = run_cli("analyze", path, "--tol-class", "0")
+    assert code == 0
+    assert "unstable: 0\n" in out
+    assert "asymptotic_holds=yes" in out
+    assert "not stabilizable" not in out
+
+
 # --- covering -----------------------------------------------------------
 
 def test_covering_table_cubic(run_cli, examples_dir):

@@ -3,15 +3,17 @@
 import numpy as np
 import pytest
 
+from perfbench import gen
 from stabkit.linalg import (
     MAX_DIM,
     complex_pencil_rank,
     numerical_rank,
     rank_tolerance,
-    real_embedding,
     singular_values,
     spectrum,
 )
+from stabkit.openness import openness_report
+from stabkit.system import Linearization, jacobian, load_system
 
 SQRT_TENTH = 0.31622776601683794
 
@@ -82,15 +84,6 @@ def test_rank_tolerance_formula():
     assert rank_tolerance(svals, (3, 4)) == pytest.approx(1e-9 * 2.0 * 4)
 
 
-def test_real_embedding_multiplicative():
-    rng = np.random.default_rng(8)
-    a = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-    b = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-    np.testing.assert_allclose(
-        real_embedding(a @ b), real_embedding(a) @ real_embedding(b), atol=1e-12
-    )
-
-
 def test_complex_pencil_rank_rotation_at_i():
     a = np.array([[0.0, -1.0], [1.0, 0.0]])
     b = np.zeros((2, 1))
@@ -103,3 +96,38 @@ def test_complex_pencil_rank_uncontrollable_mode():
     b = np.array([[0.0], [1.0]])
     assert complex_pencil_rank(a, 1.0, b) == 1
     assert complex_pencil_rank(a, 0.5, b) == 2
+
+
+def _planted_pair(rng, n, m, factor):
+    """Random [A | B] whose smallest singular value is ``factor`` times the
+    default cutoff 1e-9 * sigma_max * (n + m)."""
+    u, _ = np.linalg.qr(rng.normal(size=(n, n)))
+    v, _ = np.linalg.qr(rng.normal(size=(n + m, n)))
+    svals = np.linspace(2.0, 1.0, n)
+    svals[-1] = factor * 1e-9 * 2.0 * (n + m)
+    stacked = u @ np.diag(svals) @ v.T
+    return stacked[:, :n], stacked[:, n:]
+
+
+def test_pencil_rank_at_zero_is_the_openness_rank(examples_dir):
+    # [A - 0*I | B] is [A | B]: the Hautus and openness ranks must agree there
+    rng = np.random.default_rng(9)
+    pairs = [(np.diag([-5e-9, 0.0]), np.array([[0.0], [1.0]]))]
+    pairs += [(rng.normal(size=(n, n)), rng.normal(size=(n, m)))
+              for n, m in rng.integers(1, 7, size=(20, 2))]
+    pairs += [_planted_pair(rng, n, m, factor)
+              for n, m in ((2, 1), (5, 2), (8, 3)) for factor in (0.5, 1.5, 3.0)]
+    for path in sorted(examples_dir.glob("*.stab")):
+        lin = jacobian(load_system(path))
+        pairs.append((lin.a, lin.b))
+    for n in (10, 30, 50):
+        g = gen.large_system(rng, f"large_{n}", "continuous", n)
+        pairs.append((g.a, g.b))
+    for a, b in pairs:
+        for tol in (None, 1e-6):
+            rank = openness_report(Linearization(a, b), tol).jacobian_rank
+            assert complex_pencil_rank(a, 0.0, b, tol) == rank
+    # the planted singular value counts exactly when it is above the cutoff
+    for factor, rank in ((0.5, 3), (1.5, 4), (3.0, 4)):
+        a, b = _planted_pair(rng, 4, 1, factor)
+        assert complex_pencil_rank(a, 0.0, b) == rank

@@ -162,6 +162,18 @@ def test_synthesize_rejects_unstable_discrete_request(examples_dir):
         synthesize(sys, poles=[1.0])
 
 
+@pytest.mark.parametrize("name, poles, mode", [
+    ("planar_cubic", [float("nan"), -1.0], "continuous"),
+    ("planar_cubic", [-float("inf"), -1.0], "continuous"),
+    ("planar_cubic", [complex(-1.0, float("nan")), complex(-1.0, float("nan"))], "continuous"),
+    ("discrete_quadratic", [float("nan")], "discrete"),
+])
+def test_synthesize_rejects_nonfinite_request(examples_dir, name, poles, mode):
+    sys = load_system(examples_dir / f"{name}.stab")
+    with pytest.raises(ValueError, match=f"not stable for {mode} mode"):
+        synthesize(sys, poles=poles)
+
+
 def test_pole_match_error_is_permutation_invariant():
     achieved = [complex(-1, 2), complex(-3, 0), complex(-1, -2)]
     desired = [complex(-3, 0), complex(-1, -2), complex(-1, 2)]
