@@ -143,10 +143,11 @@ def cmd_covering(args: argparse.Namespace) -> int:
         radial_levels=args.levels,
         axis_points=args.axis_points,
     )
+    # every radius is searched before the table starts, so a rejected one prints no rows
+    kappas = [empirical_covering_modulus(system, radius=r, grid=grid) for r in radii]
     sys.stdout.write(f"{'r':>14} {'kappa':>16} {'kappa/r':>16}\n")
     ratios = []
-    for r in radii:
-        kappa = empirical_covering_modulus(system, radius=r, grid=grid)
+    for r, kappa in zip(radii, kappas):
         ratio = kappa / r
         ratios.append(ratio)
         sys.stdout.write(f"{r:>14.9g} {kappa:>16.9g} {ratio:>16.9g}\n")

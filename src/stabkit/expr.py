@@ -539,10 +539,12 @@ def compile_field(components: Sequence[Expr]) -> Callable[[np.ndarray, np.ndarra
     def field(x: np.ndarray, u: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         u = np.asarray(u, dtype=float)
-        shape = np.broadcast_shapes(x.shape[:-1], u.shape[:-1])
-        values = raw(x, u, np)
+        shape = x.shape[:-1]
+        if u.shape[:-1] != shape:  # every internal caller passes one batch shape for both
+            shape = np.broadcast_shapes(shape, u.shape[:-1])
         out = np.empty(shape + (k,))
-        for i, v in enumerate(values):
+        # a constant component, or one that reads only x or only u, broadcasts here
+        for i, v in enumerate(raw(x, u, np)):
             out[..., i] = v
         return out
 

@@ -20,6 +20,7 @@ import numpy as np
 
 from . import expr as ex
 from .linalg import rank_from_singular_values, singular_values
+from .sim import MAX_STORED_FLOATS
 from .system import SystemSpec, evaluate
 
 MAX_SEARCH_DIM = 3
@@ -126,9 +127,28 @@ def _cube_to_ball(points: np.ndarray) -> np.ndarray:
     return points * (inf_norms / safe)[:, None]
 
 
-def _distances(values: np.ndarray, targets: np.ndarray) -> np.ndarray:
-    d = np.linalg.norm(values - targets, axis=1)
-    return np.where(np.isfinite(d), d, np.inf)
+def _distances(columns: Sequence[np.ndarray], targets: np.ndarray) -> np.ndarray:
+    """Euclidean distances from points, given one coordinate column at a time, to targets.
+
+    ``columns[k]`` holds coordinate k of the points and broadcasts against
+    ``targets[..., k]``: (rows,) columns against (rows, n) targets pair the
+    rows up, (samples,) columns against (targets, 1, n) targets give the
+    (targets, samples) matrix.  Squared gaps are summed in place in
+    coordinate order, the order of ``np.linalg.norm``'s ``add.reduce``, so
+    the result is bit-identical to ``np.linalg.norm(values - targets,
+    axis=-1)``.  Non-finite distances become inf.
+    """
+    total = None
+    for k, column in enumerate(columns):
+        gap = column - targets[..., k]
+        gap *= gap
+        if total is None:
+            total = gap
+        else:
+            total += gap
+    np.sqrt(total, out=total)
+    total[np.isnan(total)] = np.inf
+    return total
 
 
 def _refine(
@@ -145,31 +165,46 @@ def _refine(
     Operates in cube coordinates (see _cube_to_ball), and steps are tracked
     per coordinate: a nearly flat coordinate that keeps yielding microscopic
     gains must not pin the step of the others.
+
+    A row is finished once its distance is within ``tol`` or all its steps
+    are below the floor, and a finished row is frozen: it is no longer
+    evaluated.  Distances and steps only shrink, so a finished row would
+    never become live again, and rows do not interact, so the live rows
+    follow the same path as when every row is evaluated.  Callers read only
+    ``all(dist <= tol)``, which freezing keeps: a row within ``tol`` stays
+    there, and a row stalled at the floor could move less than 1e-9 * radius
+    per coordinate in the remaining passes, far short of ``tol``.
     """
     points = points.copy()
     dist = dist.copy()
-    count, dim = points.shape
-    step = np.full((count, dim), initial_step)
+    dim = points.shape[1]
+    step = np.full(points.shape, initial_step)
     floor = 1e-12 * radius
+    live = np.arange(len(points))
     for _ in range(400):
-        active = (dist > tol) & (step.max(axis=1) > floor)
-        if not active.any():
+        live = live[(dist[live] > tol) & (step[live].max(axis=1) > floor)]
+        if not live.size:
             break
+        live_points, live_dist, live_step = points[live], dist[live], step[live]
+        live_targets = targets[live]
         for k in range(dim):
-            improved = np.zeros(count, dtype=bool)
+            improved = np.zeros(live.size, dtype=bool)
             for sign in (1.0, -1.0):
-                candidate = points.copy()
-                moved = candidate[:, k] + sign * step[:, k]
+                candidate = live_points.copy()
+                moved = candidate[:, k] + sign * live_step[:, k]
                 candidate[:, k] = np.clip(moved, -radius, radius)
-                trial = _distances(objective(candidate), targets)
-                better = trial < dist
-                points[better] = candidate[better]
-                dist[better] = trial[better]
+                trial = _distances(objective(candidate).T, live_targets)
+                better = trial < live_dist
+                live_points[better] = candidate[better]
+                live_dist[better] = trial[better]
                 improved |= better
-            step[~improved, k] *= 0.5
+            live_step[~improved, k] *= 0.5
+        points[live], dist[live], step[live] = live_points, live_dist, live_step
     return dist
 
 
+# singular points give inf/nan images, which the search reads as unattainable
+@np.errstate(all="ignore")
 def empirical_covering_modulus(
     system: SystemSpec,
     center: tuple[Sequence[float], Sequence[float]] | None = None,
@@ -199,14 +234,16 @@ def empirical_covering_modulus(
     else:
         x0 = np.asarray(center[0], dtype=float)
         u0 = np.asarray(center[1], dtype=float)
+    samples = grid.axis_points ** joint
+    if samples * joint > MAX_STORED_FLOATS:
+        raise ValueError(
+            f"covering grid of {grid.axis_points}^{joint} points x {joint} coordinates "
+            f"exceeds the limit of {MAX_STORED_FLOATS} stored numbers; use fewer axis points")
     field = ex.compile_field(system.components)
 
-    def fw(offsets: np.ndarray) -> np.ndarray:
-        with np.errstate(all="ignore"):
-            return field(x0 + offsets[:, :n], u0 + offsets[:, n:])
-
     def ball_objective(cube_points: np.ndarray) -> np.ndarray:
-        return fw(_cube_to_ball(cube_points))
+        offsets = _cube_to_ball(cube_points)
+        return field(x0 + offsets[:, :n], u0 + offsets[:, n:])
 
     f_center = evaluate(system, x0, u0)
     cube = _cube_grid(joint, radius, grid.axis_points)
@@ -217,7 +254,10 @@ def empirical_covering_modulus(
     spread = float(np.max(np.linalg.norm(values[finite] - f_center, axis=1)))
     if spread == 0.0:
         return 0.0
-
+    # contiguous coordinate columns of the grid's images, taken once for every seeding
+    columns = np.ascontiguousarray(values.T)
+    # seed targets in row blocks so no (block, samples) matrix exceeds the cap
+    block = MAX_STORED_FLOATS // samples
     directions = _covering_directions(n, grid.directions)
     attain_tol = ATTAIN_REL_TOL * radius
     initial_step = 2.0 * radius / grid.axis_points
@@ -227,12 +267,14 @@ def empirical_covering_modulus(
                        for j in range(1, grid.radial_levels + 1)]
         targets = np.vstack([f_center + r_k * directions for r_k in shell_radii])
         # (targets, samples) distance matrix seeds each search at the best grid point
-        diff = values[None, :, :] - targets[:, None, :]
-        dist_matrix = np.linalg.norm(diff, axis=2)
-        dist_matrix = np.where(np.isfinite(dist_matrix), dist_matrix, np.inf)
-        seeds = np.argmin(dist_matrix, axis=1)
+        seeds = np.empty(len(targets), dtype=np.intp)
+        start_dist = np.empty(len(targets))
+        for first in range(0, len(targets), block):
+            rows = slice(first, first + block)
+            dist_matrix = _distances(columns, targets[rows, None, :])
+            seeds[rows] = np.argmin(dist_matrix, axis=1)
+            start_dist[rows] = dist_matrix[np.arange(len(dist_matrix)), seeds[rows]]
         start_points = cube[seeds]
-        start_dist = dist_matrix[np.arange(len(targets)), seeds]
         if np.all(start_dist <= attain_tol):
             return True
         final = _refine(

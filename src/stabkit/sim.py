@@ -39,7 +39,8 @@ STEP_ERROR_TOL = 1e-8
 # deliver once ||x - x*|| has decayed that far (u* + K(x - x*) cancels)
 STEP_ERROR_FLOOR = 1e-16
 # cap on the floats one run stores (64 MiB): states for a trajectory batch,
-# norms for a continuous validation; every CLI default at n <= 50 fits
+# norms for a continuous validation, the covering search's grid and each of
+# its distance blocks; every CLI default at n <= 50 fits
 MAX_STORED_FLOATS = 1 << 23
 ALPHA_FLOOR = 1e-12
 

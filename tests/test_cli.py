@@ -6,12 +6,14 @@ import os
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import jsonschema
 import pytest
 
 import stabkit
+from stabkit import openness
 from stabkit.report import load_schema
 
 SQRT_TENTH = 0.31622776601683794
@@ -475,6 +477,17 @@ def test_degenerate_covering_grid_exits_two(run_cli, examples_dir, flag, message
                              "--radius", "0.1", flag)
     assert (code, out) == (2, "")
     assert err == f"error: covering grid needs {message}\n"
+
+
+def test_oversized_covering_grid_exits_two(run_cli, examples_dir, monkeypatch):
+    # 1000^3 points x 3 coordinates is checked against the storage cap, never allocated
+    monkeypatch.setattr(openness, "_cube_grid", lambda *args: pytest.fail("grid allocated"))
+    start = time.perf_counter()
+    code, out, err = run_cli("covering", examples_dir / "planar_cubic.stab",
+                             "--radius", "0.1", "--axis-points", "1000")
+    assert time.perf_counter() - start < 0.5
+    assert (code, out) == (2, "")
+    assert err.startswith("error: covering grid of 1000^3 points x 3 coordinates exceeds the limit")
 
 
 @pytest.mark.parametrize("argv", [

@@ -176,7 +176,10 @@ def test_compile_field_matches_eval():
     us = rng.uniform(-1.0, 1.0, (40, 1))
     with np.errstate(all="ignore"):
         batch = field(xs, us)
+        # one control row broadcasts over the batch of states
+        shared = field(xs, us[0])
     assert batch.shape == (40, 3)
+    assert shared.tobytes() == field(xs, np.repeat(us[:1], 40, axis=0)).tobytes()
     for row in range(40):
         for j, comp in enumerate(comps):
             assert batch[row, j] == pytest.approx(ex.eval_expr(comp, xs[row], us[row]), abs=1e-14)

@@ -1,10 +1,13 @@
 """Openness bounds and the empirical covering-rate estimator."""
 
 import math
+import time
 
 import numpy as np
 import pytest
 
+from perfbench import gen, workloads
+from stabkit import openness
 from stabkit.openness import (
     CoveringGrid,
     covering_bound,
@@ -14,7 +17,7 @@ from stabkit.openness import (
     regularity_bound,
     shifted_covering_lower_bound,
 )
-from stabkit.system import Linearization, jacobian, load_system, system_from_strings
+from stabkit.system import Linearization, jacobian, load_system, parse_system, system_from_strings
 
 THREE_STATE_COV = 0.6144698681796382
 THREE_STATE_REG = 1.6274191002440714
@@ -128,3 +131,67 @@ def test_empirical_rejects_bad_radius(examples_dir):
     spec = load_system(examples_dir / "identity_input.stab")
     with pytest.raises(ValueError, match="radius"):
         empirical_covering_modulus(spec, radius=0.0)
+
+
+# repr(kappa) of the covering search: it is deterministic, so a change in the
+# last bit is a change of behaviour, not noise
+KAPPA_PINS = [
+    ("planar_cubic", 0.1, None, "0.9990234384082035"),
+    ("planar_cubic", 0.05, None, "0.9990234384082035"),
+    ("planar_cubic", 0.025, None, "0.9990234384082035"),
+    ("planar_cubic", 0.1, (16, 2, 7), "0.9990234384082033"),
+    ("cubic_input", 0.1, None, "0.01000097747167969"),
+    ("cubic_input", 0.05, None, "0.002500245049804688"),
+    ("cubic_input", 0.025, None, "0.0006257333320312502"),
+    ("identity_input", 0.1, None, "0.9990234384082033"),
+    ("planar_translated", 0.1, None, "0.9990234384082035"),
+    ("cli_c21", 0.1, None, "0.5605183258841149"),
+    ("cli_c21", 0.1, (16, 2, 7), "0.558794564000918"),
+]
+
+
+def _pinned_system(examples_dir, name):
+    if name == "planar_translated":
+        return parse_system(gen.planar_systems()[1].text)
+    if name == "cli_c21":
+        return parse_system(workloads.cold_cli_systems(0, False)[0].text)
+    return load_system(examples_dir / f"{name}.stab")
+
+
+@pytest.mark.parametrize("name, radius, grid, expected", KAPPA_PINS)
+def test_empirical_kappa_pinned_bit_for_bit(examples_dir, name, radius, grid, expected):
+    spec = _pinned_system(examples_dir, name)
+    grid = CoveringGrid(*grid) if grid else None
+    assert repr(empirical_covering_modulus(spec, radius=radius, grid=grid)) == expected
+
+
+def test_seeding_in_row_blocks_keeps_kappa(examples_dir, monkeypatch):
+    # a cap of five rows of the (targets, samples) matrix splits the 32 targets into seven blocks
+    spec = load_system(examples_dir / "planar_cubic.stab")
+    monkeypatch.setattr(openness, "MAX_STORED_FLOATS", 5 * 7**3)
+    kappa = empirical_covering_modulus(spec, radius=0.1, grid=CoveringGrid(16, 2, 7))
+    assert repr(kappa) == "0.9990234384082033"
+
+
+def test_distance_matrix_matches_norm_bit_for_bit():
+    rng = np.random.default_rng(11)
+    values = rng.standard_normal((300, 2)) * 10.0 ** rng.integers(-8, 8, (300, 1))
+    targets = rng.standard_normal((40, 2))
+    values[[3, 50, 77], [0, 1, 0]] = [np.inf, np.nan, -np.inf]
+    targets[[5, 9], [1, 0]] = [np.nan, np.inf]
+    with np.errstate(all="ignore"):  # inf - inf is nan, as in the search
+        expected = np.linalg.norm(values[None, :, :] - targets[:, None, :], axis=-1)
+        matrix = openness._distances(np.ascontiguousarray(values.T), targets[:, None, :])
+        rows = openness._distances(values[:40].T, targets)
+    expected = np.where(np.isfinite(expected), expected, np.inf)
+    assert matrix.tobytes() == expected.tobytes()
+    assert rows.tobytes() == expected[np.arange(40), np.arange(40)].tobytes()
+
+
+def test_oversized_covering_grid_rejected_before_allocation(examples_dir, monkeypatch):
+    monkeypatch.setattr(openness, "_cube_grid", lambda *args: pytest.fail("grid allocated"))
+    spec = load_system(examples_dir / "planar_cubic.stab")
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match=r"grid of 1000\^3 points x 3 coordinates exceeds"):
+        empirical_covering_modulus(spec, radius=0.1, grid=CoveringGrid(axis_points=1000))
+    assert time.perf_counter() - start < 0.5
