@@ -118,7 +118,8 @@ def cmd_synthesize(args: argparse.Namespace) -> int:
             )
             return 3
     poles = _parse_pole_list(args.poles) if args.poles else None
-    gain = synthesize(system, poles=poles, seed=args.seed, tol=cfg.tol_rank)
+    gain = synthesize(system, poles=poles, seed=args.seed, tol=cfg.tol_rank,
+                      tol_class=cfg.tol_class)
     validation = None
     if args.validate:
         validation = verify_local_stability(

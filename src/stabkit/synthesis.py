@@ -4,8 +4,10 @@ The feedback convention is u = u* + K (x - x*), so at the zero equilibrium
 of the worked examples the gain acts as u = K x.  Single-input placement
 uses Ackermann's formula; multi-input placement solves a Sylvester equation
 for a similarity bringing A + B K to a chosen stable block-diagonal form.
-Partially controllable pairs are reduced with an orthogonal staircase
-transform first and only the controllable block is placed.
+That form has 1x1 and 2x2 blocks, so the equation splits into one shifted
+linear solve per block and needs numpy alone.  Partially controllable pairs
+are reduced with an orthogonal staircase transform first and only the
+controllable block is placed.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from .hautus import (
+    TOL_CLASS,
     format_eigenvalue,
     hautus_asymptotic,
     kalman_controllability_rank,
@@ -155,17 +158,43 @@ def _ackermann(a: np.ndarray, b: np.ndarray, desired: Sequence[complex]) -> np.n
     return -(z @ phi)[None, :]
 
 
+def _block_sylvester(a: np.ndarray, target: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """X with A X - X T = C for T laid out by :func:`_real_block_form`.
+
+    A real pole r of T gives (A - r I) x_j = c_j; a block [[p, q], [-q, p]]
+    gives (A - (p + iq) I) z = c_j + i c_{j+1} with z = x_j + i x_{j+1}
+    (Bhattacharyya & de Souza 1982).  Every block goes through one stacked
+    solve; raises ``np.linalg.LinAlgError`` when some A - lambda I is singular.
+    """
+    n, size = c.shape
+    starts, shifts = [], []
+    j = 0
+    while j < size:
+        q = target[j, j + 1] if j + 1 < size else 0.0
+        starts.append(j)
+        shifts.append(complex(target[j, j], q))
+        j += 2 if q else 1
+    first = np.array(starts, dtype=int)
+    lam = np.array(shifts)
+    pair = lam.imag != 0.0
+    rhs = c[:, first].T.astype(complex)
+    rhs[pair] += 1j * c[:, first[pair] + 1].T
+    z = np.linalg.solve(a - lam[:, None, None] * np.eye(n), rhs[..., None])[..., 0]
+    x = np.empty_like(c)
+    x[:, first] = z.real.T
+    x[:, first[pair] + 1] = z[pair].imag.T
+    return x
+
+
 def _sylvester(a: np.ndarray, b: np.ndarray, desired: Sequence[complex],
                target: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    import scipy.linalg  # only multi-input placement pays for this import
-
     m = b.shape[1]
     last_error: Exception | None = None
     for _ in range(_SYLVESTER_TRIES):
         g = rng.standard_normal((m, a.shape[0]))
         try:
-            x = scipy.linalg.solve_sylvester(a, -target, -b @ g)
-        except Exception as err:  # singular data for this draw
+            x = _block_sylvester(a, target, -b @ g)
+        except np.linalg.LinAlgError as err:  # singular data for this draw
             last_error = err
             continue
         if not np.all(np.isfinite(x)) or np.linalg.cond(x) > 1e10:
@@ -246,15 +275,17 @@ def default_poles(count: int, mode: str, eta_tilde: float = 0.0,
 
 
 def synthesize(system: SystemSpec, poles: Sequence[complex] | None = None,
-               seed: int = 0, tol: float | None = None) -> FeedbackGain:
+               seed: int = 0, tol: float | None = None,
+               tol_class: float = TOL_CLASS) -> FeedbackGain:
     """Stabilizing gain for the linearization of the given system.
 
-    Precondition: the Hautus test holds at every unstable eigenvalue; raises
+    Precondition: the Hautus test holds at every unstable eigenvalue, with
+    the spectrum classified under ``tol_class`` as in the analysis; raises
     :class:`UncontrollableError` otherwise.  The returned gain is validated,
     i.e. the closed-loop spectrum is strictly stable for the system mode.
     """
     lin = jacobian(system)
-    prof = spectral_profile(lin.a, system.mode)
+    prof = spectral_profile(lin.a, system.mode, tol_class)
     haut = hautus_asymptotic(lin.a, lin.b, prof, tol=tol)
     if not haut.holds:
         joined = ", ".join(format_eigenvalue(v) for v in haut.failures)

@@ -510,14 +510,28 @@ def test_negative_tolerances_exit_two(run_cli, examples_dir, flag):
     assert err.startswith("error: ") and "must be non-negative" in err
 
 
-def test_analyze_and_single_input_synthesize_load_no_scipy(examples_dir):
+TWO_INPUT_SYSTEM = """mode continuous
+states 3
+controls 2
+eq x = 0 0 0
+eq u = 0 0
+f1 = x2 + x1^2
+f2 = x3 + u1
+f3 = x1 + u2
+"""
+
+
+def test_analyze_and_synthesize_load_no_scipy(examples_dir, tmp_path):
     path = str(examples_dir / "planar_cubic.stab")
+    two_input = tmp_path / "two_input.stab"
+    two_input.write_text(TWO_INPUT_SYSTEM)
     script = (
         "import contextlib, io, sys\n"
         "from stabkit.cli import main\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         f"    codes = [main(['analyze', {path!r}]), main(['analyze', {path!r}, '--json']),\n"
-        f"             main(['synthesize', {path!r}, '--json'])]\n"
+        f"             main(['synthesize', {path!r}, '--json']),\n"
+        f"             main(['synthesize', {str(two_input)!r}, '--json'])]\n"
         "print(codes, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
     )
     src = str(Path(stabkit.__file__).resolve().parent.parent)
@@ -525,7 +539,23 @@ def test_analyze_and_single_input_synthesize_load_no_scipy(examples_dir):
     out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
                          text=True, timeout=120)
     assert out.returncode == 0, out.stderr
-    assert out.stdout.strip() == "[0, 0, 0] []"
+    assert out.stdout.strip() == "[0, 0, 0, 0] []"
+
+
+def test_synthesize_classifies_with_the_tol_class_flag(run_cli, tmp_path):
+    # -5e-9 is unstable under the default class tolerance and stable under 0
+    path = tmp_path / "slow_decay.stab"
+    path.write_text("mode continuous\nstates 2\ncontrols 1\neq x = 0 0\neq u = 0\n"
+                    "f1 = -5e-9*x1\nf2 = u1\n")
+    code, out, err = run_cli("analyze", path, "--tol-class", "0")
+    assert code == 0
+    assert "asymptotic_holds=yes" in out and "verdict: EXP_STABILIZABLE_CONT_FEEDBACK" in out
+    code, out, err = run_cli("synthesize", path, "--tol-class", "0")
+    assert (code, err) == (0, "")
+    assert "achieved poles: -1.000000005 -5e-09" in out
+    code, out, err = run_cli("synthesize", path)
+    assert code == 3
+    assert err == "error: uncontrollable unstable mode at lambda=-5e-09\n"
 
 
 def test_version_flag(run_cli, capsys):

@@ -2,12 +2,17 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 from scipy.optimize import linear_sum_assignment
 
 from stabkit import expr as ex
 from stabkit.synthesis import (
     FeedbackGain,
+    PlacementError,
     UncontrollableError,
+    _block_sylvester,
+    _real_block_form,
+    _sylvester,
     closed_loop_spectrum,
     default_poles,
     gain_expressions,
@@ -19,6 +24,7 @@ from stabkit.synthesis import (
 from stabkit.system import load_system, system_from_strings
 
 PLACEMENT_ROUNDS = 100
+SYLVESTER_CASES = 200
 SQRT_TENTH = 0.31622776601683794
 
 
@@ -120,6 +126,48 @@ def test_random_placement_accuracy():
         err = pole_match_error(np.linalg.eigvals(a + b @ k), desired)
         worst = max(worst, err)
     assert worst <= 1e-6
+
+
+# --- the block Sylvester solver -----------------------------------------
+
+def _sylvester_case(rng):
+    """A with spectrum near the unit disk, a block target left of it, and C."""
+    n = int(rng.integers(2, 51))
+    a = rng.standard_normal((n, n)) / np.sqrt(n)
+    poles = []
+    while len(poles) < n:
+        if n - len(poles) >= 2 and rng.random() < 0.5:
+            re, im = -rng.uniform(1.5, 3.0), rng.uniform(0.2, 2.0)
+            poles += [complex(re, im), complex(re, -im)]
+        else:
+            poles.append(complex(-rng.uniform(1.5, 3.0)))
+    return a, _real_block_form(poles), rng.standard_normal((n, n))
+
+
+def test_block_sylvester_matches_scipy():
+    rng = np.random.default_rng(5)
+    worst = 0.0
+    mixed = 0
+    for _ in range(SYLVESTER_CASES):
+        a, target, c = _sylvester_case(rng)
+        x = _block_sylvester(a, target, c)
+        ref = scipy.linalg.solve_sylvester(a, -target, c)
+        worst = max(worst, np.linalg.norm(x - ref) / np.linalg.norm(ref))
+        pairs = np.count_nonzero(np.diag(target, 1))
+        mixed += 0 < 2 * pairs < len(target)
+    assert mixed >= SYLVESTER_CASES // 2
+    assert worst <= 1e-9
+
+
+@pytest.mark.parametrize("a, desired", [
+    (np.diag([1.0, 2.0]), [1.0, -1.0]),
+    (np.array([[0.0, 1.0], [-1.0, 0.0]]), [1j, -1j]),
+])
+def test_sylvester_singular_shift_reports_the_solver_error(a, desired):
+    # a target pole on an eigenvalue of A makes A - lambda I exactly singular
+    with pytest.raises(PlacementError, match=r"last solver error: Singular matrix"):
+        _sylvester(a, np.eye(2), desired, _real_block_form(desired),
+                   np.random.default_rng(0))
 
 
 # --- input validation ---------------------------------------------------
