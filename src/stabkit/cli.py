@@ -277,7 +277,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--horizon", type=_finite_float, default=20.0,
                        help="integration horizon (continuous)")
     p_sim.add_argument("--dt", type=_finite_float, default=1e-3,
-                       help="integration step (continuous)")
+                       help="grid of output samples; the step size is adaptive")
     p_sim.add_argument("--steps", type=int, default=200, help="iteration count (discrete)")
     p_sim.add_argument("--out", default=None, help="write CSV here instead of stdout")
     p_sim.set_defaults(func=cmd_simulate)

@@ -159,21 +159,18 @@ def _refine(
     radius: float,
     tol: float,
     initial_step: float,
-) -> np.ndarray:
-    """Box-constrained coordinate pattern search, vectorized across targets.
+) -> bool:
+    """Whether a box-constrained coordinate pattern search brings every target within tol.
 
     Operates in cube coordinates (see _cube_to_ball), and steps are tracked
     per coordinate: a nearly flat coordinate that keeps yielding microscopic
     gains must not pin the step of the others.
 
-    A row is finished once its distance is within ``tol`` or all its steps
-    are below the floor, and a finished row is frozen: it is no longer
-    evaluated.  Distances and steps only shrink, so a finished row would
-    never become live again, and rows do not interact, so the live rows
-    follow the same path as when every row is evaluated.  Callers read only
-    ``all(dist <= tol)``, which freezing keeps: a row within ``tol`` stays
-    there, and a row stalled at the floor could move less than 1e-9 * radius
-    per coordinate in the remaining passes, far short of ``tol``.
+    A row within ``tol`` is frozen: distances only shrink, and rows do not
+    interact, so the live rows follow the same path as when every row is
+    evaluated.  A row with all steps below the floor could move less than
+    1e-9 * radius per coordinate in the remaining passes, far short of
+    ``tol``, so the first such row outside ``tol`` decides the answer.
     """
     points = points.copy()
     dist = dist.copy()
@@ -182,9 +179,11 @@ def _refine(
     floor = 1e-12 * radius
     live = np.arange(len(points))
     for _ in range(400):
-        live = live[(dist[live] > tol) & (step[live].max(axis=1) > floor)]
+        live = live[dist[live] > tol]
+        if (step[live].max(axis=1) <= floor).any():
+            return False
         if not live.size:
-            break
+            return True
         live_points, live_dist, live_step = points[live], dist[live], step[live]
         live_targets = targets[live]
         for k in range(dim):
@@ -200,7 +199,7 @@ def _refine(
                 improved |= better
             live_step[~improved, k] *= 0.5
         points[live], dist[live], step[live] = live_points, live_dist, live_step
-    return dist
+    return bool(np.all(dist <= tol))
 
 
 # singular points give inf/nan images, which the search reads as unattainable
@@ -277,10 +276,9 @@ def empirical_covering_modulus(
         start_points = cube[seeds]
         if np.all(start_dist <= attain_tol):
             return True
-        final = _refine(
+        return _refine(
             ball_objective, start_points, start_dist, targets, radius, attain_tol, initial_step
         )
-        return bool(np.all(final <= attain_tol))
 
     hi = 1.1 * spread / radius + 1e-9
     if attained_everywhere(hi):

@@ -1,16 +1,14 @@
 """Closed-loop simulation and empirical decay certification.
 
-Trajectories (``integrate_closed_loop``, ``iterate_closed_loop``, discrete
-validation) go through one private runner, ``_simulate``: continuous
-systems integrate with fixed-step RK4 plus a per-step Richardson check (the
-half-step result replaces the full step when the estimated local error
-exceeds 1e-8), discrete systems iterate the map, and every state is kept.
-Continuous validation needs only the distances ||x - x*||, so it integrates
-with an adaptive Dormand-Prince 5(4) pair and reads the distances on the dt
-grid from its continuous extension, storing no states.  Both share the grid
-check, whose cap MAX_STORED_FLOATS bounds memory, and the compiled
-closed-loop field.  Distances are fitted in log space after a transient
-skip to certify an exponential envelope
+Each mode has one runner, and trajectories (``integrate_closed_loop``,
+``iterate_closed_loop``) and validation share it: continuous systems
+integrate with an adaptive Dormand-Prince 5(4) pair and read the dt grid
+from its continuous extension (``_dp54``), discrete systems iterate the map
+(``_iterate``).  A runner stores only what its caller observes of the grid
+states: the states themselves for a trajectory, the distances ||x - x*||
+for validation.  Both share the grid check, whose cap MAX_STORED_FLOATS
+bounds memory, and the compiled closed-loop field.  Distances are fitted in
+log space after a transient skip to certify an exponential envelope
 ||x(t) - x*|| <= M ||x0 - x*|| exp(-alpha t).  All sampling is
 deterministic: initial conditions come from a Halton sequence pushed
 through the inverse normal transform, on shells of radius delta, delta/2,
@@ -34,13 +32,13 @@ DEFAULT_HORIZON = 20.0
 DEFAULT_DT = 1e-3
 DEFAULT_STEPS = 200
 STEP_ERROR_TOL = 1e-8
-# absolute part of validation's adaptive error test, about the round-off of
-# O(1) numbers: the relative part alone asks for digits the field cannot
-# deliver once ||x - x*|| has decayed that far (u* + K(x - x*) cancels)
+# absolute part of the adaptive error test, about the round-off of O(1)
+# numbers: the relative part alone asks for digits the field cannot deliver
+# once ||x - x*|| has decayed that far (u* + K(x - x*) cancels)
 STEP_ERROR_FLOOR = 1e-16
-# cap on the floats one run stores (64 MiB): states for a trajectory batch,
-# norms for a continuous validation, the covering search's grid and each of
-# its distance blocks; every CLI default at n <= 50 fits
+# cap on the floats one run stores (64 MiB): a trajectory's states, a
+# validation's norms, the covering search's grid and each of its distance
+# blocks; every CLI default at n <= 50 fits
 MAX_STORED_FLOATS = 1 << 23
 ALPHA_FLOOR = 1e-12
 
@@ -138,23 +136,6 @@ def make_feedback(system: SystemSpec, fb) -> Feedback:
     return Feedback(expr_fn, "; ".join(ex.unparse(e) for e in parsed), smooth)
 
 
-def _rk4_step(g, states: np.ndarray, h: float, k1: np.ndarray) -> np.ndarray:
-    k2 = g(states + 0.5 * h * k1)
-    k3 = g(states + 0.5 * h * k2)
-    k4 = g(states + h * k3)
-    return states + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-
-
-def _rk4_double_step(g, states: np.ndarray, h: float) -> np.ndarray:
-    k1 = g(states)  # the full step and the first half step start from the same slope
-    full = _rk4_step(g, states, h, k1)
-    mid = _rk4_step(g, states, 0.5 * h, k1)
-    half = _rk4_step(g, mid, 0.5 * h, g(mid))
-    err = np.linalg.norm(full - half, axis=-1) / 15.0
-    use_half = ~np.isfinite(err) | (err > STEP_ERROR_TOL)
-    return np.where(use_half[..., None], half, full)
-
-
 def _time_grid(system: SystemSpec, horizon, dt, steps, floats_per_sample: int) -> np.ndarray:
     """The mode's sample times, checked to be positive and to fit MAX_STORED_FLOATS.
 
@@ -190,37 +171,6 @@ def _closed_loop(system: SystemSpec, feedback):
     return fb, g
 
 
-def _simulate(system: SystemSpec, feedback, x0s: np.ndarray, horizon, dt, steps):
-    """Run the closed loop from every row of x0s on the mode's time grid.
-
-    Each row freezes at its first divergence from x*.  Returns the feedback,
-    times, states (rows, samples, n), divergence flags and last valid indices.
-    """
-    count, n = x0s.shape
-    times = _time_grid(system, horizon, dt, steps, count * n)
-    steps = len(times) - 1
-    fb, g = _closed_loop(system, feedback)
-    step = g if system.mode == DISCRETE else (lambda cur: _rk4_double_step(g, cur, dt))
-    x_eq = np.asarray(system.x_eq, dtype=float)
-    states = np.empty((count, steps + 1, n))
-    states[:, 0] = x0s
-    alive = np.ones(count, dtype=bool)
-    last = np.full(count, steps)
-    current = x0s.astype(float)
-    with np.errstate(all="ignore"):
-        for k in range(steps):
-            advanced = step(current)
-            finite = np.isfinite(advanced).all(axis=1)
-            advanced = np.where((alive & finite)[:, None], advanced, current)
-            norms = np.linalg.norm(advanced - x_eq, axis=1)
-            newly_bad = alive & (~finite | (norms > DIVERGENCE_NORM))
-            states[:, k + 1] = advanced
-            last[newly_bad] = k + 1
-            alive &= ~newly_bad
-            current = advanced
-    return fb, times, states, ~alive, last
-
-
 # Dormand & Prince (1980) 5(4) pair.  Row s of _DP_A gives stage s + 1 from
 # the slopes k[0..s]; the last row is the fifth-order solution, whose slope
 # k[6] is the next step's k[0] (first same as last).  _DP_E weighs the
@@ -248,23 +198,27 @@ def _weigh(weights: np.ndarray, k: np.ndarray) -> np.ndarray:
     return (weights @ k[:s].reshape(s, -1)).reshape(k.shape[1:])
 
 
-def _dp54_norms(g, x0s: np.ndarray, x_eq: np.ndarray, times: np.ndarray):
-    """Distances ||x(t) - x*|| on the grid ``times`` for every row of x0s.
+def _dp54(g, x0s: np.ndarray, x_eq: np.ndarray, times: np.ndarray, observe):
+    """The flow of dx/dt = g(x) from every row of x0s, observed on the grid ``times``.
 
-    One adaptive step size serves the batch; a step is accepted when every
-    live row's local error is within STEP_ERROR_TOL ||x - x*|| plus
-    STEP_ERROR_FLOOR.  Grid values come from the continuous extension, so
-    no states are stored.  A row that turns non-finite or leaves the ball
-    of radius DIVERGENCE_NORM is marked diverged and leaves step control.
-    Returns the norms (rows, samples) and the divergence flags.
+    ``observe`` maps the grid states one step covers, shaped (k, rows, n), to
+    the stored values.  One adaptive step size serves the batch; a step is
+    accepted when every controlled row's local error is within
+    STEP_ERROR_TOL ||x - x*|| plus STEP_ERROR_FLOOR.  A row whose step ends
+    outside the ball of radius DIVERGENCE_NORM is marked diverged and leaves
+    step control, and ends on its first grid sample outside the ball; a row
+    that turns non-finite is marked and ends on its last grid sample.
+    Returns the values (rows, samples, ...), the flags and the last samples.
     """
     count = len(x0s)
-    norms = np.empty((count, len(times)))
-    norms[:, 0] = np.linalg.norm(x0s - x_eq, axis=1)
-    diverged = np.zeros(count, dtype=bool)
-    rows = np.arange(count)
     y = x0s.astype(float)
-    dist = norms[:, 0]
+    first = observe(y[None])[0]
+    values = np.empty((count, len(times)) + first.shape[1:])
+    values[:, 0] = first
+    diverged = np.zeros(count, dtype=bool)
+    last = np.full(count, len(times) - 1)
+    rows = np.arange(count)
+    dist = np.linalg.norm(y - x_eq, axis=1)
     k = np.empty((7,) + y.shape)
     t, end, h = 0.0, times[-1], times[1]
     recorded = 1
@@ -281,14 +235,15 @@ def _dp54_norms(g, x0s: np.ndarray, x_eq: np.ndarray, times: np.ndarray):
             dist_new = np.linalg.norm(stage - x_eq, axis=1)
             scale = STEP_ERROR_TOL * np.maximum(dist, dist_new) + STEP_ERROR_FLOOR
             err = np.linalg.norm(h * _weigh(_DP_E, k), axis=1) / scale
-            bad = ~(dist_new <= DIVERGENCE_NORM) | ~np.isfinite(err)
+            bad = ~np.isfinite(err)
+            diverged[rows[bad | ~(dist_new <= DIVERGENCE_NORM)]] = True
             if bad.any():
-                diverged[rows[bad]] = True
+                last[rows[bad]] = recorded - 1
                 keep = ~bad
                 rows, y, k, stage, dist, dist_new, err = (
                     rows[keep], y[keep], k[:, keep], stage[keep], dist[keep],
                     dist_new[keep], err[keep])
-            worst = err.max(initial=0.0)
+            worst = err[~diverged[rows]].max(initial=0.0)
             factor = 0.9 * worst ** -0.2
             if worst > 1.0:
                 h *= max(0.2, factor)
@@ -303,18 +258,63 @@ def _dp54_norms(g, x0s: np.ndarray, x_eq: np.ndarray, times: np.ndarray):
                 dense = h * _weigh(_DP_D, k)
                 at = y + theta * (diff + (1.0 - theta) * (
                     spline + theta * (curve + (1.0 - theta) * dense)))
-                norms[rows, recorded:stop] = np.linalg.norm(at - x_eq, axis=2).T
+                values[rows, recorded:stop] = observe(at).swapaxes(0, 1)
+                escaped = diverged[rows]
+                if escaped.any():
+                    outside = np.linalg.norm(at - x_eq, axis=2) > DIVERGENCE_NORM
+                    done = escaped & outside.any(axis=0)
+                    last[rows[done]] = recorded + outside[:, done].argmax(axis=0)
+                    keep = ~done
+                    rows, k, stage, dist_new = rows[keep], k[:, keep], stage[keep], dist_new[keep]
                 recorded = stop
             t, y, dist = t_new, stage, dist_new
             k[0] = k[6]
             h *= min(5.0, max(0.2, factor))
-    return norms, diverged
+    return values, diverged, last
+
+
+def _iterate(g, x0s: np.ndarray, x_eq: np.ndarray, steps: int, observe):
+    """The map x+ = g(x) from every row of x0s, observed at iterates 0..steps.
+
+    Same contract as ``_dp54``.  A row is marked diverged and frozen at its
+    first iterate outside the ball of radius DIVERGENCE_NORM, or at its first
+    non-finite one, whose place its last finite state takes.
+    """
+    count = len(x0s)
+    current = x0s.astype(float)
+    first = observe(current[None])[0]
+    values = np.empty((count, steps + 1) + first.shape[1:])
+    values[:, 0] = first
+    alive = np.ones(count, dtype=bool)
+    last = np.full(count, steps)
+    with np.errstate(all="ignore"):
+        for k in range(1, steps + 1):
+            advanced = g(current)
+            finite = np.isfinite(advanced).all(axis=1)
+            advanced = np.where((alive & finite)[:, None], advanced, current)
+            norms = np.linalg.norm(advanced - x_eq, axis=1)
+            newly_bad = alive & (~finite | (norms > DIVERGENCE_NORM))
+            values[:, k] = observe(advanced[None])[0]
+            last[newly_bad] = k
+            alive &= ~newly_bad
+            current = advanced
+    return values, ~alive, last
+
+
+def _run(system: SystemSpec, g, x0s: np.ndarray, times: np.ndarray, observe):
+    """The mode's runner from every row of x0s on the grid ``times``."""
+    x_eq = np.asarray(system.x_eq, dtype=float)
+    if system.mode == CONTINUOUS:
+        return _dp54(g, x0s, x_eq, times, observe)
+    return _iterate(g, x0s, x_eq, len(times) - 1, observe)
 
 
 def _trajectory(system: SystemSpec, feedback, x0, horizon, dt, steps) -> Trajectory:
     """One run from x0, cut after its last valid sample."""
     x0s = np.asarray(x0, dtype=float)[None, :]
-    fb, times, states, diverged, last = _simulate(system, feedback, x0s, horizon, dt, steps)
+    times = _time_grid(system, horizon, dt, steps, x0s.shape[1])
+    fb, g = _closed_loop(system, feedback)
+    states, diverged, last = _run(system, g, x0s, times, lambda at: at)
     end = int(last[0]) + 1
     return Trajectory(times[:end], states[0, :end], fb.description, bool(diverged[0]),
                       system.x_eq)
@@ -327,7 +327,10 @@ def integrate_closed_loop(
     horizon: float = DEFAULT_HORIZON,
     dt: float = DEFAULT_DT,
 ) -> Trajectory:
-    """RK4 integration of dx/dt = f(x, u(x)) from x0 over [0, horizon]."""
+    """dx/dt = f(x, u(x)) from x0 over [0, horizon], sampled every dt.
+
+    The adaptive Dormand-Prince 5(4) runner steps it, and the dt grid is
+    read from its continuous extension."""
     if system.mode != CONTINUOUS:
         raise ValueError("integrate_closed_loop requires a continuous-mode system")
     return _trajectory(system, feedback, x0, horizon, dt, None)
@@ -455,15 +458,11 @@ def verify_local_stability(
     _check_transient_skip(transient_skip)
     x_eq = np.asarray(system.x_eq, dtype=float)
     # the grid is checked before the starts are drawn, so a huge samples fails fast
-    per_sample = samples if system.mode == CONTINUOUS else samples * system.n
-    times = _time_grid(system, horizon, dt, steps, per_sample)
+    times = _time_grid(system, horizon, dt, steps, samples)
     x0s = _initial_states(system, delta, samples)
-    if system.mode == CONTINUOUS:
-        _, g = _closed_loop(system, feedback)
-        norms, diverged = _dp54_norms(g, x0s, x_eq, times)
-    else:
-        _, _, states, diverged, _ = _simulate(system, feedback, x0s, horizon, dt, steps)
-        norms = np.linalg.norm(states - x_eq, axis=2)
+    _, g = _closed_loop(system, feedback)
+    norms, diverged, _ = _run(system, g, x0s, times,
+                              lambda at: np.linalg.norm(at - x_eq, axis=-1))
 
     failures: list[tuple[float, ...]] = []
     worst: DecayFit | None = None

@@ -189,24 +189,21 @@ def _block_sylvester(a: np.ndarray, target: np.ndarray, c: np.ndarray) -> np.nda
 def _sylvester(a: np.ndarray, b: np.ndarray, desired: Sequence[complex],
                target: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     m = b.shape[1]
-    last_error: Exception | None = None
     for _ in range(_SYLVESTER_TRIES):
         g = rng.standard_normal((m, a.shape[0]))
         try:
             x = _block_sylvester(a, target, -b @ g)
-        except np.linalg.LinAlgError as err:  # singular data for this draw
-            last_error = err
-            continue
+        except np.linalg.LinAlgError as err:
+            # a singular A - lambda I does not depend on G: a redraw fails the same way
+            raise PlacementError(
+                f"multi-input placement failed (last solver error: {err})") from err
         if not np.all(np.isfinite(x)) or np.linalg.cond(x) > 1e10:
             continue
         k = np.linalg.solve(x.T, g.T).T
         achieved = np.linalg.eigvals(a + b @ k)
         if pole_match_error(achieved, desired) <= PLACEMENT_TOL:
             return k
-    raise PlacementError(
-        "multi-input placement failed after redraws"
-        + (f" (last solver error: {last_error})" if last_error else "")
-    )
+    raise PlacementError("multi-input placement failed after redraws")
 
 
 def place_poles(a, b, desired: Sequence[complex],

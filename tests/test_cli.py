@@ -269,8 +269,8 @@ def test_simulate_stdout_csv_and_summary(run_cli, examples_dir):
     lines = out.splitlines()
     assert lines[0] == "t,x1,x2"
     assert len(lines) == 10002
-    assert "samples=10001 final_norm=0.000587002928408 diverged=no" in err
-    assert "alpha_hat=0.50017737313" in err
+    assert "samples=10001 final_norm=0.000587002942714 diverged=no" in err
+    assert "alpha_hat=0.50017737079" in err
     assert "certified=yes" in err
 
 

@@ -7,9 +7,11 @@ import pytest
 import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.integrate import solve_ivp
 from scipy.stats import qmc
 
 from stabkit import sim
+from stabkit.expr import compile_field
 from stabkit.synthesis import synthesize
 from stabkit.system import load_system, system_from_strings
 
@@ -60,6 +62,40 @@ def test_synthesized_gain_accepted_directly(examples_dir):
     assert np.linalg.norm(traj.states[-1]) <= 1e-3
 
 
+@pytest.mark.parametrize("name, feedback, horizon, dt", [
+    ("planar_cubic", ["-x1-2*x2"], 20.0, 1e-3),
+    ("three_state_mixed", None, 10.0, 1e-2),
+])
+def test_grid_states_match_a_tight_dop853_solve(examples_dir, name, feedback, horizon, dt):
+    # both runs end with ||x - x*|| above 1e-10; far below that the absolute
+    # part of the error test (STEP_ERROR_FLOOR) governs instead
+    system = load_system(examples_dir / f"{name}.stab")
+    gain = feedback or synthesize(system)
+    x_eq = np.asarray(system.x_eq)
+    starts = list(sim._initial_states(system, 0.05, 3)) + [x_eq + 0.1 * np.eye(system.n)[0]]
+    for x0 in starts:
+        traj = sim.integrate_closed_loop(system, gain, x0, horizon=horizon, dt=dt)
+        assert not traj.diverged and len(traj.times) == round(horizon / dt) + 1
+        ref = _dop853_states(system, gain, x0, traj.times)
+        gap = np.linalg.norm(traj.states - ref, axis=1)
+        assert np.all(gap <= 1e-6 * np.linalg.norm(ref - x_eq, axis=1))
+
+
+def test_default_planar_trajectory_takes_few_field_calls(examples_dir):
+    system = load_system(examples_dir / "planar_cubic.stab")
+    fb = sim.make_feedback(system, ["-x1-2*x2"])
+    calls = []
+
+    def counted(states):
+        calls.append(len(states))
+        return fb(states)
+
+    traj = sim.integrate_closed_loop(system, counted, [0.1, 0.0])
+    assert len(traj.times) == 20001 and not traj.diverged
+    # one field call per feedback call
+    assert len(calls) <= 2000
+
+
 # --- divergence handling ------------------------------------------------
 
 def test_divergence_truncates_and_flags():
@@ -73,6 +109,16 @@ def test_divergence_truncates_and_flags():
         sim.estimate_decay(traj)
 
 
+def test_finite_time_blow_up_ends_on_the_last_finite_grid_sample(examples_dir):
+    # with u = 0, x1' = x1^3 + 0.5 from x1 = 0.1 blows up at t = 1.7196
+    sys = load_system(examples_dir / "planar_cubic.stab")
+    traj = sim.integrate_closed_loop(sys, ["0"], [0.1, 0.5], horizon=20.0, dt=1e-2)
+    assert traj.diverged
+    assert np.isfinite(traj.states).all()
+    assert traj.times[-1] == pytest.approx(1.71)
+    assert traj.states[-1] == pytest.approx([7.2207699, 0.5], rel=1e-5)
+
+
 def test_equilibrium_start_has_nothing_to_fit():
     sys = system_from_strings("continuous", ["u1"], m=1)
     traj = sim.integrate_closed_loop(sys, ["-x1"], [0.0], horizon=1.0, dt=1e-2)
@@ -82,20 +128,6 @@ def test_equilibrium_start_has_nothing_to_fit():
         sim.estimate_decay(traj)
 
 
-def test_double_step_shares_its_first_slope():
-    # RK4 over h and over two h/2 halves, with the slope at the start taken once
-    calls = []
-
-    def feedback(states):
-        calls.append(len(states))
-        return -states
-
-    sys = system_from_strings("continuous", ["u1"], m=1)
-    traj = sim.integrate_closed_loop(sys, feedback, [0.1], horizon=0.05, dt=1e-2)
-    assert len(traj.times) == 6
-    assert len(calls) == 5 * 11
-
-
 # --- bounded storage ----------------------------------------------------
 
 def test_cli_default_grids_fit_the_storage_cap():
@@ -103,11 +135,21 @@ def test_cli_default_grids_fit_the_storage_cap():
     disc = system_from_strings("discrete", ["u1"], m=1)
     n, samples = 50, 100  # the largest supported system, the --samples default
     grid = dict(horizon=sim.DEFAULT_HORIZON, dt=sim.DEFAULT_DT, steps=sim.DEFAULT_STEPS)
-    # simulate stores one run's states, continuous validation one norm per run,
-    # discrete validation every run's states
+    # simulate stores one run's states and validation one norm per run; the
+    # discrete grid would fit even with every run's states
     assert len(sim._time_grid(cont, floats_per_sample=n, **grid)) == 20001
     assert len(sim._time_grid(cont, floats_per_sample=samples, **grid)) == 20001
     assert len(sim._time_grid(disc, floats_per_sample=samples * n, **grid)) == 201
+
+
+def test_discrete_validation_stores_one_norm_per_sample():
+    # n = 50 states of 100 runs over 1 701 iterates would exceed the cap; the norms fit
+    n, steps = 50, 1700
+    system = system_from_strings(
+        "discrete", [f"0.99*x{i}" + (" + u1" if i == 1 else "") for i in range(1, n + 1)], m=1)
+    check = sim.verify_local_stability(system, ["0"], delta=0.1, samples=100, steps=steps)
+    assert check.passed
+    assert check.min_alpha == pytest.approx(-math.log(0.99), rel=1e-9)
 
 
 def test_oversized_time_grids_are_rejected():
@@ -160,13 +202,30 @@ def test_verify_reports_failures():
     assert len(check.failures) == 6
 
 
-def _fixed_step_reference(system, gain, delta, samples, horizon, dt):
-    """Validation redone on the fixed-step RK4 runner from the same starts."""
+def _dop853_states(system, gain, x0, times):
+    """States of the closed loop on ``times`` from a tight DOP853 solve."""
+    fb = sim.make_feedback(system, gain)
+    field = compile_field(system.components)
+
+    def rhs(_, x):
+        return field(x[None, :], fb(x[None, :]))[0]
+
+    sol = solve_ivp(rhs, (times[0], times[-1]), x0, method="DOP853",
+                    t_eval=times, rtol=1e-13, atol=1e-20)
+    assert sol.success
+    return sol.y.T
+
+
+def _dop853_reference(system, gain, delta, samples, horizon, dt):
+    """Validation redone on DOP853 states from the same starts."""
     x0s = sim._initial_states(system, delta, samples)
-    _, times, states, diverged, _ = sim._simulate(system, gain, x0s, horizon, dt, None)
-    assert not diverged.any()
-    norms = np.linalg.norm(states - np.asarray(system.x_eq), axis=2)
-    return [sim._fit_decay(times, row, 0.1).alpha_hat for row in norms]
+    times = sim._time_grid(system, horizon, dt, None, samples)
+    alphas = []
+    for x0 in x0s:
+        states = _dop853_states(system, gain, x0, times)
+        norms = np.linalg.norm(states - np.asarray(system.x_eq), axis=1)
+        alphas.append(sim._fit_decay(times, norms, 0.1).alpha_hat)
+    return alphas
 
 
 @pytest.mark.parametrize("system", [
@@ -183,7 +242,7 @@ def test_adaptive_validation_matches_the_fixed_step_reference(examples_dir, syst
     gain = synthesize(system)
     grid = dict(delta=0.05, samples=12, horizon=6.0, dt=1e-2)
     check = sim.verify_local_stability(system, gain, **grid)
-    reference = _fixed_step_reference(system, gain, **grid)
+    reference = _dop853_reference(system, gain, **grid)
     assert check.passed
     assert check.min_alpha == pytest.approx(min(reference), abs=1e-3)
 

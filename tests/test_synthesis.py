@@ -6,6 +6,7 @@ import scipy.linalg
 from scipy.optimize import linear_sum_assignment
 
 from stabkit import expr as ex
+from stabkit import synthesis
 from stabkit.synthesis import (
     FeedbackGain,
     PlacementError,
@@ -163,11 +164,20 @@ def test_block_sylvester_matches_scipy():
     (np.diag([1.0, 2.0]), [1.0, -1.0]),
     (np.array([[0.0, 1.0], [-1.0, 0.0]]), [1j, -1j]),
 ])
-def test_sylvester_singular_shift_reports_the_solver_error(a, desired):
+def test_sylvester_singular_shift_reports_the_solver_error(a, desired, monkeypatch):
     # a target pole on an eigenvalue of A makes A - lambda I exactly singular
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return _block_sylvester(*args)
+
+    monkeypatch.setattr(synthesis, "_block_sylvester", counted)
     with pytest.raises(PlacementError, match=r"last solver error: Singular matrix"):
         _sylvester(a, np.eye(2), desired, _real_block_form(desired),
                    np.random.default_rng(0))
+    # the singular shift does not depend on the redrawn G, so one solve decides
+    assert len(calls) == 1
 
 
 # --- input validation ---------------------------------------------------
