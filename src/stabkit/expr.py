@@ -13,17 +13,21 @@ State variables are ``x1..xn``, control variables ``u1..um``, both 1-indexed.
 The exponent of ``^`` must reduce to a numeric constant (an optionally signed
 or parenthesized literal), which keeps expressions continuously differentiable
 away from division singularities and fractional powers of zero.  ``abs`` and
-other nonsmooth primitives are deliberately absent.
+other nonsmooth primitives are deliberately absent.  Unary minus binds
+tighter than ``^`` (``base := '-' base``): ``-x1^2`` is ``(-x1)^2``, which is
++0.49 at x1 = 0.7, and a negative square is written ``-(x1^2)``.
 
 The module provides parsing with character-offset diagnostics, exact scalar
 evaluation, forward-mode derivatives, a precedence-aware unparser whose output
-reparses to the identical tree, and compilation of component lists into
-vectorized numpy evaluators for the batch-heavy callers.
+reparses to the identical tree, and two vectorized numpy evaluators of
+component lists: a compiled one for callers that evaluate a field many times,
+and a tree walk with bit-identical results for a single evaluation.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import re
 from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
@@ -43,6 +47,7 @@ __all__ = [
     "Pow",
     "StateVar",
     "compile_field",
+    "eval_field",
     "eval_expr",
     "eval_tangent",
     "is_c1_everywhere",
@@ -507,7 +512,8 @@ def is_c1_everywhere(e: Expr) -> bool:
 
 def _codegen(e: Expr) -> str:
     if isinstance(e, Const):
-        return repr(e.value)
+        # parenthesized: Python's ** binds tighter than a literal's minus sign
+        return f"({e.value!r})"
     if isinstance(e, StateVar):
         return f"x[..., {e.index - 1}]"
     if isinstance(e, ControlVar):
@@ -523,29 +529,77 @@ def _codegen(e: Expr) -> str:
     raise TypeError(f"not an expression node: {e!r}")
 
 
+def _assemble(raw, k: int, x, u) -> np.ndarray:
+    """The (..., k) output both field paths share: ``raw(x, u)`` gives the k values.
+
+    The batch shape is x's and u's leading axes, broadcast; a constant
+    component, or one that reads only x or only u, broadcasts into it.
+    """
+    x = np.asarray(x, dtype=float)
+    u = np.asarray(u, dtype=float)
+    shape = x.shape[:-1]
+    if u.shape[:-1] != shape:  # every internal caller passes one batch shape for both
+        shape = np.broadcast_shapes(shape, u.shape[:-1])
+    out = np.empty(shape + (k,))
+    for i, v in enumerate(raw(x, u)):
+        out[..., i] = v
+    return out
+
+
 def compile_field(components: Sequence[Expr]) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
-    """Compile components into a vectorized evaluator.
+    """Compile components into a vectorized evaluator, for repeated calls.
 
     The returned callable accepts ``x`` of shape (..., n) and ``u`` of shape
     (..., m) and returns shape (..., k) where k = len(components).  Singular
     points yield inf/nan entries instead of raising, which is what the batch
     callers (integration, covering search) want; wrap calls in
     ``np.errstate(all="ignore")`` to silence the floating-point warnings.
+    Compiling runs CPython's ``compile`` on the generated source, at a cost
+    that grows with its length and repays itself only over many calls; a
+    field evaluated once is cheaper through :func:`eval_field`.
     """
     body = ", ".join(_codegen(c) for c in components)
-    raw = eval(f"lambda x, u, _np: ({body},)", {"__builtins__": {}})
+    raw = eval(f"lambda x, u: ({body},)", {"__builtins__": {}, "_np": np})
     k = len(components)
 
     def field(x: np.ndarray, u: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        u = np.asarray(u, dtype=float)
-        shape = x.shape[:-1]
-        if u.shape[:-1] != shape:  # every internal caller passes one batch shape for both
-            shape = np.broadcast_shapes(shape, u.shape[:-1])
-        out = np.empty(shape + (k,))
-        # a constant component, or one that reads only x or only u, broadcasts here
-        for i, v in enumerate(raw(x, u, np)):
-            out[..., i] = v
-        return out
+        return _assemble(raw, k, x, u)
 
     return field
+
+
+_BATCH_BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
+_BATCH_FUNCS = {name: getattr(np, name) for name in FUNCTIONS}
+
+
+def _eval_batch(e: Expr, x: np.ndarray, u: np.ndarray):
+    # the operator or ufunc that _codegen writes for each node, on the same operands
+    if isinstance(e, BinOp):
+        return _BATCH_BINARY[e.op](_eval_batch(e.lhs, x, u), _eval_batch(e.rhs, x, u))
+    if isinstance(e, Const):
+        return e.value
+    if isinstance(e, StateVar):
+        return x[..., e.index - 1]
+    if isinstance(e, Pow):
+        return _eval_batch(e.base, x, u) ** e.exponent
+    if isinstance(e, Call):
+        return _BATCH_FUNCS[e.func](_eval_batch(e.arg, x, u))
+    if isinstance(e, Neg):
+        return -_eval_batch(e.arg, x, u)
+    if isinstance(e, ControlVar):
+        return u[..., e.index - 1]
+    raise TypeError(f"not an expression node: {e!r}")
+
+
+def eval_field(components: Sequence[Expr], x, u) -> np.ndarray:
+    """Evaluate components once on a batch, by a vectorized walk of each tree.
+
+    The one-shot twin of :func:`compile_field`: same (..., k) output and
+    broadcasting, and bit-identical values, inf and nan included, because
+    each node applies the numpy operator or ufunc that the compiled source
+    applies.  It skips the compile, so it wins when a field is evaluated
+    once; the walk's per-node dispatch makes it slower per call than a
+    compiled field, which serves repeated calls.
+    """
+    return _assemble(lambda x, u: [_eval_batch(c, x, u) for c in components],
+                     len(components), x, u)

@@ -19,8 +19,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import expr as ex
-from .linalg import rank_from_singular_values, singular_values
-from .sim import MAX_STORED_FLOATS
+from .linalg import MAX_STORED_FLOATS, rank_from_singular_values, singular_values
 from .system import SystemSpec, evaluate
 
 MAX_SEARCH_DIM = 3

@@ -24,6 +24,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import expr as ex
+from .linalg import MAX_STORED_FLOATS
 from .synthesis import FeedbackGain, gain_expressions
 from .system import CONTINUOUS, DISCRETE, SystemSpec
 
@@ -36,10 +37,6 @@ STEP_ERROR_TOL = 1e-8
 # numbers: the relative part alone asks for digits the field cannot deliver
 # once ||x - x*|| has decayed that far (u* + K(x - x*) cancels)
 STEP_ERROR_FLOOR = 1e-16
-# cap on the floats one run stores (64 MiB): a trajectory's states, a
-# validation's norms, the covering search's grid and each of its distance
-# blocks; every CLI default at n <= 50 fits
-MAX_STORED_FLOATS = 1 << 23
 ALPHA_FLOOR = 1e-12
 
 

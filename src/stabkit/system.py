@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from . import expr as ex
-from .linalg import MAX_DIM, numerical_rank
+from .linalg import MAX_DIM, MAX_STORED_FLOATS, numerical_rank
 
 CONTINUOUS = "continuous"
 DISCRETE = "discrete"
@@ -388,6 +388,10 @@ def span_dimension_estimate(
         raise ValueError("radius must be positive")
     if samples < 1:
         raise ValueError("need at least one sample point")
+    if len(fields) * samples * dim > MAX_STORED_FLOATS:
+        raise ValueError(
+            f"the span estimate's {len(fields)} fields x {samples} points x {dim} values "
+            f"exceed the limit of {MAX_STORED_FLOATS} stored numbers; use fewer span samples")
     rng = np.random.default_rng(seed)
     directions = rng.standard_normal((samples, dim))
     norms = np.linalg.norm(directions, axis=1, keepdims=True)
@@ -395,12 +399,9 @@ def span_dimension_estimate(
     radii = radius * rng.random((samples, 1)) ** (1.0 / dim)
     points = center_arr + directions / norms * radii
     dummy_u = np.zeros((samples, 1))
-    rows = []
     with np.errstate(all="ignore"):
-        for field in fields:
-            evaluator = ex.compile_field(tuple(field))
-            rows.append(evaluator(points, dummy_u))
-    stacked = np.vstack(rows)
+        # each field is evaluated once, so walking its tree beats compiling it
+        stacked = np.vstack([ex.eval_field(field, points, dummy_u) for field in fields])
     if not np.all(np.isfinite(stacked)):
         raise ValueError("field evaluation produced non-finite values in the sample ball")
     return numerical_rank(stacked, tol)

@@ -125,6 +125,9 @@ class AnalysisConfig:
             raise ValueError("tol_rank must be non-negative")
         if not self.tol_class >= 0:
             raise ValueError("tol_class must be non-negative")
+        # below 1 the estimate would fall back to 4n points without a word
+        if not self.span_samples >= 1:
+            raise ValueError("span_samples must be at least 1")
 
 
 @dataclass(frozen=True)

@@ -510,6 +510,36 @@ def test_negative_tolerances_exit_two(run_cli, examples_dir, flag):
     assert err.startswith("error: ") and "must be non-negative" in err
 
 
+@pytest.mark.parametrize("samples", ["0", "-5"])
+def test_span_samples_below_one_exit_two(run_cli, examples_dir, samples):
+    code, out, err = run_cli("analyze", examples_dir / "planar_cubic.stab",
+                             f"--span-samples={samples}")
+    assert (code, out) == (2, "")
+    assert err == "error: span_samples must be at least 1\n"
+
+
+def test_huge_span_sample_count_exits_two_without_allocating(examples_dir):
+    # 2 fields x 1e8 points x 2 values would take 3 GiB; a 1.5 GB address-space
+    # limit turns an attempt to allocate it into a MemoryError traceback
+    script = (
+        "import resource, sys\n"
+        "hard = resource.getrlimit(resource.RLIMIT_AS)[1]\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (1_500_000_000, hard))\n"
+        "from stabkit.cli import main\n"
+        f"sys.exit(main(['analyze', {str(examples_dir / 'planar_cubic.stab')!r},\n"
+        "                '--span-samples', '100000000']))\n"
+    )
+    src = str(Path(stabkit.__file__).resolve().parent.parent)
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                         text=True, timeout=120)
+    assert (out.returncode, out.stdout) == (2, "")
+    assert out.stderr == (
+        "error: the span estimate's 2 fields x 100000000 points x 2 values exceed the limit "
+        "of 8388608 stored numbers; use fewer span samples\n")
+
+
 TWO_INPUT_SYSTEM = """mode continuous
 states 3
 controls 2

@@ -1,11 +1,16 @@
 """Expression language: parsing, evaluation, differentiation, codegen."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from perfbench import gen
 from stabkit import expr as ex
+from stabkit.system import load_system, parse_system
 
 FD_STEP = 1e-5
 FD_REL_TOL = 1e-6
@@ -82,6 +87,10 @@ def test_eval_basics():
     assert ex.eval_expr(e, [2.0, 5.0], []) == 13.0
     e = ex.parse_expr("sin(x1) + exp(u1)")
     assert ex.eval_expr(e, [0.3], [0.7]) == pytest.approx(math.sin(0.3) + math.exp(0.7))
+    # unary minus binds tighter than ^: -x1^2 is (-x1)^2, -(x1^2) the negative square
+    assert ex.parse_expr("-x1^2") == ex.Pow(ex.Neg(ex.StateVar(1)), 2.0)
+    assert ex.eval_expr(ex.parse_expr("-x1^2"), [0.7], []) == pytest.approx(0.49)
+    assert ex.eval_expr(ex.parse_expr("-(x1^2)"), [0.7], []) == pytest.approx(-0.49)
 
 
 def test_eval_division_by_zero():
@@ -183,6 +192,203 @@ def test_compile_field_matches_eval():
     for row in range(40):
         for j, comp in enumerate(comps):
             assert batch[row, j] == pytest.approx(ex.eval_expr(comp, xs[row], us[row]), abs=1e-14)
+
+
+def _assert_walk_matches_compiled(components, x, u):
+    with np.errstate(all="ignore"):
+        compiled = ex.compile_field(components)(x, u)
+        walked = ex.eval_field(components, x, u)
+    assert walked.shape == compiled.shape
+    assert walked.tobytes() == compiled.tobytes()
+    return walked
+
+
+def test_eval_field_is_bit_identical_to_compile_field_on_random_trees():
+    # criterion 07's trees, on points wide enough to leave the tame region
+    rng = np.random.default_rng(47)
+    for _ in range(100):
+        n, m = int(rng.integers(1, 4)), int(rng.integers(1, 3))
+        comps = [_random_expr(rng, n, m, depth=3) for _ in range(n)]
+        xs, us = rng.uniform(-3.0, 3.0, (40, n)), rng.uniform(-3.0, 3.0, (40, m))
+        _assert_walk_matches_compiled(comps, xs, us)
+        # the batch shapes compile_field broadcasts: one point, a shared control,
+        # a stacked batch
+        _assert_walk_matches_compiled(comps, xs[0], us[0])
+        _assert_walk_matches_compiled(comps, xs, us[0])
+        _assert_walk_matches_compiled(comps, xs.reshape(4, 10, n), us[:10])
+
+
+def test_eval_field_is_bit_identical_to_compile_field_on_examples_and_large_systems(examples_dir):
+    rng = np.random.default_rng(13)
+    specs = [load_system(path) for path in sorted(examples_dir.glob("*.stab"))]
+    specs += [parse_system(gen.large_system(rng, "large", mode, n).text)
+              for n in (10, 30, 50) for mode in ("continuous", "discrete")]
+    for spec in specs:
+        xs = np.asarray(spec.x_eq) + rng.uniform(-1.0, 1.0, (64, spec.n))
+        us = np.asarray(spec.u_eq) + rng.uniform(-1.0, 1.0, (64, spec.m))
+        _assert_walk_matches_compiled(spec.components, xs, us)
+
+
+def test_eval_field_gives_compile_fields_inf_and_nan_at_singular_points():
+    comps = [ex.parse_expr(t) for t in ("x1/x2", "x1^0.5", "x2^-1", "exp(x1*1000)", "-2^2 + x1")]
+    xs = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 0.0], [-4.0, -0.0], [2.0, 1.0]])
+    values = _assert_walk_matches_compiled(comps, xs, np.zeros((5, 1)))
+    inf, nan = math.inf, math.nan
+    np.testing.assert_array_equal(values.T, [
+        [inf, -inf, nan, inf, 2.0],
+        [1.0, nan, 0.0, nan, math.sqrt(2.0)],
+        [inf, inf, inf, -inf, 1.0],
+        [inf, 0.0, 1.0, 0.0, inf],
+        # a negative literal raised to a power is (-2)^2, as eval_expr reads it
+        [5.0, 3.0, 4.0, 0.0, 6.0],
+    ])
+
+
+def test_eval_field_raises_where_compile_field_raises():
+    for text in ("x1 + 1/0", "x1 + 0^-1"):
+        comps = [ex.parse_expr(text)]
+        with pytest.raises(ZeroDivisionError):
+            ex.compile_field(comps)(np.zeros(1), np.zeros(1))
+        with pytest.raises(ZeroDivisionError):
+            ex.eval_field(comps, np.zeros(1), np.zeros(1))
+
+
+# --- properties over grammar-generated text ------------------------------
+
+_NUMBERS = st.one_of(st.integers(0, 1000).map(str),
+                     st.floats(0.0, 1e6, allow_nan=False, allow_infinity=False).map(repr))
+_VARIABLES = st.sampled_from(["x1", "x2", "x3", "u1", "u2"])
+_EXPONENTS = st.sampled_from(["0", "1", "2", "3", "-1", "(-2)", "0.5", "1.5"])
+
+
+def _expression_texts(arithmetic_only: bool):
+    """Text from the grammar: + - * / unary minus and parentheses, then ^ and calls."""
+
+    def extend(inner):
+        forms = [
+            st.tuples(inner, st.sampled_from("+-*/"), inner).map(" ".join),
+            inner.map(lambda t: f"({t})"),
+            inner.map(lambda t: f"-{t}"),
+        ]
+        if not arithmetic_only:
+            forms += [
+                st.tuples(st.sampled_from(ex.FUNCTIONS), inner).map(lambda p: f"{p[0]}({p[1]})"),
+                st.tuples(inner, _EXPONENTS).map(lambda p: f"({p[0]})^{p[1]}"),
+                st.tuples(_VARIABLES, _EXPONENTS).map("^".join),
+            ]
+        return st.one_of(forms)
+
+    return st.recursive(st.one_of(_NUMBERS, _VARIABLES), extend, max_leaves=12)
+
+
+# (x1, x2, x3, u1, u2) rows
+_POINTS = st.lists(st.lists(st.floats(-3.0, 3.0), min_size=5, max_size=5), min_size=1, max_size=4)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(text=_expression_texts(arithmetic_only=False))
+def test_unparse_round_trips_every_parsed_tree(text):
+    tree = ex.parse_expr(text)
+    assert ex.parse_expr(ex.unparse(tree)) == tree
+
+
+def _compiled_values(tree, points):
+    """compile_field's values on the rows, or None where a constant subtree
+    (such as 1/0) raises for every row; eval_field must agree either way."""
+    xs, us = points[:, :3], points[:, 3:]
+    with np.errstate(all="ignore"), warnings.catch_warnings():
+        # a negative constant to a fractional power is complex; the cast warns
+        warnings.simplefilter("ignore")
+        try:
+            values = _assert_walk_matches_compiled([tree], xs, us)[:, 0]
+        except (ZeroDivisionError, OverflowError) as err:
+            with pytest.raises(type(err)):
+                ex.eval_field([tree], xs, us)
+            return None
+    return values
+
+
+def _finite_eval(tree, row):
+    try:
+        value = ex.eval_expr(tree, row[:3], row[3:])
+    except ex.EvalError:
+        return None
+    return value if math.isfinite(value) else None
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(text=_expression_texts(arithmetic_only=True), points=_POINTS)
+def test_compiled_arithmetic_is_bit_identical_to_eval_expr(text, points):
+    tree, points = ex.parse_expr(text), np.array(points)
+    values = _compiled_values(tree, points)
+    for k, row in enumerate(points):
+        want = _finite_eval(tree, row)
+        if values is None:
+            assert want is None
+        elif want is not None:
+            assert values[k].tobytes() == np.float64(want).tobytes(), ex.unparse(tree)
+
+
+# Relative error allowed to each operation of either evaluation.  numpy's
+# vectorized sin, cos, exp, tanh and power and libm's scalar ones differ by a
+# few ulps (~1e-15); 1e-13 leaves room.  No fixed rtol on the result would
+# hold: cancellation in + and -, or a small divisor, turns one ulp inside the
+# tree into any relative error at its root.  So the budget is carried
+# through the tree to a first-order bound on each evaluation's error, and the
+# two may differ by twice that.  The absolute part covers subnormal results.
+OP_REL_ERROR = 1e-13
+OP_ABS_ERROR = 1e-300
+
+
+def _value_and_error_bound(e, x, u):
+    if isinstance(e, ex.Const):
+        return e.value, 0.0
+    if isinstance(e, (ex.StateVar, ex.ControlVar)):
+        return ex.eval_expr(e, x, u), 0.0
+    if isinstance(e, ex.Neg):
+        v, err = _value_and_error_bound(e.arg, x, u)
+        return -v, err
+    if isinstance(e, ex.BinOp):
+        a, ea = _value_and_error_bound(e.lhs, x, u)
+        b, eb = _value_and_error_bound(e.rhs, x, u)
+        if e.op in "+-":
+            v, err = (a + b if e.op == "+" else a - b), ea + eb
+        elif e.op == "*":
+            v, err = a * b, ea * abs(b) + eb * abs(a) + ea * eb
+        else:
+            v = a / b
+            err = (ea + abs(v) * eb) / (abs(b) - eb) if eb < abs(b) else math.inf
+    elif isinstance(e, ex.Pow):
+        w, ew = _value_and_error_bound(e.base, x, u)
+        p = e.exponent
+        v = w**p
+        # |d(w^p)/dw| = |p| |w|^(p - 1), largest over |w| +- ew at one end
+        near = abs(w) + ew if p >= 1.0 else abs(w) - ew
+        if ew == 0.0 or p == 0.0:
+            err = 0.0
+        else:
+            err = abs(p) * near ** (p - 1.0) * ew if near > 0.0 else math.inf
+    else:
+        w, ew = _value_and_error_bound(e.arg, x, u)
+        v = getattr(math, e.func)(w)
+        # sin, cos and tanh are 1-Lipschitz; exp grows by the factor e^ew
+        err = abs(v) * math.expm1(min(ew, 700.0)) if e.func == "exp" else ew
+    return v, err + OP_REL_ERROR * abs(v) + OP_ABS_ERROR
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(text=_expression_texts(arithmetic_only=False), points=_POINTS)
+def test_compiled_field_agrees_with_eval_expr_within_the_error_bound(text, points):
+    tree, points = ex.parse_expr(text), np.array(points)
+    values = _compiled_values(tree, points)
+    for k, row in enumerate(points):
+        want = _finite_eval(tree, row)
+        if values is None:
+            assert want is None
+        elif want is not None:
+            _, bound = _value_and_error_bound(tree, row[:3], row[3:])
+            # a nan bound (inf - inf inside the tree) checks nothing, like an inf one
+            assert not abs(values[k] - want) > 2.0 * bound, ex.unparse(tree)
 
 
 def test_is_c1_everywhere_flags_division():

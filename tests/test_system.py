@@ -6,6 +6,7 @@ from test_expr import _random_expr
 
 from perfbench import gen
 from stabkit import expr as ex
+from stabkit import system
 from stabkit.synthesis import synthesize
 from stabkit.system import (
     SystemFormatError,
@@ -281,3 +282,18 @@ def test_span_dimension_estimate():
     assert span_dimension_estimate([g0, g1], [0.0, 0.0], 0.1, 64) == 2
     # a single direction spans one dimension
     assert span_dimension_estimate([g1], [0.0, 0.0], 0.1, 64) == 1
+
+
+def test_span_estimate_refuses_a_stack_over_the_cap_before_drawing(monkeypatch):
+    g0 = (ex.parse_expr("x2"), ex.parse_expr("x1 - x1"))
+    g1 = (ex.parse_expr("x1 - x1"), ex.parse_expr("1"))
+    # 2 fields x 64 points x 2 values stored
+    monkeypatch.setattr(system, "MAX_STORED_FLOATS", 2 * 64 * 2)
+    assert span_dimension_estimate([g0, g1], [0.0, 0.0], 0.1, 64) == 2
+
+    def no_draws(*args, **kwargs):
+        raise AssertionError("sampled points for an estimate over the cap")
+
+    monkeypatch.setattr(system.np.random, "default_rng", no_draws)
+    with pytest.raises(ValueError, match="2 fields x 65 points x 2 values exceed the limit"):
+        span_dimension_estimate([g0, g1], [0.0, 0.0], 0.1, 65)

@@ -4,7 +4,9 @@ import math
 
 import pytest
 
-from stabkit.system import load_system, system_from_strings
+from perfbench import workloads
+from stabkit import expr as ex
+from stabkit.system import load_system, parse_system, system_from_strings
 from stabkit.verdict import (
     ASY_STABILIZABLE_CONT_FEEDBACK,
     EXP_STABILIZABLE_CONT_FEEDBACK,
@@ -272,3 +274,16 @@ def test_mode_guards():
         analyze_continuous(disc)
     with pytest.raises(ValueError, match="discrete-mode"):
         analyze_discrete(cont)
+
+
+def test_analyze_compiles_no_field(monkeypatch, examples_dir):
+    # the span estimate evaluates each field once, so it walks the trees instead
+    def refuse(components):
+        raise AssertionError("analyze compiled a field")
+
+    monkeypatch.setattr(ex, "compile_field", refuse)
+    specs = [load_system(path) for path in sorted(examples_dir.glob("*.stab"))]
+    specs += [parse_system(g.text) for g in workloads.large_systems(0, smoke=False)]
+    spans = [analyze(spec).affine.span_dim for spec in specs]
+    # every system but cubic_input (u1^3) is control-affine and had its span estimated
+    assert spans.count(None) == 1
