@@ -298,6 +298,11 @@ def main(argv: list[str] | None = None) -> int:
         # json.JSONDecodeError are ValueErrors
         sys.stderr.write(f"error: {err}\n")
         return 2
+    except RecursionError:
+        # every expression walk recurses once per nesting level
+        sys.stderr.write("error: an expression is nested too deeply to evaluate "
+                         f"(Python's recursion limit is {sys.getrecursionlimit()})\n")
+        return 2
 
 
 if __name__ == "__main__":

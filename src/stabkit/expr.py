@@ -19,9 +19,8 @@ tighter than ``^`` (``base := '-' base``): ``-x1^2`` is ``(-x1)^2``, which is
 
 The module provides parsing with character-offset diagnostics, exact scalar
 evaluation, forward-mode derivatives, a precedence-aware unparser whose output
-reparses to the identical tree, and two vectorized numpy evaluators of
-component lists: a compiled one for callers that evaluate a field many times,
-and a tree walk with bit-identical results for a single evaluation.
+reparses to the identical tree, and a vectorized numpy evaluator of component
+lists that walks each tree once per batch.
 """
 
 from __future__ import annotations
@@ -46,7 +45,6 @@ __all__ = [
     "ParseError",
     "Pow",
     "StateVar",
-    "compile_field",
     "eval_field",
     "eval_expr",
     "eval_tangent",
@@ -507,99 +505,50 @@ def is_c1_everywhere(e: Expr) -> bool:
     return True
 
 
-# --- compilation ----------------------------------------------------------
-
-
-def _codegen(e: Expr) -> str:
-    if isinstance(e, Const):
-        # parenthesized: Python's ** binds tighter than a literal's minus sign
-        return f"({e.value!r})"
-    if isinstance(e, StateVar):
-        return f"x[..., {e.index - 1}]"
-    if isinstance(e, ControlVar):
-        return f"u[..., {e.index - 1}]"
-    if isinstance(e, Neg):
-        return f"(-{_codegen(e.arg)})"
-    if isinstance(e, BinOp):
-        return f"({_codegen(e.lhs)} {e.op} {_codegen(e.rhs)})"
-    if isinstance(e, Pow):
-        return f"({_codegen(e.base)} ** {e.exponent!r})"
-    if isinstance(e, Call):
-        return f"_np.{e.func}({_codegen(e.arg)})"
-    raise TypeError(f"not an expression node: {e!r}")
-
-
-def _assemble(raw, k: int, x, u) -> np.ndarray:
-    """The (..., k) output both field paths share: ``raw(x, u)`` gives the k values.
-
-    The batch shape is x's and u's leading axes, broadcast; a constant
-    component, or one that reads only x or only u, broadcasts into it.
-    """
-    x = np.asarray(x, dtype=float)
-    u = np.asarray(u, dtype=float)
-    shape = x.shape[:-1]
-    if u.shape[:-1] != shape:  # every internal caller passes one batch shape for both
-        shape = np.broadcast_shapes(shape, u.shape[:-1])
-    out = np.empty(shape + (k,))
-    for i, v in enumerate(raw(x, u)):
-        out[..., i] = v
-    return out
-
-
-def compile_field(components: Sequence[Expr]) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
-    """Compile components into a vectorized evaluator, for repeated calls.
-
-    The returned callable accepts ``x`` of shape (..., n) and ``u`` of shape
-    (..., m) and returns shape (..., k) where k = len(components).  Singular
-    points yield inf/nan entries instead of raising, which is what the batch
-    callers (integration, covering search) want; wrap calls in
-    ``np.errstate(all="ignore")`` to silence the floating-point warnings.
-    Compiling runs CPython's ``compile`` on the generated source, at a cost
-    that grows with its length and repays itself only over many calls; a
-    field evaluated once is cheaper through :func:`eval_field`.
-    """
-    body = ", ".join(_codegen(c) for c in components)
-    raw = eval(f"lambda x, u: ({body},)", {"__builtins__": {}, "_np": np})
-    k = len(components)
-
-    def field(x: np.ndarray, u: np.ndarray) -> np.ndarray:
-        return _assemble(raw, k, x, u)
-
-    return field
-
+# --- vectorized evaluation -----------------------------------------------
 
 _BATCH_BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
 _BATCH_FUNCS = {name: getattr(np, name) for name in FUNCTIONS}
 
 
 def _eval_batch(e: Expr, x: np.ndarray, u: np.ndarray):
-    # the operator or ufunc that _codegen writes for each node, on the same operands
-    if isinstance(e, BinOp):
+    # constants stay Python floats, so a constant subtree such as 1/0 raises;
+    # the node classes have no subclasses, and `is` beats isinstance per node
+    kind = type(e)
+    if kind is BinOp:
         return _BATCH_BINARY[e.op](_eval_batch(e.lhs, x, u), _eval_batch(e.rhs, x, u))
-    if isinstance(e, Const):
+    if kind is Const:
         return e.value
-    if isinstance(e, StateVar):
+    if kind is StateVar:
         return x[..., e.index - 1]
-    if isinstance(e, Pow):
+    if kind is Pow:
         return _eval_batch(e.base, x, u) ** e.exponent
-    if isinstance(e, Call):
+    if kind is Call:
         return _BATCH_FUNCS[e.func](_eval_batch(e.arg, x, u))
-    if isinstance(e, Neg):
+    if kind is Neg:
         return -_eval_batch(e.arg, x, u)
-    if isinstance(e, ControlVar):
+    if kind is ControlVar:
         return u[..., e.index - 1]
     raise TypeError(f"not an expression node: {e!r}")
 
 
 def eval_field(components: Sequence[Expr], x, u) -> np.ndarray:
-    """Evaluate components once on a batch, by a vectorized walk of each tree.
+    """Evaluate components on a batch, by a vectorized walk of each tree.
 
-    The one-shot twin of :func:`compile_field`: same (..., k) output and
-    broadcasting, and bit-identical values, inf and nan included, because
-    each node applies the numpy operator or ufunc that the compiled source
-    applies.  It skips the compile, so it wins when a field is evaluated
-    once; the walk's per-node dispatch makes it slower per call than a
-    compiled field, which serves repeated calls.
+    ``x`` has shape (..., n) and ``u`` shape (..., m); the result has shape
+    (..., k) with k = len(components).  The batch shape is x's and u's
+    leading axes, broadcast; a constant component, or one that reads only x
+    or only u, broadcasts into it.  Singular points yield inf/nan entries
+    instead of raising, which is what the batch callers (integration,
+    covering search, span estimate) want; wrap calls in
+    ``np.errstate(all="ignore")`` to silence the floating-point warnings.
     """
-    return _assemble(lambda x, u: [_eval_batch(c, x, u) for c in components],
-                     len(components), x, u)
+    x = np.asarray(x, dtype=float)
+    u = np.asarray(u, dtype=float)
+    shape = x.shape[:-1]
+    if u.shape[:-1] != shape:  # every internal caller passes one batch shape for both
+        shape = np.broadcast_shapes(shape, u.shape[:-1])
+    out = np.empty(shape + (len(components),))
+    for i, c in enumerate(components):
+        out[..., i] = _eval_batch(c, x, u)
+    return out

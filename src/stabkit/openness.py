@@ -237,11 +237,10 @@ def empirical_covering_modulus(
         raise ValueError(
             f"covering grid of {grid.axis_points}^{joint} points x {joint} coordinates "
             f"exceeds the limit of {MAX_STORED_FLOATS} stored numbers; use fewer axis points")
-    field = ex.compile_field(system.components)
 
     def ball_objective(cube_points: np.ndarray) -> np.ndarray:
         offsets = _cube_to_ball(cube_points)
-        return field(x0 + offsets[:, :n], u0 + offsets[:, n:])
+        return ex.eval_field(system.components, x0 + offsets[:, :n], u0 + offsets[:, n:])
 
     f_center = evaluate(system, x0, u0)
     cube = _cube_grid(joint, radius, grid.axis_points)

@@ -7,7 +7,7 @@ from its continuous extension (``_dp54``), discrete systems iterate the map
 (``_iterate``).  A runner stores only what its caller observes of the grid
 states: the states themselves for a trajectory, the distances ||x - x*||
 for validation.  Both share the grid check, whose cap MAX_STORED_FLOATS
-bounds memory, and the compiled closed-loop field.  Distances are fitted in
+bounds memory, and the closed-loop field.  Distances are fitted in
 log space after a transient skip to certify an exponential envelope
 ||x(t) - x*|| <= M ||x0 - x*|| exp(-alpha t).  All sampling is
 deterministic: initial conditions come from a Halton sequence pushed
@@ -123,11 +123,18 @@ def make_feedback(system: SystemSpec, fb) -> Feedback:
             raise ValueError(f"feedback component {i} references a control variable")
         if max_x > system.n:
             raise ValueError(f"feedback component {i} references x{max_x} but n={system.n}")
-    compiled = ex.compile_field(tuple(parsed))
+        # checked at x* the way SystemSpec checks f, so a singular law fails here
+        try:
+            value = ex.eval_expr(e, system.x_eq, ())
+        except ex.EvalError as err:
+            raise ValueError(f"feedback component {i} is undefined at x*: {err}") from err
+        if not math.isfinite(value):
+            raise ValueError(f"feedback component {i} is not finite at x*: {value}")
 
     def expr_fn(states: np.ndarray) -> np.ndarray:
         states = np.asarray(states, dtype=float)
-        return compiled(states, np.zeros(states.shape[:-1] + (1,)))
+        # the law reads no control, so an empty one carries the batch shape
+        return ex.eval_field(parsed, states, states[..., :0])
 
     smooth = all(ex.is_c1_everywhere(e) for e in parsed)
     return Feedback(expr_fn, "; ".join(ex.unparse(e) for e in parsed), smooth)
@@ -158,12 +165,11 @@ def _time_grid(system: SystemSpec, horizon, dt, steps, floats_per_sample: int) -
 
 
 def _closed_loop(system: SystemSpec, feedback):
-    """The normalized feedback and the compiled closed-loop field x -> f(x, u(x))."""
+    """The normalized feedback and the closed-loop field x -> f(x, u(x))."""
     fb = make_feedback(system, feedback)
-    field = ex.compile_field(system.components)
 
     def g(states: np.ndarray) -> np.ndarray:
-        return field(states, fb(states))
+        return ex.eval_field(system.components, states, fb(states))
 
     return fb, g
 

@@ -400,7 +400,6 @@ def span_dimension_estimate(
     points = center_arr + directions / norms * radii
     dummy_u = np.zeros((samples, 1))
     with np.errstate(all="ignore"):
-        # each field is evaluated once, so walking its tree beats compiling it
         stacked = np.vstack([ex.eval_field(field, points, dummy_u) for field in fields])
     if not np.all(np.isfinite(stacked)):
         raise ValueError("field evaluation produced non-finite values in the sample ball")

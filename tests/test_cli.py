@@ -393,6 +393,61 @@ def test_evaluation_error_exits_two(run_cli, tmp_path):
     assert "Traceback" not in err
 
 
+def _long_sum_system(tmp_path, terms):
+    # f1 = -x1 + x2 behind a zero times a left-nested sum of the given length
+    path = tmp_path / f"sum_{terms}.stab"
+    path.write_text("mode continuous\nstates 2\ncontrols 1\neq x = 0 0\neq u = 0\n"
+                    f"f1 = -x1 + 0*({' + '.join(['x1'] * terms)}) + x2\nf2 = u1\n")
+    return path
+
+
+@pytest.mark.parametrize("argv", [
+    ["synthesize", "--validate", "--samples=4", "--horizon=2", "--dt=0.01"],
+    ["simulate", "--feedback=-x1 - 2*x2", "--x0=0.1,0", "--horizon=1", "--dt=0.1"],
+    ["covering", "--radius=0.1", "--axis-points=3", "--directions=4", "--levels=1"],
+])
+def test_a_250_term_sum_runs_through_every_batch_evaluation(run_cli, tmp_path, argv):
+    # more nested operators than CPython's parser takes in one source expression
+    code, out, err = run_cli(argv[0], _long_sum_system(tmp_path, 250), *argv[1:])
+    assert code == 0, err
+    assert out and "error" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze"],
+    ["synthesize", "--validate"],
+    ["covering", "--radius=0.1"],
+    ["simulate", "--feedback=-x1", "--x0=0.1,0"],
+])
+def test_nesting_beyond_the_recursion_limit_exits_two(run_cli, tmp_path, argv):
+    code, out, err = run_cli(argv[0], _long_sum_system(tmp_path, 3000), *argv[1:])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: an expression is nested too deeply to evaluate")
+    assert err.count("\n") == 1
+
+
+def test_deeply_nested_feedback_exits_two(run_cli, examples_dir):
+    feedback = "--feedback=" + " + ".join(["0*x1"] * 3000)
+    code, out, err = run_cli("simulate", examples_dir / "planar_cubic.stab", feedback,
+                             "--x0=0.1,0")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: an expression is nested too deeply to evaluate")
+
+
+@pytest.mark.parametrize("feedback, reason", [
+    ("1/0", "division by zero"),
+    ("0^-1", "zero base raised to a negative power"),
+    ("10^400", "overflow in power"),
+    ("x1/0", "division by zero"),
+])
+def test_feedback_undefined_at_the_equilibrium_exits_two(run_cli, examples_dir, feedback,
+                                                         reason):
+    code, out, err = run_cli("simulate", examples_dir / "planar_cubic.stab",
+                             f"--feedback={feedback}", "--x0", "0.1,0")
+    assert (code, out) == (2, "")
+    assert err == f"error: feedback component 1 is undefined at x*: {reason}\n"
+
+
 @pytest.mark.parametrize("value", ["nan", "inf"])
 @pytest.mark.parametrize("argv", [["analyze"], ["analyze", "--json"],
                                   ["synthesize", "--validate"]])

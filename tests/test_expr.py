@@ -1,4 +1,4 @@
-"""Expression language: parsing, evaluation, differentiation, codegen."""
+"""Expression language: parsing, evaluation, differentiation, batch evaluation."""
 
 import math
 import warnings
@@ -8,9 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from perfbench import gen
 from stabkit import expr as ex
-from stabkit.system import load_system, parse_system
 
 FD_STEP = 1e-5
 FD_REL_TOL = 1e-6
@@ -180,59 +178,30 @@ def test_tangent_matches_central_differences():
 def test_compile_field_matches_eval():
     rng = np.random.default_rng(3)
     comps = [ex.parse_expr(t) for t in ("x1^3 + x2", "sin(x1)*u1", "x2/(2 + cos(x1))")]
-    field = ex.compile_field(comps)
     xs = rng.uniform(-1.0, 1.0, (40, 2))
     us = rng.uniform(-1.0, 1.0, (40, 1))
     with np.errstate(all="ignore"):
-        batch = field(xs, us)
+        batch = ex.eval_field(comps, xs, us)
         # one control row broadcasts over the batch of states
-        shared = field(xs, us[0])
+        shared = ex.eval_field(comps, xs, us[0])
+        repeated = ex.eval_field(comps, xs, np.repeat(us[:1], 40, axis=0))
+        # and a batch of controls over the leading axis of stacked states
+        stacked = ex.eval_field(comps, xs.reshape(4, 10, 2), us[:10])
+        tiled = ex.eval_field(comps, xs, np.tile(us[:10], (4, 1)))
     assert batch.shape == (40, 3)
-    assert shared.tobytes() == field(xs, np.repeat(us[:1], 40, axis=0)).tobytes()
+    assert shared.tobytes() == repeated.tobytes()
+    assert stacked.shape == (4, 10, 3)
+    assert stacked.tobytes() == tiled.tobytes()
     for row in range(40):
         for j, comp in enumerate(comps):
             assert batch[row, j] == pytest.approx(ex.eval_expr(comp, xs[row], us[row]), abs=1e-14)
 
 
-def _assert_walk_matches_compiled(components, x, u):
-    with np.errstate(all="ignore"):
-        compiled = ex.compile_field(components)(x, u)
-        walked = ex.eval_field(components, x, u)
-    assert walked.shape == compiled.shape
-    assert walked.tobytes() == compiled.tobytes()
-    return walked
-
-
-def test_eval_field_is_bit_identical_to_compile_field_on_random_trees():
-    # criterion 07's trees, on points wide enough to leave the tame region
-    rng = np.random.default_rng(47)
-    for _ in range(100):
-        n, m = int(rng.integers(1, 4)), int(rng.integers(1, 3))
-        comps = [_random_expr(rng, n, m, depth=3) for _ in range(n)]
-        xs, us = rng.uniform(-3.0, 3.0, (40, n)), rng.uniform(-3.0, 3.0, (40, m))
-        _assert_walk_matches_compiled(comps, xs, us)
-        # the batch shapes compile_field broadcasts: one point, a shared control,
-        # a stacked batch
-        _assert_walk_matches_compiled(comps, xs[0], us[0])
-        _assert_walk_matches_compiled(comps, xs, us[0])
-        _assert_walk_matches_compiled(comps, xs.reshape(4, 10, n), us[:10])
-
-
-def test_eval_field_is_bit_identical_to_compile_field_on_examples_and_large_systems(examples_dir):
-    rng = np.random.default_rng(13)
-    specs = [load_system(path) for path in sorted(examples_dir.glob("*.stab"))]
-    specs += [parse_system(gen.large_system(rng, "large", mode, n).text)
-              for n in (10, 30, 50) for mode in ("continuous", "discrete")]
-    for spec in specs:
-        xs = np.asarray(spec.x_eq) + rng.uniform(-1.0, 1.0, (64, spec.n))
-        us = np.asarray(spec.u_eq) + rng.uniform(-1.0, 1.0, (64, spec.m))
-        _assert_walk_matches_compiled(spec.components, xs, us)
-
-
 def test_eval_field_gives_compile_fields_inf_and_nan_at_singular_points():
     comps = [ex.parse_expr(t) for t in ("x1/x2", "x1^0.5", "x2^-1", "exp(x1*1000)", "-2^2 + x1")]
     xs = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 0.0], [-4.0, -0.0], [2.0, 1.0]])
-    values = _assert_walk_matches_compiled(comps, xs, np.zeros((5, 1)))
+    with np.errstate(all="ignore"):
+        values = ex.eval_field(comps, xs, np.zeros((5, 1)))
     inf, nan = math.inf, math.nan
     np.testing.assert_array_equal(values.T, [
         [inf, -inf, nan, inf, 2.0],
@@ -242,15 +211,10 @@ def test_eval_field_gives_compile_fields_inf_and_nan_at_singular_points():
         # a negative literal raised to a power is (-2)^2, as eval_expr reads it
         [5.0, 3.0, 4.0, 0.0, 6.0],
     ])
-
-
-def test_eval_field_raises_where_compile_field_raises():
+    # a constant subtree is Python float arithmetic, which raises
     for text in ("x1 + 1/0", "x1 + 0^-1"):
-        comps = [ex.parse_expr(text)]
         with pytest.raises(ZeroDivisionError):
-            ex.compile_field(comps)(np.zeros(1), np.zeros(1))
-        with pytest.raises(ZeroDivisionError):
-            ex.eval_field(comps, np.zeros(1), np.zeros(1))
+            ex.eval_field([ex.parse_expr(text)], np.zeros(1), np.zeros(1))
 
 
 # --- properties over grammar-generated text ------------------------------
@@ -292,20 +256,17 @@ def test_unparse_round_trips_every_parsed_tree(text):
     assert ex.parse_expr(ex.unparse(tree)) == tree
 
 
-def _compiled_values(tree, points):
-    """compile_field's values on the rows, or None where a constant subtree
-    (such as 1/0) raises for every row; eval_field must agree either way."""
+def _field_values(tree, points):
+    """eval_field's values on the rows, or None where a constant subtree
+    (such as 1/0) raises for every row."""
     xs, us = points[:, :3], points[:, 3:]
     with np.errstate(all="ignore"), warnings.catch_warnings():
         # a negative constant to a fractional power is complex; the cast warns
         warnings.simplefilter("ignore")
         try:
-            values = _assert_walk_matches_compiled([tree], xs, us)[:, 0]
-        except (ZeroDivisionError, OverflowError) as err:
-            with pytest.raises(type(err)):
-                ex.eval_field([tree], xs, us)
+            return ex.eval_field([tree], xs, us)[:, 0]
+        except (ZeroDivisionError, OverflowError):
             return None
-    return values
 
 
 def _finite_eval(tree, row):
@@ -320,7 +281,7 @@ def _finite_eval(tree, row):
 @given(text=_expression_texts(arithmetic_only=True), points=_POINTS)
 def test_compiled_arithmetic_is_bit_identical_to_eval_expr(text, points):
     tree, points = ex.parse_expr(text), np.array(points)
-    values = _compiled_values(tree, points)
+    values = _field_values(tree, points)
     for k, row in enumerate(points):
         want = _finite_eval(tree, row)
         if values is None:
@@ -380,7 +341,7 @@ def _value_and_error_bound(e, x, u):
 @given(text=_expression_texts(arithmetic_only=False), points=_POINTS)
 def test_compiled_field_agrees_with_eval_expr_within_the_error_bound(text, points):
     tree, points = ex.parse_expr(text), np.array(points)
-    values = _compiled_values(tree, points)
+    values = _field_values(tree, points)
     for k, row in enumerate(points):
         want = _finite_eval(tree, row)
         if values is None:

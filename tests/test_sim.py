@@ -11,7 +11,7 @@ from scipy.integrate import solve_ivp
 from scipy.stats import qmc
 
 from stabkit import sim
-from stabkit.expr import compile_field
+from stabkit.expr import eval_field
 from stabkit.synthesis import synthesize
 from stabkit.system import load_system, system_from_strings
 
@@ -205,10 +205,9 @@ def test_verify_reports_failures():
 def _dop853_states(system, gain, x0, times):
     """States of the closed loop on ``times`` from a tight DOP853 solve."""
     fb = sim.make_feedback(system, gain)
-    field = compile_field(system.components)
 
     def rhs(_, x):
-        return field(x[None, :], fb(x[None, :]))[0]
+        return eval_field(system.components, x[None, :], fb(x[None, :]))[0]
 
     sol = solve_ivp(rhs, (times[0], times[-1]), x0, method="DOP853",
                     t_eval=times, rtol=1e-13, atol=1e-20)
@@ -343,6 +342,29 @@ def test_make_feedback_validation():
         sim.make_feedback(sys, ["-x1 + u1"])
     with pytest.raises(ValueError, match="references x3"):
         sim.make_feedback(sys, ["-x3"])
+
+
+@pytest.mark.parametrize("text, reason", [
+    ("1/0", "division by zero"),
+    ("0^-1", "zero base raised to a negative power"),
+    ("10^400", "overflow in power"),
+    ("x1/0", "division by zero"),
+])
+def test_make_feedback_rejects_a_law_undefined_at_the_equilibrium(text, reason):
+    with pytest.raises(ValueError, match=rf"feedback component 1 is undefined at x\*: {reason}"):
+        sim.make_feedback(_double_integrator(), [text])
+
+
+def test_make_feedback_checks_the_law_at_the_systems_equilibrium():
+    with pytest.raises(ValueError, match=r"feedback component 1 is not finite at x\*: inf"):
+        sim.make_feedback(_double_integrator(), ["1e308*10"])
+    shifted = system_from_strings("continuous", ["x1 - 1 + u1"], x_eq=[1.0])
+    with pytest.raises(ValueError, match=r"undefined at x\*"):
+        sim.make_feedback(shifted, ["1/(x1 - 1)"])
+    # singular away from x* only: the batch walk gives inf there instead of raising
+    fb = sim.make_feedback(shifted, ["1/x1"])
+    with np.errstate(divide="ignore"):
+        assert fb(np.array([[2.0], [0.0]])).tolist() == [[0.5], [math.inf]]
 
 
 def test_make_feedback_smoothness_flag():
