@@ -211,7 +211,11 @@ def test_eval_field_gives_compile_fields_inf_and_nan_at_singular_points():
         # a negative literal raised to a power is (-2)^2, as eval_expr reads it
         [5.0, 3.0, 4.0, 0.0, 6.0],
     ])
-    # a constant subtree is Python float arithmetic, which raises
+
+
+def test_eval_field_raises_where_compile_field_raises():
+    # a constant subtree is Python float arithmetic, which raises, as it did
+    # in the generated-source evaluator this walk replaced
     for text in ("x1 + 1/0", "x1 + 0^-1"):
         with pytest.raises(ZeroDivisionError):
             ex.eval_field([ex.parse_expr(text)], np.zeros(1), np.zeros(1))
