@@ -12,7 +12,10 @@ log space after a transient skip to certify an exponential envelope
 ||x(t) - x*|| <= M ||x0 - x*|| exp(-alpha t).  All sampling is
 deterministic: initial conditions come from a Halton sequence pushed
 through the inverse normal transform, on shells of radius delta, delta/2,
-delta/4 around x*.
+delta/4 around x*.  The transform is a numpy port of the Cephes ndtri
+(Moshier 1989) that scipy ships, with its tail logarithms taken by math.log
+as Cephes takes them from the C library, so it matches scipy.special.ndtri
+bit for bit and validation runs on numpy alone.
 """
 
 from __future__ import annotations
@@ -360,6 +363,14 @@ def _fit_decay(times: np.ndarray, norms: np.ndarray, transient_skip: float) -> D
     start_norm = norms[0]
     if start_norm == 0.0:
         raise ValueError("trajectory starts at the equilibrium; nothing to fit")
+    # a run that lands on x* exactly is fitted on the samples before it gets
+    # there: log 0 has no value, and a floor in its place drags the fit
+    zeros = np.flatnonzero(norms == 0.0)
+    if zeros.size:
+        if zeros[0] == 1:
+            # on x* after one step (a deadbeat map): faster than any exponential
+            return DecayFit(m_hat=1.0, alpha_hat=math.inf, residual=0.0, certified=True)
+        times, norms = times[:zeros[0]], norms[:zeros[0]]
     start = int(math.floor(transient_skip * len(norms)))
     start = min(start, len(norms) - 2)
     logs = np.log(np.maximum(norms, 1e-300))
@@ -412,8 +423,79 @@ def _halton(count: int, dim: int) -> np.ndarray:
     return points
 
 
+# Cephes ndtri (Moshier, Methods and Programs for Mathematical Functions,
+# 1989), the inverse normal CDF that scipy.special.ndtri ships.  P0/Q0 serve
+# the centre y = min(p, 1 - p) > exp(-2); P1/Q1 and P2/Q2 the tails where
+# x = sqrt(-2 log y) is below and above 8, at z = 1/x.  The Q tables omit
+# their leading 1.
+_NDTRI_P0 = (-5.99633501014107895267e1, 9.80010754185999661536e1, -5.66762857469070293439e1,
+             1.39312609387279679503e1, -1.23916583867381258016e0)
+_NDTRI_Q0 = (1.95448858338141759834e0, 4.67627912898881538453e0, 8.63602421390890590575e1,
+             -2.25462687854119370527e2, 2.00260212380060660359e2, -8.20372256168333339912e1,
+             1.59056225126211695515e1, -1.18331621121330003142e0)
+_NDTRI_P1 = (4.05544892305962419923e0, 3.15251094599893866154e1, 5.71628192246421288162e1,
+             4.40805073893200834700e1, 1.46849561928858024014e1, 2.18663306850790267539e0,
+             -1.40256079171354495875e-1, -3.50424626827848203418e-2,
+             -8.57456785154685413611e-4)
+_NDTRI_Q1 = (1.57799883256466749731e1, 4.53907635128879210584e1, 4.13172038254672030440e1,
+             1.50425385692907503408e1, 2.50464946208309415979e0, -1.42182922854787788574e-1,
+             -3.80806407691578277194e-2, -9.33259480895457427372e-4)
+_NDTRI_P2 = (3.23774891776946035970e0, 6.91522889068984211695e0, 3.93881025292474443415e0,
+             1.33303460815807542389e0, 2.01485389549179081538e-1, 1.23716634817820021358e-2,
+             3.01581553508235416007e-4, 2.65806974686737550832e-6, 6.23974539184983293730e-9)
+_NDTRI_Q2 = (6.02427039364742014255e0, 3.67983563856160859403e0, 1.37702099489081330271e0,
+             2.16236993594496635890e-1, 1.34204006088543189037e-2, 3.28014464682127739104e-4,
+             2.89247864745380683936e-6, 6.79019408009981274425e-9)
+_EXP_MINUS_2 = 0.13533528323661269189
+_SQRT_2PI = 2.50662827463100050242
+
+
+def _ratio(x: np.ndarray, p: tuple, q: tuple) -> np.ndarray:
+    """x p(x) / q(x) in Cephes' operation order.
+
+    Horner's rule as in its polevl (p) and p1evl (q, monic), then the
+    product before the quotient.
+    """
+    num = np.full_like(x, p[0])
+    for c in p[1:]:
+        num = num * x + c
+    den = x + q[0]
+    for c in q[1:]:
+        den = den * x + c
+    return x * num / den
+
+
+def _ndtri(p: np.ndarray) -> np.ndarray:
+    """Cephes' inverse normal CDF on (0, 1), operation for operation."""
+    p = np.asarray(p, dtype=float)
+    upper = p > 1.0 - _EXP_MINUS_2
+    y = np.where(upper, 1.0 - p, p)
+    out = np.empty_like(y)
+    central = y > _EXP_MINUS_2
+    yc = y[central] - 0.5
+    y2 = yc * yc
+    out[central] = (yc + yc * _ratio(y2, _NDTRI_P0, _NDTRI_Q0)) * _SQRT_2PI
+    tail = ~central
+    x = np.array([math.sqrt(-2.0 * math.log(v)) for v in y[tail]])
+    x0 = x - np.array([math.log(v) for v in x]) / x
+    z = 1.0 / x
+    x1 = np.empty_like(z)
+    near = x < 8.0
+    x1[near] = _ratio(z[near], _NDTRI_P1, _NDTRI_Q1)
+    x1[~near] = _ratio(z[~near], _NDTRI_P2, _NDTRI_Q2)
+    value = x0 - x1
+    out[tail] = np.where(upper[tail], value, -value)
+    return out
+
+
 def _halton_directions(count: int, dim: int) -> np.ndarray:
     """Unit vectors from Halton points pushed through the inverse normal CDF.
+
+    The inverse normal is ``_ndtri``, a numpy port of Cephes' (Moshier 1989)
+    that matches scipy.special.ndtri bit for bit, so validation loads no
+    scipy.  Its tail logarithms are the C library's (math.log), not
+    numpy's vectorized log, which rounds a few of them differently and would
+    move ``worst_x0`` in the last bits.
 
     Not merged with ``openness._covering_directions``: that one is a fixed
     lattice for dim <= 3, so sharing either generator would move
@@ -421,9 +503,7 @@ def _halton_directions(count: int, dim: int) -> np.ndarray:
     """
     if dim == 1:
         return np.array([[1.0 if i % 2 == 0 else -1.0] for i in range(count)])
-    from scipy.special import ndtri  # only validation pays for this import
-
-    z = ndtri(np.clip(_halton(count, dim), 1e-12, 1.0 - 1e-12))
+    z = _ndtri(np.clip(_halton(count, dim), 1e-12, 1.0 - 1e-12))
     norms = np.linalg.norm(z, axis=1, keepdims=True)
     norms[norms == 0.0] = 1.0
     return z / norms

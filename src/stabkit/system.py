@@ -82,8 +82,10 @@ class SystemSpec:
             values = evaluate(self, self.x_eq, self.u_eq)
         except ex.EvalError as err:
             raise SystemValidationError(f"evaluation failed at the equilibrium: {err}") from err
-        residual = values - np.asarray(self.x_eq) if self.mode == DISCRETE else values
-        norm = float(np.linalg.norm(residual))
+        # an overflowing or non-finite residual fails the test below, not with a warning
+        with np.errstate(all="ignore"):
+            residual = values - np.asarray(self.x_eq) if self.mode == DISCRETE else values
+            norm = float(np.linalg.norm(residual))
         if not norm <= EQUILIBRIUM_TOL:
             raise SystemValidationError(
                 f"equilibrium residual {norm:.3e} exceeds {EQUILIBRIUM_TOL:.0e}"
@@ -195,7 +197,10 @@ def parse_system(text: str) -> SystemSpec:
     assert mode is not None and n is not None and m is not None
     assert x_eq is not None and u_eq is not None
 
-    missing = [i for i in range(1, n + 1) if i not in component_lines]
+    # the first gap lies at or below len(component_lines) + 1, so a huge
+    # states count costs no more than the lines the file holds
+    missing = [i for i in range(1, min(n, len(component_lines) + 1) + 1)
+               if i not in component_lines]
     if missing:
         raise SystemFormatError(f"missing component f{missing[0]}", len(text.splitlines()) or 1)
     extra = [i for i in component_lines if i < 1 or i > n]

@@ -1,5 +1,7 @@
 """End-to-end CLI tests: exit codes, report contracts, determinism."""
 
+import contextlib
+import io
 import json
 import math
 import os
@@ -11,9 +13,12 @@ from pathlib import Path
 
 import jsonschema
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import stabkit
 from stabkit import openness
+from stabkit.cli import main
 from stabkit.report import load_schema
 
 SQRT_TENTH = 0.31622776601683794
@@ -177,6 +182,26 @@ def test_synthesize_validate_discrete(run_cli, examples_dir):
     assert code == 0
     assert "validation: passed=yes delta=0.05 samples=100 min_alpha=0.693147180475" in out
     assert "certified=yes" in out
+
+
+# a perfbench draw whose closed loop lands on x* exactly within the horizon
+EXACT_ARRIVAL_SYSTEM = """mode continuous
+states 2
+controls 2
+eq x = -0.371 -0.933
+eq u = -0.331 -0.473
+f1 = -1.492*(x1 + 0.371) - 0.631*(x2 + 0.933) + 1.938*(u1 + 0.331) + 0.381*sin((x1 + 0.371))*(x2 + 0.933)
+f2 = -1.283*(x2 + 0.933) - 0.691*(u2 + 0.473) - 0.274*(x1 + 0.371)^3
+"""
+
+
+def test_validation_of_a_loop_that_reaches_the_equilibrium_exactly(run_cli, tmp_path):
+    path = tmp_path / "exact_arrival.stab"
+    path.write_text(EXACT_ARRIVAL_SYSTEM)
+    code, out, err = run_cli("synthesize", path, "--force", "--validate")
+    assert (code, err) == (0, "")
+    assert "validation: passed=yes delta=0.05 samples=100 min_alpha=2.47303537842\n" in out
+    assert "failure at" not in out
 
 
 def test_synthesize_pole_errors(run_cli, examples_dir):
@@ -391,6 +416,62 @@ def test_evaluation_error_exits_two(run_cli, tmp_path):
     assert err.startswith("error: ")
     assert err.count("\n") == 1
     assert "Traceback" not in err
+
+
+EXAMPLE_TEXTS = [path.read_bytes() for path in
+                 sorted((Path(__file__).resolve().parent.parent / "examples").glob("*.stab"))]
+
+
+def _drop_line(draw, data):
+    lines = data.split(b"\n")
+    del lines[draw(st.integers(0, len(lines) - 1))]
+    return b"\n".join(lines)
+
+
+def _duplicate_line(draw, data):
+    lines = data.split(b"\n")
+    i = draw(st.integers(0, len(lines) - 1))
+    return b"\n".join(lines[:i + 1] + lines[i:])
+
+
+def _swap_tokens(draw, data):
+    tokens = data.split(b" ")
+    i, j = (draw(st.integers(0, len(tokens) - 1)) for _ in range(2))
+    tokens[i], tokens[j] = tokens[j], tokens[i]
+    return b" ".join(tokens)
+
+
+def _truncate(draw, data):
+    return data[:draw(st.integers(0, len(data)))]
+
+
+def _insert_stray_bytes(draw, data):
+    at = draw(st.integers(0, len(data)))
+    return data[:at] + draw(st.binary(min_size=1, max_size=3)) + data[at:]
+
+
+@st.composite
+def _mutated_example(draw):
+    data = draw(st.sampled_from(EXAMPLE_TEXTS))
+    mutations = st.sampled_from([_drop_line, _duplicate_line, _swap_tokens, _truncate,
+                                 _insert_stray_bytes])
+    for mutate in draw(st.lists(mutations, min_size=1, max_size=3)):
+        data = mutate(draw, data)
+    return data
+
+
+@settings(derandomize=True, max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(data=_mutated_example())
+def test_fuzzed_system_files_never_traceback(tmp_path_factory, data):
+    path = tmp_path_factory.getbasetemp() / "fuzzed.stab"
+    path.write_bytes(data)
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(["analyze", str(path)])
+    assert code in {0, 2, 3}
+    if code:
+        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
 
 
 def _long_sum_system(tmp_path, terms):
@@ -608,15 +689,19 @@ f3 = x1 + u2
 
 def test_analyze_and_synthesize_load_no_scipy(examples_dir, tmp_path):
     path = str(examples_dir / "planar_cubic.stab")
+    discrete = str(examples_dir / "discrete_quadratic.stab")
     two_input = tmp_path / "two_input.stab"
     two_input.write_text(TWO_INPUT_SYSTEM)
+    # validation of the 2-state system draws its starts through the inverse normal
     script = (
         "import contextlib, io, sys\n"
         "from stabkit.cli import main\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         f"    codes = [main(['analyze', {path!r}]), main(['analyze', {path!r}, '--json']),\n"
         f"             main(['synthesize', {path!r}, '--json']),\n"
-        f"             main(['synthesize', {str(two_input)!r}, '--json'])]\n"
+        f"             main(['synthesize', {str(two_input)!r}, '--json']),\n"
+        f"             main(['synthesize', {path!r}, '--validate']),\n"
+        f"             main(['synthesize', {discrete!r}, '--validate', '--json'])]\n"
         "print(codes, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
     )
     src = str(Path(stabkit.__file__).resolve().parent.parent)
@@ -624,7 +709,7 @@ def test_analyze_and_synthesize_load_no_scipy(examples_dir, tmp_path):
     out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
                          text=True, timeout=120)
     assert out.returncode == 0, out.stderr
-    assert out.stdout.strip() == "[0, 0, 0, 0] []"
+    assert out.stdout.strip() == "[0, 0, 0, 0, 0, 0] []"
 
 
 def test_synthesize_classifies_with_the_tol_class_flag(run_cli, tmp_path):

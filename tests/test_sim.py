@@ -8,6 +8,7 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
+from scipy.special import ndtri
 from scipy.stats import qmc
 
 from stabkit import sim
@@ -117,6 +118,28 @@ def test_finite_time_blow_up_ends_on_the_last_finite_grid_sample(examples_dir):
     assert np.isfinite(traj.states).all()
     assert traj.times[-1] == pytest.approx(1.71)
     assert traj.states[-1] == pytest.approx([7.2207699, 0.5], rel=1e-5)
+
+
+def test_fit_stops_at_the_first_exact_zero():
+    times = np.arange(10.0)
+    norms = 0.5 ** times
+    clean = sim._fit_decay(times[:6], norms[:6], 0.1)
+    # round-off after a zero must not reach the fit or the envelope
+    norms[6:] = [0.0, 1e-30, 0.0, 0.0]
+    with np.errstate(all="raise"):
+        fit = sim._fit_decay(times, norms, 0.1)
+    assert fit == clean
+    assert fit.alpha_hat == pytest.approx(LN2, abs=1e-12) and fit.certified
+
+
+def test_deadbeat_map_decays_faster_than_any_exponential():
+    sys = system_from_strings("discrete", ["0.5*x1 + u1"], m=1)
+    traj = sim.iterate_closed_loop(sys, ["-0.5*x1"], [1.0], steps=40)
+    assert np.all(traj.states[1:] == 0.0)
+    fit = sim.estimate_decay(traj)
+    assert fit == sim.DecayFit(m_hat=1.0, alpha_hat=math.inf, residual=0.0, certified=True)
+    check = sim.verify_local_stability(sys, ["-0.5*x1"], delta=0.05, samples=6, steps=40)
+    assert check.passed and check.min_alpha == math.inf and check.worst is None
 
 
 def test_equilibrium_start_has_nothing_to_fit():
@@ -330,6 +353,47 @@ def test_halton_matches_scipy(dim):
     sampler = qmc.Halton(d=dim, scramble=False)
     sampler.fast_forward(1)
     assert np.array_equal(sim._halton(100, dim), sampler.random(100))
+
+
+def _clipped_halton(count, dim):
+    return np.clip(sim._halton(count, dim), 1e-12, 1.0 - 1e-12)
+
+
+@pytest.mark.parametrize("dim", range(2, 51))
+def test_ndtri_matches_scipy_on_the_halton_points(dim):
+    for count in (1, 7, 100, 1000):
+        p = _clipped_halton(count, dim)
+        assert np.array_equal(sim._ndtri(p), ndtri(p)), count
+
+
+def test_ndtri_matches_scipy_on_every_branch_and_edge():
+    rng = np.random.default_rng(15)
+    e2 = math.exp(-2.0)
+    edges = [0.5, e2, 1.0 - e2, math.exp(-32.0), 1e-12, 1.0 - 1e-12]
+    edges += [np.nextafter(v, d) for v in edges for d in (0.0, 1.0)]
+    p = np.concatenate([
+        rng.uniform(e2, 1.0 - e2, 2000),        # central rational
+        np.exp(-rng.uniform(2.0, 32.0, 2000)),  # lower tail, z < 8
+        np.exp(-rng.uniform(32.0, 700.0, 2000)),  # lower tail, z >= 8
+        1.0 - np.exp(-rng.uniform(2.0, 32.0, 2000)),  # upper tail
+        1.0 - np.exp(-rng.uniform(32.0, 36.0, 200)),  # upper tail, z >= 8
+        edges,
+    ])
+    z = np.sqrt(-2.0 * np.log(np.minimum(p, 1.0 - p)))
+    assert (z < 2.0).any() and ((z > 2.0) & (z < 8.0)).any() and (z > 8.0).any()
+    assert np.array_equal(sim._ndtri(p), ndtri(p))
+    assert np.array_equal(sim._ndtri(p.reshape(2, -1)), ndtri(p).reshape(2, -1))
+
+
+@pytest.mark.parametrize("dim", range(1, 51))
+def test_halton_directions_match_the_scipy_formula(dim):
+    directions = sim._halton_directions(100, dim)
+    if dim == 1:
+        expected = np.array([[1.0], [-1.0]] * 50)
+    else:
+        z = ndtri(_clipped_halton(100, dim))
+        expected = z / np.linalg.norm(z, axis=1, keepdims=True)
+    assert np.array_equal(directions, expected)
 
 
 # --- feedback normalization ---------------------------------------------

@@ -1,5 +1,7 @@
 """System files, validation, linearization, and control-affine structure."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from test_expr import _random_expr
@@ -72,6 +74,18 @@ def test_format_errors_carry_line_numbers(text, message_part, line):
     assert info.value.line == line
 
 
+def test_a_huge_states_count_is_rejected_without_allocating():
+    text = WELL_FORMED.replace("states 2", "states 1000000")
+    tracemalloc.start()
+    try:
+        with pytest.raises(SystemFormatError, match="missing component f3"):
+            parse_system(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e6
+
+
 def test_missing_sections_reported():
     with pytest.raises(SystemFormatError, match="missing mode"):
         parse_system("states 1\ncontrols 1\neq x = 0\neq u = 0\nf1 = u1\n")
@@ -95,6 +109,18 @@ def test_nonfinite_equilibrium_residual_rejected():
         system_from_strings("continuous", ["x1 + u1 + 1e308*10 - 1e308*10"], m=1)
     with pytest.raises(SystemValidationError, match="residual nan"):
         system_from_strings("continuous", ["x1 + u1"], x_eq=[float("nan")], m=1)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("component, x_eq, u_eq, residual", [
+    ("1.5*x1 + u1", [0.0], [1e308], "inf"),
+    ("1e308 + u1 + x1", [0.0], [0.0], "inf"),
+    ("1.5*x1 + u1", [float("inf")], [0.0], "nan"),
+])
+def test_discrete_residual_overflow_is_rejected_without_a_warning(component, x_eq, u_eq,
+                                                                  residual):
+    with pytest.raises(SystemValidationError, match=f"residual {residual} exceeds"):
+        system_from_strings("discrete", [component], x_eq=x_eq, u_eq=u_eq, m=1)
 
 
 @pytest.mark.parametrize("x_eq, u_eq", [
