@@ -19,7 +19,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import expr as ex
-from .linalg import MAX_STORED_FLOATS, rank_from_singular_values, singular_values
+from .linalg import MAX_STORED_FLOATS, distances, rank_from_singular_values, singular_values
 from .system import SystemSpec, evaluate
 
 MAX_SEARCH_DIM = 3
@@ -127,25 +127,8 @@ def _cube_to_ball(points: np.ndarray) -> np.ndarray:
 
 
 def _distances(columns: Sequence[np.ndarray], targets: np.ndarray) -> np.ndarray:
-    """Euclidean distances from points, given one coordinate column at a time, to targets.
-
-    ``columns[k]`` holds coordinate k of the points and broadcasts against
-    ``targets[..., k]``: (rows,) columns against (rows, n) targets pair the
-    rows up, (samples,) columns against (targets, 1, n) targets give the
-    (targets, samples) matrix.  Squared gaps are summed in place in
-    coordinate order, the order of ``np.linalg.norm``'s ``add.reduce``, so
-    the result is bit-identical to ``np.linalg.norm(values - targets,
-    axis=-1)``.  Non-finite distances become inf.
-    """
-    total = None
-    for k, column in enumerate(columns):
-        gap = column - targets[..., k]
-        gap *= gap
-        if total is None:
-            total = gap
-        else:
-            total += gap
-    np.sqrt(total, out=total)
+    """``linalg.distances``, with non-finite distances read as inf: unattainable."""
+    total = distances(columns, targets)
     total[np.isnan(total)] = np.inf
     return total
 

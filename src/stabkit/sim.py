@@ -27,7 +27,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import expr as ex
-from .linalg import MAX_STORED_FLOATS
+from .linalg import MAX_STORED_FLOATS, distances
 from .synthesis import FeedbackGain, gain_expressions
 from .system import CONTINUOUS, DISCRETE, SystemSpec
 
@@ -41,6 +41,9 @@ STEP_ERROR_TOL = 1e-8
 # once ||x - x*|| has decayed that far (u* + K(x - x*) cancels)
 STEP_ERROR_FLOOR = 1e-16
 ALPHA_FLOOR = 1e-12
+# floats of the one buffer a continuous run evaluates its dense output in, so
+# that its working memory does not grow with the grid points a step covers
+DENSE_FLOATS = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -207,24 +210,27 @@ def _weigh(weights: np.ndarray, k: np.ndarray) -> np.ndarray:
 def _dp54(g, x0s: np.ndarray, x_eq: np.ndarray, times: np.ndarray, observe):
     """The flow of dx/dt = g(x) from every row of x0s, observed on the grid ``times``.
 
-    ``observe`` maps the grid states one step covers, shaped (k, rows, n), to
-    the stored values.  One adaptive step size serves the batch; a step is
-    accepted when every controlled row's local error is within
-    STEP_ERROR_TOL ||x - x*|| plus STEP_ERROR_FLOOR.  A row whose step ends
-    outside the ball of radius DIVERGENCE_NORM is marked diverged and leaves
-    step control, and ends on its first grid sample outside the ball; a row
-    that turns non-finite is marked and ends on its last grid sample.
+    ``observe`` maps grid states shaped (k, rows, n) and their distances
+    ||x - x*|| shaped (k, rows) to the stored values.  One adaptive step size
+    serves the batch; a step is accepted when every controlled row's local
+    error is within STEP_ERROR_TOL ||x - x*|| plus STEP_ERROR_FLOOR.  A row
+    whose step ends outside the ball of radius DIVERGENCE_NORM is marked
+    diverged and leaves step control, and ends on its first grid sample
+    outside the ball; a row that turns non-finite is marked and ends on its
+    last grid sample.  The continuous extension is evaluated in place in one
+    buffer, as many grid points at a time as DENSE_FLOATS floats hold.
     Returns the values (rows, samples, ...), the flags and the last samples.
     """
     count = len(x0s)
     y = x0s.astype(float)
-    first = observe(y[None])[0]
+    dist = np.linalg.norm(y - x_eq, axis=1)
+    first = observe(y, dist)
     values = np.empty((count, len(times)) + first.shape[1:])
     values[:, 0] = first
     diverged = np.zeros(count, dtype=bool)
     last = np.full(count, len(times) - 1)
     rows = np.arange(count)
-    dist = np.linalg.norm(y - x_eq, axis=1)
+    buffer = np.empty(max(DENSE_FLOATS, y.size))
     k = np.empty((7,) + y.shape)
     t, end, h = 0.0, times[-1], times[1]
     recorded = 1
@@ -256,23 +262,32 @@ def _dp54(g, x0s: np.ndarray, x_eq: np.ndarray, times: np.ndarray, observe):
                 continue
             t_new = end if final else t + h
             stop = int(np.searchsorted(times, t_new, side="right"))
-            if stop > recorded:
-                theta = ((times[recorded:stop] - t) / h)[:, None, None]
-                diff = stage - y
-                spline = h * k[0] - diff
-                curve = diff - h * k[6] - spline
-                dense = h * _weigh(_DP_D, k)
-                at = y + theta * (diff + (1.0 - theta) * (
-                    spline + theta * (curve + (1.0 - theta) * dense)))
-                values[rows, recorded:stop] = observe(at).swapaxes(0, 1)
-                escaped = diverged[rows]
-                if escaped.any():
-                    outside = np.linalg.norm(at - x_eq, axis=2) > DIVERGENCE_NORM
-                    done = escaped & outside.any(axis=0)
+            diff = stage - y
+            spline = h * k[0] - diff
+            curve = diff - h * k[6] - spline
+            dense = h * _weigh(_DP_D, k)
+            while recorded < stop and rows.size:
+                span = min(stop - recorded, len(buffer) // y.size)
+                theta = ((times[recorded:recorded + span] - t) / h)[:, None, None]
+                rest = 1.0 - theta
+                at = buffer[:span * y.size].reshape((span,) + y.shape)
+                # y + theta (diff + rest (spline + theta (curve + rest dense)))
+                np.multiply(rest, dense, out=at)
+                np.multiply(np.add(at, curve, out=at), theta, out=at)
+                np.multiply(np.add(at, spline, out=at), rest, out=at)
+                np.multiply(np.add(at, diff, out=at), theta, out=at)
+                at += y
+                norms = distances(np.moveaxis(at, -1, 0), x_eq)
+                values[rows, recorded:recorded + span] = observe(at, norms).swapaxes(0, 1)
+                outside = norms > DIVERGENCE_NORM
+                done = diverged[rows] & outside.any(axis=0)
+                if done.any():
                     last[rows[done]] = recorded + outside[:, done].argmax(axis=0)
                     keep = ~done
-                    rows, k, stage, dist_new = rows[keep], k[:, keep], stage[keep], dist_new[keep]
-                recorded = stop
+                    k = k[:, keep]
+                    rows, y, stage, dist_new, diff, spline, curve, dense = (
+                        a[keep] for a in (rows, y, stage, dist_new, diff, spline, curve, dense))
+                recorded += span
             t, y, dist = t_new, stage, dist_new
             k[0] = k[6]
             h *= min(5.0, max(0.2, factor))
@@ -288,7 +303,7 @@ def _iterate(g, x0s: np.ndarray, x_eq: np.ndarray, steps: int, observe):
     """
     count = len(x0s)
     current = x0s.astype(float)
-    first = observe(current[None])[0]
+    first = observe(current, np.linalg.norm(current - x_eq, axis=1))
     values = np.empty((count, steps + 1) + first.shape[1:])
     values[:, 0] = first
     alive = np.ones(count, dtype=bool)
@@ -300,7 +315,7 @@ def _iterate(g, x0s: np.ndarray, x_eq: np.ndarray, steps: int, observe):
             advanced = np.where((alive & finite)[:, None], advanced, current)
             norms = np.linalg.norm(advanced - x_eq, axis=1)
             newly_bad = alive & (~finite | (norms > DIVERGENCE_NORM))
-            values[:, k] = observe(advanced[None])[0]
+            values[:, k] = observe(advanced, norms)
             last[newly_bad] = k
             alive &= ~newly_bad
             current = advanced
@@ -320,7 +335,7 @@ def _trajectory(system: SystemSpec, feedback, x0, horizon, dt, steps) -> Traject
     x0s = np.asarray(x0, dtype=float)[None, :]
     times = _time_grid(system, horizon, dt, steps, x0s.shape[1])
     fb, g = _closed_loop(system, feedback)
-    states, diverged, last = _run(system, g, x0s, times, lambda at: at)
+    states, diverged, last = _run(system, g, x0s, times, lambda at, dist: at)
     end = int(last[0]) + 1
     return Trajectory(times[:end], states[0, :end], fb.description, bool(diverged[0]),
                       system.x_eq)
@@ -539,13 +554,11 @@ def verify_local_stability(
     if samples < 1:
         raise ValueError("need at least one sample")
     _check_transient_skip(transient_skip)
-    x_eq = np.asarray(system.x_eq, dtype=float)
     # the grid is checked before the starts are drawn, so a huge samples fails fast
     times = _time_grid(system, horizon, dt, steps, samples)
     x0s = _initial_states(system, delta, samples)
     _, g = _closed_loop(system, feedback)
-    norms, diverged, _ = _run(system, g, x0s, times,
-                              lambda at: np.linalg.norm(at - x_eq, axis=-1))
+    norms, diverged, _ = _run(system, g, x0s, times, lambda at, dist: dist)
 
     failures: list[tuple[float, ...]] = []
     worst: DecayFit | None = None

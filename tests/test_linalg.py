@@ -1,4 +1,4 @@
-"""Dense kernels: spectrum, singular values, numerical rank, complex pencil rank."""
+"""Dense kernels: distances, spectrum, singular values, numerical rank, complex pencil rank."""
 
 import numpy as np
 import pytest
@@ -7,6 +7,7 @@ from perfbench import gen
 from stabkit.linalg import (
     MAX_DIM,
     complex_pencil_rank,
+    distances,
     numerical_rank,
     rank_tolerance,
     singular_values,
@@ -16,6 +17,21 @@ from stabkit.openness import openness_report
 from stabkit.system import Linearization, jacobian, load_system
 
 SQRT_TENTH = 0.31622776601683794
+
+
+@pytest.mark.parametrize("n", [1, 2, 4, 7, 8, 13, 50])
+def test_distances_match_norm_bit_for_bit(n):
+    # a plain sum in coordinate order differs from numpy's from n = 8 on
+    rng = np.random.default_rng(n)
+    buffer = rng.standard_normal(40 * 9 * n) * 10.0 ** rng.integers(-8, 8, 40 * 9 * n)
+    points = buffer.reshape(40, 9, n)
+    targets = rng.standard_normal(n)
+    # the contiguous block, and a subset of its rows as a strided view
+    for block in (points, points[:, 1:7:2], points[5, ::3]):
+        expected = np.linalg.norm(block - targets, axis=-1)
+        got = distances(np.moveaxis(block, -1, 0), targets)
+        assert got.shape == expected.shape
+        assert (got.view(np.int64) == expected.view(np.int64)).all()
 
 
 def test_spectrum_known_matrices():

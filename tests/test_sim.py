@@ -1,6 +1,7 @@
 """Closed-loop simulation tests: integrator accuracy, decay fits, checks."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -190,6 +191,158 @@ def test_oversized_time_grids_are_rejected():
     for system in (cont, disc):
         with pytest.raises(ValueError, match="exceeds the limit"):
             sim.verify_local_stability(system, ["0"], delta=0.1, samples=10**9)
+
+
+# --- dense output in one buffer -----------------------------------------
+
+def _one_expression_dp54(g, x0s, x_eq, times, observe):
+    """``sim._dp54`` with each step's dense output taken whole, by one expression.
+
+    The reference for the chunked in-place runner: its grid states are
+    ``y + theta (diff + (1 - theta) (spline + theta (curve + (1 - theta)
+    dense)))`` over all grid points of a step at once, and its distances
+    ``np.linalg.norm(at - x_eq, axis=-1)``; ``observe`` takes the states only.
+    """
+    count = len(x0s)
+    y = x0s.astype(float)
+    first = observe(y[None])[0]
+    values = np.empty((count, len(times)) + first.shape[1:])
+    values[:, 0] = first
+    diverged = np.zeros(count, dtype=bool)
+    last = np.full(count, len(times) - 1)
+    rows = np.arange(count)
+    dist = np.linalg.norm(y - x_eq, axis=1)
+    k = np.empty((7,) + y.shape)
+    t, end, h = 0.0, times[-1], times[1]
+    recorded = 1
+    with np.errstate(all="ignore"):
+        k[0] = g(y)
+        while rows.size and t < end:
+            final = h >= end - t
+            if final:
+                h = end - t
+            for s, a in enumerate(sim._DP_A, start=1):
+                stage = y + h * sim._weigh(a, k)
+                k[s] = g(stage)
+            dist_new = np.linalg.norm(stage - x_eq, axis=1)
+            scale = sim.STEP_ERROR_TOL * np.maximum(dist, dist_new) + sim.STEP_ERROR_FLOOR
+            err = np.linalg.norm(h * sim._weigh(sim._DP_E, k), axis=1) / scale
+            bad = ~np.isfinite(err)
+            diverged[rows[bad | ~(dist_new <= sim.DIVERGENCE_NORM)]] = True
+            if bad.any():
+                last[rows[bad]] = recorded - 1
+                keep = ~bad
+                rows, y, k, stage, dist, dist_new, err = (
+                    rows[keep], y[keep], k[:, keep], stage[keep], dist[keep],
+                    dist_new[keep], err[keep])
+            worst = err[~diverged[rows]].max(initial=0.0)
+            factor = 0.9 * worst ** -0.2
+            if worst > 1.0:
+                h *= max(0.2, factor)
+                continue
+            t_new = end if final else t + h
+            stop = int(np.searchsorted(times, t_new, side="right"))
+            if stop > recorded:
+                theta = ((times[recorded:stop] - t) / h)[:, None, None]
+                diff = stage - y
+                spline = h * k[0] - diff
+                curve = diff - h * k[6] - spline
+                dense = h * sim._weigh(sim._DP_D, k)
+                at = y + theta * (diff + (1.0 - theta) * (
+                    spline + theta * (curve + (1.0 - theta) * dense)))
+                values[rows, recorded:stop] = observe(at).swapaxes(0, 1)
+                escaped = diverged[rows]
+                if escaped.any():
+                    outside = np.linalg.norm(at - x_eq, axis=2) > sim.DIVERGENCE_NORM
+                    done = escaped & outside.any(axis=0)
+                    last[rows[done]] = recorded + outside[:, done].argmax(axis=0)
+                    keep = ~done
+                    rows, k, stage, dist_new = rows[keep], k[:, keep], stage[keep], dist_new[keep]
+                recorded = stop
+            t, y, dist = t_new, stage, dist_new
+            k[0] = k[6]
+            h *= min(5.0, max(0.2, factor))
+    return values, diverged, last
+
+
+def _assert_same_runs(ours, reference):
+    """Same flags and last samples, and every stored value up to them bit for bit."""
+    values, diverged, last = ours
+    np.testing.assert_array_equal(diverged, reference[1])
+    np.testing.assert_array_equal(last, reference[2])
+    for row, end in enumerate(last):
+        assert (values[row, :end + 1].view(np.int64)
+                == reference[0][row, :end + 1].view(np.int64)).all()
+
+
+def _leaving_batch(n: int):
+    """A linear batch about a nonzero x* in which some rows leave and the rest decay.
+
+    Coordinate 1 is the unstable mode x1' = x1 - x1*, the others a stable
+    upper-triangular chain it does not feed, so a row started with x1 = x1*
+    stays controlled while the others leave the ball at staggered times.
+    """
+    rng = np.random.default_rng(n)
+    a = np.triu(rng.standard_normal((n, n)), 1) - np.diag(rng.uniform(0.5, 2.0, n))
+    a[0] = 0.0
+    a[0, 0] = 1.0
+    x_eq = rng.standard_normal(n)
+    x0s = x_eq + 0.1 * rng.standard_normal((6, n))
+    x0s[::2, 0] = x_eq[0]
+    x0s[1::2, 0] += [1e-3, 3e-2, 2.0]
+    return (lambda states: (states - x_eq) @ a.T), x0s, x_eq
+
+
+@pytest.mark.parametrize("n", [1, 2, 4, 7, 8, 13, 50])
+def test_chunked_dense_output_matches_one_expression_bit_for_bit(monkeypatch, n):
+    g, x0s, x_eq = _leaving_batch(n)
+    times = np.arange(2001) * 1e-2
+    # steps of tens of grid points walk chunks of three; once rows leave,
+    # the chunks hold more grid points of the remaining rows
+    monkeypatch.setattr(sim, "DENSE_FLOATS", 3 * x0s.size)
+    norms = sim._dp54(g, x0s, x_eq, times, lambda at, dist: dist)
+    reference = _one_expression_dp54(g, x0s, x_eq, times,
+                                     lambda at: np.linalg.norm(at - x_eq, axis=-1))
+    assert reference[1].sum() == 3 and (reference[2] < 2000).sum() == 3
+    _assert_same_runs(norms, reference)
+    states = sim._dp54(g, x0s, x_eq, times, lambda at, dist: at)
+    _assert_same_runs(states, _one_expression_dp54(g, x0s, x_eq, times, lambda at: at))
+
+
+@pytest.mark.parametrize("floats", [1, 7, 64, sim.DENSE_FLOATS])
+def test_a_row_leaving_in_a_later_chunk_ends_on_its_first_sample_outside(monkeypatch, floats):
+    # x' = x leaves the ball of radius 1e6 inside a step of tens of grid
+    # points; every chunk of that step must be checked, not only its last
+    monkeypatch.setattr(sim, "DENSE_FLOATS", floats)
+    x_eq = np.zeros(1)
+    x0s = np.array([[1.0], [-3.0], [0.5], [0.0]])
+    times = np.arange(20001) * 1e-3
+    ours = sim._dp54(lambda states: states, x0s, x_eq, times, lambda at, dist: at)
+    _assert_same_runs(ours, _one_expression_dp54(
+        lambda states: states, x0s, x_eq, times, lambda at: at))
+    values, diverged, last = ours
+    assert diverged.tolist() == [True, True, True, False] and last[3] == 20000
+    for row in range(3):
+        assert abs(values[row, last[row]]) > sim.DIVERGENCE_NORM >= abs(values[row, last[row] - 1])
+        assert times[last[row]] == pytest.approx(math.log(1e6 / abs(x0s[row, 0])), abs=1e-3)
+
+
+def test_validation_memory_is_bounded_by_the_norms_and_the_buffer(examples_dir):
+    # at dt = 1e-6 a step covers tens of thousands of grid points; one
+    # expression over all of them took ~3.6 MB beyond the stored norms
+    system = load_system(examples_dir / "planar_cubic.stab")
+    _, g = sim._closed_loop(system, synthesize(system))
+    x0s = sim._initial_states(system, 0.05, 1)
+    times = sim._time_grid(system, 0.2, 1e-6, None, 1)
+    tracemalloc.start()
+    try:
+        norms, _, _ = sim._run(system, g, x0s, times, lambda at, dist: dist)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the buffer, plus a chunk's theta, 1 - theta and the two squared gaps
+    # of the distance kernel, none larger than the buffer
+    assert peak <= norms.nbytes + 4 * sim.DENSE_FLOATS * 8
 
 
 # --- stability certification --------------------------------------------
