@@ -7,8 +7,6 @@ which every rank in stabkit, real or complex, reads from one function here.
 
 from __future__ import annotations
 
-from typing import Sequence
-
 import numpy as np
 
 MAX_DIM = 50
@@ -32,31 +30,24 @@ def _as_matrix(m, name: str = "matrix") -> np.ndarray:
     return arr
 
 
-def distances(columns: Sequence[np.ndarray], targets: np.ndarray) -> np.ndarray:
+def distances(columns, targets: np.ndarray) -> np.ndarray:
     """Euclidean distances from points, given one coordinate column at a time, to targets.
 
     ``columns[k]`` holds coordinate k of the points and broadcasts against
-    ``targets[..., k]``.  The squared gaps are summed as ``np.add.reduce``
-    sums a last axis of n <= 128: in turn below n = 8; from 8 on, by numpy's
-    pairwise sum, where lane j takes coordinates j, j + 8, ... of the first
-    n - n % 8, the lanes combine as ((l0 + l1) + (l2 + l3)) + ((l4 + l5) +
-    (l6 + l7)) and the rest follow in turn.  So the result equals
-    ``np.linalg.norm(points - targets, axis=-1)`` bit for bit.
+    ``targets[..., k]``: (rows,) columns against (rows, n) targets pair the
+    rows up, (samples,) columns against (targets, 1, n) targets give the
+    (targets, samples) matrix.  Squared gaps are summed in place in
+    coordinate order.  ``np.add.reduce`` sums a last axis shorter than 8 in
+    that order, so below n = 8 the result equals ``np.linalg.norm(points -
+    targets, axis=-1)`` bit for bit; from 8 on numpy sums in 8 pairwise
+    lanes and the two may differ in the last bit.
     """
-    n = len(columns)
-    lanes, paired = (1, n) if n < 8 else (8, n - n % 8)
-    sums: list[np.ndarray] = []
-    for k in range(n):
-        gap = columns[k] - targets[..., k]
+    total = None
+    for k, column in enumerate(columns):
+        gap = column - targets[..., k]
         gap *= gap
-        if k < lanes:
-            sums.append(gap)
-        else:
-            sums[k % lanes if k < paired else 0] += gap
-        if k == paired - 1 and lanes == 8:
-            for a, b in ((0, 1), (2, 3), (0, 2), (4, 5), (6, 7), (4, 6), (0, 4)):
-                sums[a] += sums[b]
-    return np.sqrt(sums[0], out=sums[0])
+        total = gap if total is None else np.add(total, gap, out=total)
+    return np.sqrt(total, out=total)
 
 
 def spectrum(a) -> np.ndarray:

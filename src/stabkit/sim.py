@@ -207,24 +207,24 @@ def _weigh(weights: np.ndarray, k: np.ndarray) -> np.ndarray:
     return (weights @ k[:s].reshape(s, -1)).reshape(k.shape[1:])
 
 
-def _dp54(g, x0s: np.ndarray, x_eq: np.ndarray, times: np.ndarray, observe):
+def _dp54(g, x0s: np.ndarray, x_eq: np.ndarray, times: np.ndarray, states: bool):
     """The flow of dx/dt = g(x) from every row of x0s, observed on the grid ``times``.
 
-    ``observe`` maps grid states shaped (k, rows, n) and their distances
-    ||x - x*|| shaped (k, rows) to the stored values.  One adaptive step size
-    serves the batch; a step is accepted when every controlled row's local
-    error is within STEP_ERROR_TOL ||x - x*|| plus STEP_ERROR_FLOOR.  A row
-    whose step ends outside the ball of radius DIVERGENCE_NORM is marked
-    diverged and leaves step control, and ends on its first grid sample
-    outside the ball; a row that turns non-finite is marked and ends on its
-    last grid sample.  The continuous extension is evaluated in place in one
-    buffer, as many grid points at a time as DENSE_FLOATS floats hold.
+    Stores the grid states if ``states``, else their distances ||x - x*||.  One
+    adaptive step size serves the batch; a step is accepted when every
+    controlled row's local error is within STEP_ERROR_TOL ||x - x*|| plus
+    STEP_ERROR_FLOOR.  A row whose step ends outside the ball of radius
+    DIVERGENCE_NORM is marked diverged and leaves step control, and ends on
+    its first grid sample outside the ball; a row that turns non-finite is
+    marked and ends on its last grid sample.  The continuous extension is
+    evaluated in place in one buffer, as many grid points at a time as
+    DENSE_FLOATS floats hold (at least one).
     Returns the values (rows, samples, ...), the flags and the last samples.
     """
     count = len(x0s)
     y = x0s.astype(float)
     dist = np.linalg.norm(y - x_eq, axis=1)
-    first = observe(y, dist)
+    first = y if states else dist
     values = np.empty((count, len(times)) + first.shape[1:])
     values[:, 0] = first
     diverged = np.zeros(count, dtype=bool)
@@ -262,10 +262,11 @@ def _dp54(g, x0s: np.ndarray, x_eq: np.ndarray, times: np.ndarray, observe):
                 continue
             t_new = end if final else t + h
             stop = int(np.searchsorted(times, t_new, side="right"))
-            diff = stage - y
-            spline = h * k[0] - diff
-            curve = diff - h * k[6] - spline
-            dense = h * _weigh(_DP_D, k)
+            if stop > recorded:
+                diff = stage - y
+                spline = h * k[0] - diff
+                curve = diff - h * k[6] - spline
+                dense = h * _weigh(_DP_D, k)
             while recorded < stop and rows.size:
                 span = min(stop - recorded, len(buffer) // y.size)
                 theta = ((times[recorded:recorded + span] - t) / h)[:, None, None]
@@ -277,11 +278,14 @@ def _dp54(g, x0s: np.ndarray, x_eq: np.ndarray, times: np.ndarray, observe):
                 np.multiply(np.add(at, spline, out=at), rest, out=at)
                 np.multiply(np.add(at, diff, out=at), theta, out=at)
                 at += y
-                norms = distances(np.moveaxis(at, -1, 0), x_eq)
-                values[rows, recorded:recorded + span] = observe(at, norms).swapaxes(0, 1)
-                outside = norms > DIVERGENCE_NORM
-                done = diverged[rows] & outside.any(axis=0)
-                if done.any():
+                escaped = diverged[rows]
+                if escaped.any() or not states:
+                    norms = (distances(np.moveaxis(at, -1, 0), x_eq) if y.shape[1] < 8
+                             else np.linalg.norm(at - x_eq, axis=-1))
+                values[rows, recorded:recorded + span] = (at if states else norms).swapaxes(0, 1)
+                if escaped.any():
+                    outside = norms > DIVERGENCE_NORM
+                    done = escaped & outside.any(axis=0)
                     last[rows[done]] = recorded + outside[:, done].argmax(axis=0)
                     keep = ~done
                     k = k[:, keep]
@@ -294,7 +298,7 @@ def _dp54(g, x0s: np.ndarray, x_eq: np.ndarray, times: np.ndarray, observe):
     return values, diverged, last
 
 
-def _iterate(g, x0s: np.ndarray, x_eq: np.ndarray, steps: int, observe):
+def _iterate(g, x0s: np.ndarray, x_eq: np.ndarray, steps: int, states: bool):
     """The map x+ = g(x) from every row of x0s, observed at iterates 0..steps.
 
     Same contract as ``_dp54``.  A row is marked diverged and frozen at its
@@ -303,7 +307,7 @@ def _iterate(g, x0s: np.ndarray, x_eq: np.ndarray, steps: int, observe):
     """
     count = len(x0s)
     current = x0s.astype(float)
-    first = observe(current, np.linalg.norm(current - x_eq, axis=1))
+    first = current if states else np.linalg.norm(current - x_eq, axis=1)
     values = np.empty((count, steps + 1) + first.shape[1:])
     values[:, 0] = first
     alive = np.ones(count, dtype=bool)
@@ -315,19 +319,19 @@ def _iterate(g, x0s: np.ndarray, x_eq: np.ndarray, steps: int, observe):
             advanced = np.where((alive & finite)[:, None], advanced, current)
             norms = np.linalg.norm(advanced - x_eq, axis=1)
             newly_bad = alive & (~finite | (norms > DIVERGENCE_NORM))
-            values[:, k] = observe(advanced, norms)
+            values[:, k] = advanced if states else norms
             last[newly_bad] = k
             alive &= ~newly_bad
             current = advanced
     return values, ~alive, last
 
 
-def _run(system: SystemSpec, g, x0s: np.ndarray, times: np.ndarray, observe):
+def _run(system: SystemSpec, g, x0s: np.ndarray, times: np.ndarray, states: bool):
     """The mode's runner from every row of x0s on the grid ``times``."""
     x_eq = np.asarray(system.x_eq, dtype=float)
     if system.mode == CONTINUOUS:
-        return _dp54(g, x0s, x_eq, times, observe)
-    return _iterate(g, x0s, x_eq, len(times) - 1, observe)
+        return _dp54(g, x0s, x_eq, times, states)
+    return _iterate(g, x0s, x_eq, len(times) - 1, states)
 
 
 def _trajectory(system: SystemSpec, feedback, x0, horizon, dt, steps) -> Trajectory:
@@ -335,7 +339,7 @@ def _trajectory(system: SystemSpec, feedback, x0, horizon, dt, steps) -> Traject
     x0s = np.asarray(x0, dtype=float)[None, :]
     times = _time_grid(system, horizon, dt, steps, x0s.shape[1])
     fb, g = _closed_loop(system, feedback)
-    states, diverged, last = _run(system, g, x0s, times, lambda at, dist: at)
+    states, diverged, last = _run(system, g, x0s, times, states=True)
     end = int(last[0]) + 1
     return Trajectory(times[:end], states[0, :end], fb.description, bool(diverged[0]),
                       system.x_eq)
@@ -558,7 +562,7 @@ def verify_local_stability(
     times = _time_grid(system, horizon, dt, steps, samples)
     x0s = _initial_states(system, delta, samples)
     _, g = _closed_loop(system, feedback)
-    norms, diverged, _ = _run(system, g, x0s, times, lambda at, dist: dist)
+    norms, diverged, _ = _run(system, g, x0s, times, states=False)
 
     failures: list[tuple[float, ...]] = []
     worst: DecayFit | None = None

@@ -200,8 +200,8 @@ def _one_expression_dp54(g, x0s, x_eq, times, observe):
 
     The reference for the chunked in-place runner: its grid states are
     ``y + theta (diff + (1 - theta) (spline + theta (curve + (1 - theta)
-    dense)))`` over all grid points of a step at once, and its distances
-    ``np.linalg.norm(at - x_eq, axis=-1)``; ``observe`` takes the states only.
+    dense)))`` over all grid points of a step at once; ``observe`` maps those
+    (k, rows, n) states to the stored values.
     """
     count = len(x0s)
     y = x0s.astype(float)
@@ -300,12 +300,12 @@ def test_chunked_dense_output_matches_one_expression_bit_for_bit(monkeypatch, n)
     # steps of tens of grid points walk chunks of three; once rows leave,
     # the chunks hold more grid points of the remaining rows
     monkeypatch.setattr(sim, "DENSE_FLOATS", 3 * x0s.size)
-    norms = sim._dp54(g, x0s, x_eq, times, lambda at, dist: dist)
+    norms = sim._dp54(g, x0s, x_eq, times, states=False)
     reference = _one_expression_dp54(g, x0s, x_eq, times,
                                      lambda at: np.linalg.norm(at - x_eq, axis=-1))
     assert reference[1].sum() == 3 and (reference[2] < 2000).sum() == 3
     _assert_same_runs(norms, reference)
-    states = sim._dp54(g, x0s, x_eq, times, lambda at, dist: at)
+    states = sim._dp54(g, x0s, x_eq, times, states=True)
     _assert_same_runs(states, _one_expression_dp54(g, x0s, x_eq, times, lambda at: at))
 
 
@@ -317,9 +317,12 @@ def test_a_row_leaving_in_a_later_chunk_ends_on_its_first_sample_outside(monkeyp
     x_eq = np.zeros(1)
     x0s = np.array([[1.0], [-3.0], [0.5], [0.0]])
     times = np.arange(20001) * 1e-3
-    ours = sim._dp54(lambda states: states, x0s, x_eq, times, lambda at, dist: at)
+    ours = sim._dp54(lambda states: states, x0s, x_eq, times, states=True)
     _assert_same_runs(ours, _one_expression_dp54(
         lambda states: states, x0s, x_eq, times, lambda at: at))
+    _assert_same_runs(sim._dp54(lambda states: states, x0s, x_eq, times, states=False),
+                      _one_expression_dp54(lambda states: states, x0s, x_eq, times,
+                                           lambda at: np.linalg.norm(at - x_eq, axis=-1)))
     values, diverged, last = ours
     assert diverged.tolist() == [True, True, True, False] and last[3] == 20000
     for row in range(3):
@@ -336,7 +339,7 @@ def test_validation_memory_is_bounded_by_the_norms_and_the_buffer(examples_dir):
     times = sim._time_grid(system, 0.2, 1e-6, None, 1)
     tracemalloc.start()
     try:
-        norms, _, _ = sim._run(system, g, x0s, times, lambda at, dist: dist)
+        norms, _, _ = sim._run(system, g, x0s, times, states=False)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
