@@ -378,31 +378,57 @@ def _check_transient_skip(transient_skip: float) -> None:
         raise ValueError("transient_skip must lie in [0, 1)")
 
 
-def _fit_decay(times: np.ndarray, norms: np.ndarray, transient_skip: float) -> DecayFit:
-    start_norm = norms[0]
-    if start_norm == 0.0:
+def _fit_decays(times: np.ndarray, norms: np.ndarray, rows: np.ndarray,
+                transient_skip: float) -> list[DecayFit]:
+    """Least-squares lines through log ||x - x*|| over time, one per listed row of norms.
+
+    Each row is cut at its first exact zero (after one sample: alpha_hat = inf).  Rows
+    cut alike share the window from min(floor(transient_skip L), L - 2) to their length
+    L and its centred times tc: slope = sum tc log||x - x*|| / sum tc^2.  A second pass
+    sums the squared residuals and finds the envelope's peak, at least the t = 0
+    sample's, so m_hat >= 1.  Both read the norms in blocks of at most DENSE_FLOATS.
+    """
+    width = max(1, DENSE_FLOATS // max(1, len(rows)))
+
+    def blocks(picked, begin, end, values=np.log):
+        whole = slice(None) if len(picked) == len(norms) else picked  # a view, not a copy
+        for c in range(begin, end, width):
+            yield c, values(norms[whole, c:min(c + width, end)])
+
+    # norms are >= 0, so a block's first minimum is its first zero if it has one
+    lengths = np.full(len(rows), norms.shape[1])
+    for c, block in blocks(rows, 0, norms.shape[1], np.asarray):
+        hit = (block.min(axis=1) == 0.0) & (lengths == norms.shape[1])
+        lengths[hit] = c + block[hit].argmin(axis=1)
+    if not lengths.all():
         raise ValueError("trajectory starts at the equilibrium; nothing to fit")
-    # a run that lands on x* exactly is fitted on the samples before it gets
-    # there: log 0 has no value, and a floor in its place drags the fit
-    zeros = np.flatnonzero(norms == 0.0)
-    if zeros.size:
-        if zeros[0] == 1:
-            # on x* after one step (a deadbeat map): faster than any exponential
-            return DecayFit(m_hat=1.0, alpha_hat=math.inf, residual=0.0, certified=True)
-        times, norms = times[:zeros[0]], norms[:zeros[0]]
-    start = int(math.floor(transient_skip * len(norms)))
-    start = min(start, len(norms) - 2)
-    logs = np.log(np.maximum(norms, 1e-300))
-    design = np.column_stack([times[start:], np.ones(len(times) - start)])
-    coef, *_ = np.linalg.lstsq(design, logs[start:], rcond=None)
-    slope = float(coef[0])
-    alpha = -slope
-    residual = float(np.sqrt(np.mean((design @ coef - logs[start:]) ** 2)))
-    with np.errstate(over="ignore"):
-        envelope = norms * np.exp(alpha * times)
-    m_hat = float(np.max(envelope) / start_norm)
-    certified = alpha > ALPHA_FLOOR and math.isfinite(m_hat)
-    return DecayFit(m_hat=m_hat, alpha_hat=alpha, residual=residual, certified=certified)
+    fits = [DecayFit(m_hat=1.0, alpha_hat=math.inf, residual=0.0, certified=True)] * len(rows)
+    for length in np.unique(lengths[lengths > 1]).tolist():
+        group = np.flatnonzero(lengths == length)
+        start = min(math.floor(transient_skip * length), length - 2)
+        mean_t = times[start:length].mean()
+        sty = sy = stt = stc = 0.0
+        for c, logs in blocks(rows[group], start, length):
+            tc = times[c:c + logs.shape[1]] - mean_t
+            sty, sy = sty + logs @ tc, sy + logs.sum(axis=1)
+            stt, stc = stt + tc @ tc, stc + tc.sum()
+        # sum tc is not exactly 0 once mean_t is rounded: Chan, Golub and LeVeque's correction
+        mean_y = sy / (length - start)
+        slope = (sty - mean_y * stc) / (stt - stc * stc / (length - start))
+        squares, high = 0.0, -np.inf
+        for c, logs in blocks(rows[group], 0, length):
+            logs -= mean_y[:, None]  # the residuals, from here on
+            logs -= np.multiply.outer(slope, times[c:c + logs.shape[1]] - mean_t)
+            high = np.maximum(high, logs.max(axis=1))
+            logs = logs[:, max(0, start - c):]  # the window, rebound to free the block
+            squares = squares + np.einsum("ij,ij->i", logs, logs)
+        top = np.log(norms[rows[group], 0])
+        with np.errstate(over="ignore"):
+            m_hat = np.exp(np.maximum(high + mean_y - slope * mean_t, top) - top)
+        for j, b, m, ss in zip(group, slope.tolist(), m_hat.tolist(), squares.tolist()):
+            fits[j] = DecayFit(m_hat=m, alpha_hat=-b, residual=math.sqrt(ss / (length - start)),
+                               certified=-b > ALPHA_FLOOR and math.isfinite(m))
+    return fits
 
 
 def estimate_decay(traj: Trajectory, transient_skip: float = 0.1) -> DecayFit:
@@ -411,7 +437,7 @@ def estimate_decay(traj: Trajectory, transient_skip: float = 0.1) -> DecayFit:
         raise ValueError("cannot fit a decay envelope on a divergent trajectory")
     _check_transient_skip(transient_skip)
     norms = np.linalg.norm(traj.states - traj.x_eq, axis=1)
-    return _fit_decay(traj.times, norms, transient_skip)
+    return _fit_decays(traj.times, norms[None], np.arange(1), transient_skip)[0]
 
 
 def _first_primes(count: int) -> list[int]:
@@ -561,8 +587,11 @@ def verify_local_stability(
     # the grid is checked before the starts are drawn, so a huge samples fails fast
     times = _time_grid(system, horizon, dt, steps, samples)
     x0s = _initial_states(system, delta, samples)
+    if not np.linalg.norm(x0s - system.x_eq, axis=1).all():  # the distance the fit divides by
+        raise ValueError(f"delta={float(delta)} puts a start on x* (its distance rounds to 0)")
     _, g = _closed_loop(system, feedback)
     norms, diverged, _ = _run(system, g, x0s, times, states=False)
+    fits = iter(_fit_decays(times, norms, np.flatnonzero(~diverged), transient_skip))
 
     failures: list[tuple[float, ...]] = []
     worst: DecayFit | None = None
@@ -573,7 +602,7 @@ def verify_local_stability(
             failures.append(tuple(x0s[i]))
             min_alpha = -math.inf
             continue
-        fit = _fit_decay(times, norms[i], transient_skip)
+        fit = next(fits)
         if not fit.certified:
             failures.append(tuple(x0s[i]))
         if fit.alpha_hat < min_alpha:

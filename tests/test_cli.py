@@ -388,6 +388,22 @@ def test_simulate_x0_length_error(run_cli, examples_dir):
     assert "--x0 needs 2 values, got 1" in err
 
 
+# the square of 1e-320 underflows, so that start is as far from x* as 0,0
+@pytest.mark.parametrize("x0", ["0,0", "1e-320,0"])
+def test_simulate_from_the_equilibrium_exits_two_before_writing(run_cli, examples_dir, x0):
+    code, out, err = run_cli("simulate", examples_dir / "planar_cubic.stab",
+                             "--feedback=-x1-2*x2", "--x0", x0, "--horizon", "0.01")
+    assert (code, out) == (2, "")
+    assert err == "error: --x0 lies on the equilibrium x* (its distance rounds to 0)\n"
+
+
+def test_validation_radius_that_rounds_onto_the_equilibrium_exits_two(run_cli, examples_dir):
+    code, out, err = run_cli("synthesize", examples_dir / "planar_cubic.stab", "--validate",
+                             "--delta", "1e-320")
+    assert (code, out) == (2, "")
+    assert err == "error: delta=1e-320 puts a start on x* (its distance rounds to 0)\n"
+
+
 # --- shared error handling ----------------------------------------------
 
 def test_missing_file_exits_two(run_cli, tmp_path):

@@ -124,11 +124,11 @@ def test_finite_time_blow_up_ends_on_the_last_finite_grid_sample(examples_dir):
 def test_fit_stops_at_the_first_exact_zero():
     times = np.arange(10.0)
     norms = 0.5 ** times
-    clean = sim._fit_decay(times[:6], norms[:6], 0.1)
+    clean = sim._fit_decays(times[:6], norms[None, :6], np.arange(1), 0.1)[0]
     # round-off after a zero must not reach the fit or the envelope
     norms[6:] = [0.0, 1e-30, 0.0, 0.0]
     with np.errstate(all="raise"):
-        fit = sim._fit_decay(times, norms, 0.1)
+        fit = sim._fit_decays(times, norms[None], np.arange(1), 0.1)[0]
     assert fit == clean
     assert fit.alpha_hat == pytest.approx(LN2, abs=1e-12) and fit.certified
 
@@ -150,6 +150,101 @@ def test_equilibrium_start_has_nothing_to_fit():
     assert np.all(traj.states == 0.0)
     with pytest.raises(ValueError, match="equilibrium"):
         sim.estimate_decay(traj)
+
+
+def test_a_start_on_the_equilibrium_is_rejected_before_integrating():
+    def never_called(states):
+        raise AssertionError("the closed loop was evaluated")
+
+    # 1 + 1e-17 rounds to 1; the square of 1e-320 underflows to 0
+    for shift, delta in ((1.0, 1e-17), (0.0, 1e-320)):
+        sys = system_from_strings("continuous", [f"(x1 - {shift})^3 + x2 - {shift}", "u1"],
+                                  x_eq=[shift, shift])
+        with pytest.raises(ValueError, match=f"delta={delta} puts a start on x\\*"):
+            sim.verify_local_stability(sys, never_called, delta=delta)
+
+
+# --- the batched decay fit ----------------------------------------------
+
+def _lstsq_fit_decay(times, norms, transient_skip):
+    """One row's fit as ``sim`` made it before the batched fit: one lstsq per row."""
+    start_norm = norms[0]
+    if start_norm == 0.0:
+        raise ValueError("trajectory starts at the equilibrium; nothing to fit")
+    zeros = np.flatnonzero(norms == 0.0)
+    if zeros.size:
+        if zeros[0] == 1:
+            return sim.DecayFit(m_hat=1.0, alpha_hat=math.inf, residual=0.0, certified=True)
+        times, norms = times[:zeros[0]], norms[:zeros[0]]
+    start = int(math.floor(transient_skip * len(norms)))
+    start = min(start, len(norms) - 2)
+    logs = np.log(np.maximum(norms, 1e-300))
+    design = np.column_stack([times[start:], np.ones(len(times) - start)])
+    coef, *_ = np.linalg.lstsq(design, logs[start:], rcond=None)
+    slope = float(coef[0])
+    alpha = -slope
+    residual = float(np.sqrt(np.mean((design @ coef - logs[start:]) ** 2)))
+    with np.errstate(over="ignore"):
+        envelope = norms * np.exp(alpha * times)
+    m_hat = float(np.max(envelope) / start_norm)
+    certified = alpha > sim.ALPHA_FLOOR and math.isfinite(m_hat)
+    return sim.DecayFit(m_hat=m_hat, alpha_hat=alpha, residual=residual, certified=certified)
+
+
+@st.composite
+def _decay_batches(draw):
+    """Norms of noisy decays and growths on one grid, some rows cut by an exact zero.
+
+    Norms stay within [1e-8, 1e8], where the reference's 1e-300 floor does
+    not act.  Rows left out of the fit hold NaN and negative garbage, as a
+    diverged row's unwritten samples may.
+    """
+    length = draw(st.integers(2, 60))
+    times = np.arange(length) * draw(st.sampled_from([0.01, 0.1, 1.0]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    count = draw(st.integers(1, 8))
+    rates = rng.uniform(-5.0, 5.0, count) / max(times[-1], 1.0)
+    noise = rng.uniform(0.0, 0.5, count)[:, None] * rng.standard_normal((count, length))
+    norms = rng.uniform(1e-2, 1.0, count)[:, None] * np.exp(noise - np.outer(rates, times))
+    for row in range(count):
+        # first zero at 1 (deadbeat), 2 (a two-sample fit) or later; noise after it
+        cut = draw(st.sampled_from([None, None, 1] + list(range(2, length))))
+        if cut is not None:
+            norms[row, cut:] = rng.choice([0.0, 1e-30, 1.0], length - cut)
+            norms[row, cut] = 0.0
+    listed = np.flatnonzero(rng.uniform(size=count) < 0.8)
+    norms[np.setdiff1d(np.arange(count), listed)] = np.resize([np.nan, -1.0], length)
+    return times, norms, listed, draw(st.floats(0.0, 1.0, exclude_max=True))
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(batch=_decay_batches(), floats=st.sampled_from([1, 7, 64, sim.DENSE_FLOATS]))
+def test_batched_fit_matches_one_lstsq_per_row(batch, floats):
+    times, norms, listed, skip = batch
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(sim, "DENSE_FLOATS", floats)
+        with np.errstate(all="raise"):
+            fits = sim._fit_decays(times, norms, listed, skip)
+        assert sim._fit_decays(times, norms, listed, skip) == fits
+    assert len(fits) == len(listed)
+    for row, fit in zip(listed, fits):
+        reference = _lstsq_fit_decay(times, norms[row], skip)
+        assert fit.certified == reference.certified
+        assert fit.m_hat >= 1.0
+        for ours, theirs in ((fit.alpha_hat, reference.alpha_hat),
+                             (fit.residual, reference.residual)):
+            assert ours == theirs or abs(ours - theirs) <= 1e-12 * max(1.0, abs(theirs))
+
+
+@pytest.mark.parametrize("length", [16, 30, 59])
+def test_a_two_sample_window_late_on_a_fine_grid_matches_lstsq(length):
+    # the rounded mean time leaves sum tc ~1e-17 against sum tc^2 = 5e-5;
+    # uncorrected, that moved alpha_hat by 4e-12 to 2e-11 here
+    times = np.arange(length) * 0.01
+    norms = 1e-3 * np.exp(-times)
+    fit = sim._fit_decays(times, norms[None], np.arange(1), 0.999)[0]
+    reference = _lstsq_fit_decay(times, norms, 0.999)
+    assert abs(fit.alpha_hat - reference.alpha_hat) <= 1e-12 * abs(reference.alpha_hat)
 
 
 # --- bounded storage ----------------------------------------------------
@@ -348,6 +443,25 @@ def test_validation_memory_is_bounded_by_the_norms_and_the_buffer(examples_dir):
     assert peak <= norms.nbytes + 4 * sim.DENSE_FLOATS * 8
 
 
+def test_validation_with_its_decay_fit_is_bounded_by_the_norms_and_four_buffers(examples_dir):
+    # the fit reads the norms in blocks; one lstsq per row on a (grid points
+    # x 2) design matrix took ~7.7 MB beyond the norms and times here
+    system = load_system(examples_dir / "planar_cubic.stab")
+    gain = synthesize(system)
+    horizon, dt = 0.2, 1e-6
+    tracemalloc.start()
+    try:
+        check = sim.verify_local_stability(system, gain, delta=0.05, samples=1,
+                                           horizon=horizon, dt=dt)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert check.passed and check.worst.certified
+    # with one sample, the times of the grid take as much as its stored norms
+    norms_bytes = (round(horizon / dt) + 1) * 8
+    assert peak <= 2 * norms_bytes + 4 * sim.DENSE_FLOATS * 8
+
+
 # --- stability certification --------------------------------------------
 
 def test_verify_planar_cubic(examples_dir):
@@ -402,7 +516,7 @@ def _dop853_reference(system, gain, delta, samples, horizon, dt):
     for x0 in x0s:
         states = _dop853_states(system, gain, x0, times)
         norms = np.linalg.norm(states - np.asarray(system.x_eq), axis=1)
-        alphas.append(sim._fit_decay(times, norms, 0.1).alpha_hat)
+        alphas.append(sim._fit_decays(times, norms[None], np.arange(1), 0.1)[0].alpha_hat)
     return alphas
 
 
