@@ -13,7 +13,7 @@ from .system import (
     load_system,
     parse_system,
 )
-from .verdict import AnalysisConfig, analyze, analyze_continuous, analyze_discrete
+from .verdict import AnalysisConfig, analyze
 
 __version__ = "0.1.0"
 
@@ -28,8 +28,6 @@ __all__ = [
     "UncontrollableError",
     "__version__",
     "analyze",
-    "analyze_continuous",
-    "analyze_discrete",
     "empirical_covering_modulus",
     "estimate_decay",
     "integrate_closed_loop",

@@ -126,12 +126,3 @@ def hautus_tests(
     full = all(full_rank(lam) for lam in _distinct(eigenvalues))
     return HautusResult(holds=not failures, failures=failures), full
 
-
-def hautus_asymptotic(a, b, profile: SpectralProfile, tol: float | None = None) -> HautusResult:
-    """Pencil rank test at every unstable eigenvalue; see :func:`hautus_tests`."""
-    return hautus_tests(a, b, profile.unstable, (), tol)[0]
-
-
-def hautus_full_spectrum(a, b, tol: float | None = None) -> bool:
-    """Pencil rank test at every eigenvalue; equivalent to Kalman rank n."""
-    return hautus_tests(a, b, (), tuple(spectrum(a)), tol)[1]

@@ -12,7 +12,9 @@ import numpy as np
 MAX_DIM = 50
 # cap on the floats one run stores (64 MiB): a trajectory's states, a
 # validation's norms, the covering search's grid and each of its distance
-# blocks, the affine span estimate's stack; every CLI default at n <= 50 fits
+# blocks, the affine span estimate's stack; every CLI default at n <= 50 fits.
+# A run's time grid, one float per grid point, is not counted, so a one-sample
+# validation holds up to twice the cap
 MAX_STORED_FLOATS = 1 << 23
 DEFAULT_RANK_SCALE = 1e-9
 

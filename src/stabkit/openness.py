@@ -65,28 +65,6 @@ def openness_report(lin, tol: float | None = None) -> OpennessReport:
     return OpennessReport(cov, reg, lip, rank, open_)
 
 
-def covering_bound(lin, tol: float | None = None) -> float:
-    """Smallest singular value of [A | B], floored to 0 when rank-deficient."""
-    return openness_report(lin, tol).cov_bound
-
-
-def regularity_bound(lin, tol: float | None = None) -> float:
-    """Reciprocal of the covering bound; +inf when the system is not open."""
-    return openness_report(lin, tol).reg_bound
-
-
-def lipschitz_bound(lin) -> float:
-    """Largest singular value of [A | B]."""
-    return openness_report(lin).lip_bound
-
-
-def shifted_covering_lower_bound(cov: float, nu: float) -> float:
-    """Covering bound surviving a perturbation of Lipschitz size nu."""
-    if nu < 0:
-        raise ValueError("perturbation size must be nonnegative")
-    return cov - nu
-
-
 # --- empirical covering search --------------------------------------------
 
 

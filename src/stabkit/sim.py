@@ -7,10 +7,11 @@ from its continuous extension (``_dp54``), discrete systems iterate the map
 (``_iterate``).  A runner stores only what its caller observes of the grid
 states: the states themselves for a trajectory, the distances ||x - x*||
 for validation.  Both share the grid check, whose cap MAX_STORED_FLOATS
-bounds memory, and the closed-loop field.  Distances are fitted in
-log space after a transient skip to certify an exponential envelope
-||x(t) - x*|| <= M ||x0 - x*|| exp(-alpha t).  All sampling is
-deterministic: initial conditions come from a Halton sequence pushed
+bounds the stored states or norms (the time grid adds one float per grid
+point, so one sample can hold twice the cap), and the closed-loop field.
+Distances are fitted in log space after a transient skip to certify an
+exponential envelope ||x(t) - x*|| <= M ||x0 - x*|| exp(-alpha t).  All
+sampling is deterministic: initial conditions come from a Halton sequence pushed
 through the inverse normal transform, on shells of radius delta, delta/2,
 delta/4 around x*.  The transform is a numpy port of the Cephes ndtri
 (Moshier 1989) that scipy ships, with its tail logarithms taken by math.log
@@ -150,7 +151,8 @@ def _time_grid(system: SystemSpec, horizon, dt, steps, floats_per_sample: int) -
     """The mode's sample times, checked to be positive and to fit MAX_STORED_FLOATS.
 
     ``floats_per_sample`` is what the caller stores per time: rows x n for
-    states, rows for norms.
+    states, rows for norms.  Only those count against the cap; the grid
+    returned adds one float per point, up to the cap again at one norm per time.
     """
     if system.mode == CONTINUOUS:
         # written so that NaN fails too
@@ -575,7 +577,8 @@ def verify_local_stability(
 
     Samples sit on shells of radius delta, delta/2 and delta/4 in Halton
     directions.  Passing requires every trajectory to stay finite and every
-    decay fit to certify; the reported min_alpha is the worst fitted rate.
+    decay fit to certify; the reported min_alpha is the worst fitted rate, or
+    -inf when a trajectory diverged, and ``worst`` is the slowest fit either way.
     Trajectories are advanced together (continuous ones with one shared
     adaptive step), so the aggregate is order-independent.
     """
@@ -596,17 +599,16 @@ def verify_local_stability(
     failures: list[tuple[float, ...]] = []
     worst: DecayFit | None = None
     worst_x0: tuple[float, ...] | None = None
-    min_alpha = math.inf
+    fitted_min = math.inf
     for i in range(samples):
         if diverged[i]:
             failures.append(tuple(x0s[i]))
-            min_alpha = -math.inf
             continue
         fit = next(fits)
         if not fit.certified:
             failures.append(tuple(x0s[i]))
-        if fit.alpha_hat < min_alpha:
-            min_alpha = fit.alpha_hat
+        if fit.alpha_hat < fitted_min:
+            fitted_min = fit.alpha_hat
             worst = fit
             worst_x0 = tuple(x0s[i])
     passed = not failures
@@ -614,7 +616,7 @@ def verify_local_stability(
         passed=passed,
         delta=delta,
         samples=samples,
-        min_alpha=min_alpha,
+        min_alpha=-math.inf if diverged.any() else fitted_min,
         worst=worst,
         worst_x0=worst_x0,
         failures=tuple(failures),

@@ -21,7 +21,7 @@ import numpy as np
 from .hautus import (
     TOL_CLASS,
     format_eigenvalue,
-    hautus_asymptotic,
+    hautus_tests,
     kalman_controllability_rank,
     kalman_matrix,
     spectral_profile,
@@ -77,10 +77,6 @@ def staircase_decompose(a, b, tol: float | None = None) -> Staircase:
     u, svals, _ = np.linalg.svd(kalman)
     dim = rank_from_singular_values(svals, kalman.shape, tol)
     return Staircase(transform=u, controllable_dim=dim)
-
-
-def closed_loop_spectrum(a, b, k) -> np.ndarray:
-    return spectrum(np.asarray(a, dtype=float) + np.asarray(b, dtype=float) @ np.asarray(k, dtype=float))
 
 
 def pole_match_error(achieved: Sequence[complex], desired: Sequence[complex]) -> float:
@@ -283,7 +279,7 @@ def synthesize(system: SystemSpec, poles: Sequence[complex] | None = None,
     """
     lin = jacobian(system)
     prof = spectral_profile(lin.a, system.mode, tol_class)
-    haut = hautus_asymptotic(lin.a, lin.b, prof, tol=tol)
+    haut = hautus_tests(lin.a, lin.b, prof.unstable, (), tol)[0]
     if not haut.holds:
         joined = ", ".join(format_eigenvalue(v) for v in haut.failures)
         raise UncontrollableError(f"uncontrollable unstable mode at lambda={joined}")

@@ -151,12 +151,7 @@ class Analysis:
     kalman_rank: int
     affine: AffineStructure
     verdict: Verdict
-    perturbation_margin: float
-
-
-def perturbation_margin(cov: float, profile: SpectralProfile) -> float:
-    """Lipschitz perturbation size the sufficiency margin can absorb."""
-    return cov - profile.eta
+    perturbation_margin: float  # Lipschitz perturbation size the sufficiency margin absorbs
 
 
 def _fire(rule: str, decision: str, evidence: dict) -> FiredRule:
@@ -336,17 +331,5 @@ def analyze(system: SystemSpec, config: AnalysisConfig | None = None) -> Analysi
         kalman_rank=kalman,
         affine=affine,
         verdict=verdict,
-        perturbation_margin=perturbation_margin(rep.cov_bound, prof),
+        perturbation_margin=rep.cov_bound - prof.eta,
     )
-
-
-def analyze_continuous(system: SystemSpec, config: AnalysisConfig | None = None) -> Verdict:
-    if system.mode != CONTINUOUS:
-        raise ValueError("analyze_continuous requires a continuous-mode system")
-    return analyze(system, config).verdict
-
-
-def analyze_discrete(system: SystemSpec, config: AnalysisConfig | None = None) -> Verdict:
-    if system.mode != DISCRETE:
-        raise ValueError("analyze_discrete requires a discrete-mode system")
-    return analyze(system, config).verdict

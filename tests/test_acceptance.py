@@ -18,8 +18,9 @@ from test_hautus import _random_pair
 from test_synthesis import _random_placement_case
 
 from stabkit import expr as ex
-from stabkit.hautus import hautus_full_spectrum, kalman_controllability_rank
-from stabkit.openness import covering_bound, empirical_covering_modulus, regularity_bound
+from stabkit.hautus import hautus_tests, kalman_controllability_rank
+from stabkit.linalg import spectrum
+from stabkit.openness import empirical_covering_modulus, openness_report
 from stabkit.sim import estimate_decay, integrate_closed_loop, iterate_closed_loop
 from stabkit.synthesis import place_poles, pole_match_error, synthesize
 from stabkit.system import Linearization, load_system, system_from_strings
@@ -104,10 +105,10 @@ def test_criterion_05_covering_regularity_reciprocity():
         n = int(rng.integers(1, 7))
         m = int(rng.integers(1, 4))
         lin = Linearization(rng.normal(size=(n, n)), rng.normal(size=(n, m)))
-        cov = covering_bound(lin)
-        if cov == 0.0:
+        rep = openness_report(lin)
+        if rep.cov_bound == 0.0:
             continue
-        worst = max(worst, abs(cov * regularity_bound(lin) - 1.0))
+        worst = max(worst, abs(rep.cov_bound * rep.reg_bound - 1.0))
         checked += 1
     assert worst <= 1e-12
     _announce(5, f"|cov*reg - 1| <= {worst:.2e} over 100 linearizations")
@@ -192,8 +193,8 @@ def test_criterion_09_hautus_kalman_equivalence():
         n = a.shape[0]
         kalman_full = kalman_controllability_rank(a, b) == n
         assert kalman_full == controllable
-        assert hautus_full_spectrum(a, b) == kalman_full
-    _announce(9, "hautus_full_spectrum == full Kalman rank on 200 pairs")
+        assert hautus_tests(a, b, (), spectrum(a))[1] == kalman_full
+    _announce(9, "full-spectrum Hautus == full Kalman rank on 200 pairs")
 
 
 def test_criterion_10_deterministic_reports(run_cli, examples_dir):

@@ -10,8 +10,6 @@ from stabkit import hautus
 from stabkit.hautus import (
     _distinct,
     format_eigenvalue,
-    hautus_asymptotic,
-    hautus_full_spectrum,
     hautus_tests,
     kalman_controllability_rank,
     spectral_profile,
@@ -75,19 +73,19 @@ def test_hautus_holds_on_controllable_fixtures(examples_dir):
     for name in ("planar_cubic", "three_state_mixed"):
         lin = jacobian(load_system(examples_dir / f"{name}.stab"))
         prof = spectral_profile(lin.a, "continuous")
-        result = hautus_asymptotic(lin.a, lin.b, prof)
+        result, full = hautus_tests(lin.a, lin.b, prof.unstable, prof.eigenvalues)
         assert result.holds
         assert result.failures == ()
-        assert hautus_full_spectrum(lin.a, lin.b)
+        assert full
 
 
 def test_hautus_fails_at_unreachable_unstable_mode(examples_dir):
     lin = jacobian(load_system(examples_dir / "unstable_drift.stab"))
     prof = spectral_profile(lin.a, "continuous")
-    result = hautus_asymptotic(lin.a, lin.b, prof)
+    result, full = hautus_tests(lin.a, lin.b, prof.unstable, prof.eigenvalues)
     assert not result.holds
     assert any(abs(v - 1.0) <= 1e-9 for v in result.failures)
-    assert not hautus_full_spectrum(lin.a, lin.b)
+    assert not full
     # the stable direction is still reachable, so the Kalman rank is 1
     assert kalman_controllability_rank(lin.a, lin.b) == 1
 
@@ -129,7 +127,7 @@ def test_full_spectrum_hautus_equals_kalman():
         a, b, controllable = _random_pair(rng, controllable=trial % 2 == 0)
         n = a.shape[0]
         assert (kalman_controllability_rank(a, b) == n) == controllable
-        assert hautus_full_spectrum(a, b) == controllable
+        assert hautus_tests(a, b, (), spectrum(a))[1] == controllable
 
 
 def test_full_spectrum_implies_asymptotic():
@@ -137,7 +135,7 @@ def test_full_spectrum_implies_asymptotic():
     for _ in range(40):
         a, b, _ = _random_pair(rng, controllable=True)
         prof = spectral_profile(a, "continuous")
-        assert hautus_asymptotic(a, b, prof).holds
+        assert hautus_tests(a, b, prof.unstable, ())[0].holds
 
 
 def _separate_hautus_tests(a, b, prof):
@@ -164,9 +162,6 @@ def test_shared_pencil_ranks_match_the_separate_tests():
         haut, full = hautus_tests(a, b, prof.unstable, prof.eigenvalues)
         assert (haut.failures, full) == _separate_hautus_tests(a, b, prof)
         assert haut.holds == (not haut.failures)
-        if a.shape[0] < 10:  # the readers on the small pairs only, to keep this quick
-            assert hautus_asymptotic(a, b, prof) == haut
-            assert hautus_full_spectrum(a, b) == full
         outcomes.add((haut.holds, full))
     # both tests pass and fail somewhere on these pairs
     assert outcomes == {(True, True), (True, False), (False, False)}

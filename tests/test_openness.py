@@ -10,12 +10,8 @@ from perfbench import gen, workloads
 from stabkit import openness
 from stabkit.openness import (
     CoveringGrid,
-    covering_bound,
     empirical_covering_modulus,
-    lipschitz_bound,
     openness_report,
-    regularity_bound,
-    shifted_covering_lower_bound,
 )
 from stabkit.system import Linearization, jacobian, load_system, parse_system, system_from_strings
 
@@ -24,23 +20,23 @@ THREE_STATE_REG = 1.6274191002440714
 THREE_STATE_LIP = 1.6194211432384584
 
 
-def test_covering_bound_three_state(examples_dir):
-    lin = jacobian(load_system(examples_dir / "three_state_mixed.stab"))
-    assert covering_bound(lin) == pytest.approx(THREE_STATE_COV, abs=1e-12)
-    assert regularity_bound(lin) == pytest.approx(THREE_STATE_REG, abs=1e-12)
-    assert lipschitz_bound(lin) == pytest.approx(THREE_STATE_LIP, abs=1e-12)
+def test_cov_bound_three_state(examples_dir):
+    rep = openness_report(jacobian(load_system(examples_dir / "three_state_mixed.stab")))
+    assert rep.cov_bound == pytest.approx(THREE_STATE_COV, abs=1e-12)
+    assert rep.reg_bound == pytest.approx(THREE_STATE_REG, abs=1e-12)
+    assert rep.lip_bound == pytest.approx(THREE_STATE_LIP, abs=1e-12)
 
 
-def test_covering_bound_planar(examples_dir):
+def test_cov_bound_planar(examples_dir):
     lin = jacobian(load_system(examples_dir / "planar_cubic.stab"))
-    assert covering_bound(lin) == pytest.approx(1.0, abs=1e-12)
+    assert openness_report(lin).cov_bound == pytest.approx(1.0, abs=1e-12)
 
 
 def test_rank_deficient_floors_to_zero():
     lin = Linearization(np.zeros((2, 2)), np.array([[1.0], [0.0]]))
-    assert covering_bound(lin) == 0.0
-    assert regularity_bound(lin) == math.inf
     rep = openness_report(lin)
+    assert rep.cov_bound == 0.0
+    assert rep.reg_bound == math.inf
     assert not rep.linearly_open
     assert rep.jacobian_rank == 1
 
@@ -51,10 +47,10 @@ def test_reciprocity_on_random_full_rank():
         n = int(rng.integers(1, 7))
         m = int(rng.integers(1, 4))
         lin = Linearization(rng.normal(size=(n, n)), rng.normal(size=(n, m)))
-        cov = covering_bound(lin)
-        if cov == 0.0:
+        rep = openness_report(lin)
+        if rep.cov_bound == 0.0:
             continue
-        assert abs(cov * regularity_bound(lin) - 1.0) <= 1e-12
+        assert abs(rep.cov_bound * rep.reg_bound - 1.0) <= 1e-12
 
 
 def test_openness_report_fields(examples_dir):
@@ -64,16 +60,6 @@ def test_openness_report_fields(examples_dir):
     assert rep.jacobian_rank == 3
     assert rep.cov_bound == pytest.approx(THREE_STATE_COV, abs=1e-12)
     assert rep.reg_bound == pytest.approx(1.0 / rep.cov_bound, abs=1e-12)
-
-
-def test_shifted_lower_bound():
-    assert shifted_covering_lower_bound(1.0, 0.3) == pytest.approx(0.7)
-    assert shifted_covering_lower_bound(1.0, 1.0) == pytest.approx(0.0)
-    assert shifted_covering_lower_bound(THREE_STATE_COV, 0.31622776601683794) == pytest.approx(
-        0.2982421021628003, abs=1e-12
-    )
-    with pytest.raises(ValueError):
-        shifted_covering_lower_bound(1.0, -0.1)
 
 
 def test_empirical_cubic_sweep(examples_dir):
@@ -101,7 +87,7 @@ def test_empirical_matches_linear_bound_within_ten_percent():
     spec = system_from_strings(
         "continuous", ["0.3*x1 - 0.2*x2 + 0.5*u1", "0.4*x1 + 0.1*x2"], m=1
     )
-    cov = covering_bound(jacobian(spec))
+    cov = openness_report(jacobian(spec)).cov_bound
     fine = CoveringGrid(axis_points=21, directions=64)
     kappa = empirical_covering_modulus(spec, radius=0.1, grid=fine)
     assert abs(kappa - cov) <= 0.1 * cov

@@ -495,6 +495,20 @@ def test_verify_reports_failures():
     assert len(check.failures) == 6
 
 
+def test_a_diverged_start_leaves_the_slowest_fit_as_worst():
+    # x1' = x1^2 - x1 escapes from x1 > 1, so the first start (1.5) diverges
+    sys = system_from_strings("continuous", ["x1^2 + u1"], m=1)
+    check = sim.verify_local_stability(sys, ["-x1"], delta=1.5, samples=6)
+    assert check.failures == ((1.5,),)
+    assert check.min_alpha == -math.inf
+    alphas = {}
+    for x0 in sim._initial_states(sys, 1.5, 6)[1:]:
+        traj = sim.integrate_closed_loop(sys, ["-x1"], x0, horizon=20.0, dt=1e-3)
+        alphas[tuple(x0)] = sim.estimate_decay(traj).alpha_hat
+    assert check.worst_x0 == min(alphas, key=alphas.get) == (0.75,)
+    assert check.worst.alpha_hat == pytest.approx(alphas[(0.75,)], rel=1e-8)
+
+
 def _dop853_states(system, gain, x0, times):
     """States of the closed loop on ``times`` from a tight DOP853 solve."""
     fb = sim.make_feedback(system, gain)

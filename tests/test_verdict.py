@@ -16,8 +16,6 @@ from stabkit.verdict import (
     RULE_CITATIONS,
     AnalysisConfig,
     analyze,
-    analyze_continuous,
-    analyze_discrete,
 )
 
 # frozen pipeline outputs for the bundled three-state example
@@ -262,17 +260,6 @@ def test_spectrum_rule_implies_controllability_flags(examples_dir):
         assert "R3" in _rules(a)
         assert a.verdict.flags.small_time_locally_controllable is True
         assert a.verdict.flags.linearized_controllable
-
-
-def test_mode_guards():
-    cont = system_from_strings("continuous", ["u1"], m=1)
-    disc = system_from_strings("discrete", ["u1"], m=1)
-    assert analyze_continuous(cont).decision == EXP_STABILIZABLE_CONT_FEEDBACK
-    assert analyze_discrete(disc).decision == ASY_STABILIZABLE_CONT_FEEDBACK
-    with pytest.raises(ValueError, match="continuous-mode"):
-        analyze_continuous(disc)
-    with pytest.raises(ValueError, match="discrete-mode"):
-        analyze_discrete(cont)
 
 
 def test_analyze_compiles_no_field(examples_dir):
