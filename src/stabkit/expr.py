@@ -176,127 +176,127 @@ def div(a: Expr, b: Expr) -> Expr:
     return BinOp("/", a, b)
 
 
-# --- tokenizer ------------------------------------------------------------
+# --- tokenizer and parser -------------------------------------------------
 
-_NUMBER = r"\d+(?:\.\d+)?(?:[eE][+-]?\d+)?"
-_TOKEN_RE = re.compile(
-    rf"(?P<num>{_NUMBER})|(?P<name>[A-Za-z][A-Za-z0-9]*)|(?P<op>[-+*/^()])|(?P<ws>\s+)|(?P<bad>.)"
-)
-_VAR_RE = re.compile(r"([xu])([0-9]+)\Z")
+_NUMBER = r"[0-9]+(?:\.[0-9]+)?(?:[eE][+-]?[0-9]+)?"
+# one token per match, its leading whitespace folded in; any other character
+# is a token of its own, which the parser rejects as unexpected
+_TOKEN_RE = re.compile(rf"\s*({_NUMBER}|[A-Za-z][A-Za-z0-9]*|\S)")
+_DIGITS = frozenset("0123456789")
+_LETTERS = frozenset("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ")
+_TOKEN_STARTS = _DIGITS | _LETTERS | frozenset("+-*/^()")
+# shared leaves for x1..x50 and u1..u50; a larger index gets a node of its own
+_VARIABLES = {f"{name}{i}": kind(i) for name, kind in (("x", StateVar), ("u", ControlVar))
+              for i in range(1, 51)}
 
-_Token = tuple[str, str, int]
+
+class _Unparsed(Exception):
+    """A parse error at a token index, located in the text by parse_expr."""
 
 
-def _tokenize(text: str) -> list[_Token]:
-    tokens: list[_Token] = []
-    for match in _TOKEN_RE.finditer(text):
-        kind = match.lastgroup
-        if kind == "ws":
+def _parse(tokens: list[str]) -> Expr:
+    # One pass over the tokens, left to right, with the recursive-descent
+    # grammar's precedence kept as state: a pending sum, a pending product, a
+    # base awaiting its exponent and a count of unary minuses.  A "(" or a
+    # call saves that state on a stack, so nesting costs no stack frames.
+    stack: list[tuple] = []
+    call = sum_op = sum_lhs = prod_op = prod_lhs = power = power_at = None
+    negs = i = 0
+    while True:
+        tok = tokens[i]
+        i += 1
+        if tok in _VARIABLES:
+            node = _VARIABLES[tok]
+        elif tok[:1] in _DIGITS:
+            value = float(tok)
+            if value == math.inf:
+                raise _Unparsed("number out of range", i - 1)
+            node = Const(value)
+        elif tok == "-":
+            negs += 1
             continue
-        if kind == "bad":
-            raise ParseError(f"unexpected character {match.group()!r}", match.start())
-        tokens.append((kind, match.group(), match.start()))
-    tokens.append(("end", "", len(text)))
-    return tokens
-
-
-# --- parser ---------------------------------------------------------------
-
-
-class _Parser:
-    def __init__(self, tokens: list[_Token]):
-        self.tokens = tokens
-        self.pos = 0
-
-    def peek(self) -> _Token:
-        return self.tokens[self.pos]
-
-    def advance(self) -> _Token:
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
-    def at_op(self, *ops: str) -> bool:
-        kind, text, _ = self.peek()
-        return kind == "op" and text in ops
-
-    def expect_op(self, op: str) -> None:
-        kind, text, offset = self.peek()
-        if kind != "op" or text != op:
-            shown = text if text else "end of input"
-            raise ParseError(f"expected {op!r}, found {shown!r}", offset)
-        self.advance()
-
-    def parse(self) -> Expr:
-        node = self.expr()
-        kind, text, offset = self.peek()
-        if kind != "end":
-            raise ParseError(f"unexpected token {text!r}", offset)
-        return node
-
-    def expr(self) -> Expr:
-        node = self.term()
-        while self.at_op("+", "-"):
-            op = self.advance()[1]
-            node = BinOp(op, node, self.term())
-        return node
-
-    def term(self) -> Expr:
-        node = self.factor()
-        while self.at_op("*", "/"):
-            op = self.advance()[1]
-            node = BinOp(op, node, self.factor())
-        return node
-
-    def factor(self) -> Expr:
-        node = self.base()
-        if self.at_op("^"):
-            self.advance()
-            _, _, offset = self.peek()
-            exponent = self.base()
-            if not isinstance(exponent, Const):
-                raise ParseError("exponent must be a numeric constant", offset)
-            node = Pow(node, exponent.value)
-        return node
-
-    def base(self) -> Expr:
-        kind, text, offset = self.advance()
-        if kind == "num":
-            value = float(text)
-            if math.isinf(value):
-                raise ParseError("number out of range", offset)
-            return Const(value)
-        if kind == "name":
-            if text in FUNCTIONS:
-                self.expect_op("(")
-                arg = self.expr()
-                self.expect_op(")")
-                return Call(text, arg)
-            match = _VAR_RE.match(text)
-            if match:
-                index = int(match.group(2))
-                if index == 0:
-                    raise ParseError("variable indices start at 1", offset)
-                return StateVar(index) if match.group(1) == "x" else ControlVar(index)
-            raise ParseError(f"unknown identifier {text!r}", offset)
-        if kind == "op" and text == "(":
-            node = self.expr()
-            self.expect_op(")")
-            return node
-        if kind == "op" and text == "-":
-            inner = self.base()
-            # fold so that "-2" means the constant -2, not Neg(Const(2))
-            return Const(-inner.value) if isinstance(inner, Const) else Neg(inner)
-        shown = text if text else "end of input"
-        raise ParseError(f"expected a number, variable, function or '(', found {shown!r}", offset)
+        elif tok == "(" or tok in FUNCTIONS:
+            if tok != "(":
+                if tokens[i] != "(":
+                    raise _Unparsed(f"expected '(', found {tokens[i] or 'end of input'!r}", i)
+                i += 1
+            stack.append((call, sum_op, sum_lhs, prod_op, prod_lhs, power, power_at, negs))
+            call = tok
+            sum_op = prod_op = power = None
+            negs = 0
+            continue
+        elif tok[:1] in _LETTERS:
+            if tok[0] not in "xu" or not tok[1:].isdigit():
+                raise _Unparsed(f"unknown identifier {tok!r}", i - 1)
+            index = int(tok[1:])
+            if index == 0:
+                raise _Unparsed("variable indices start at 1", i - 1)
+            node = StateVar(index) if tok[0] == "x" else ControlVar(index)
+        else:
+            raise _Unparsed("expected a number, variable, function or '(', "
+                            f"found {tok or 'end of input'!r}", i - 1)
+        while True:  # node is a complete base
+            while negs:
+                # fold so that "-2" means the constant -2, not Neg(Const(2))
+                node = Const(-node.value) if type(node) is Const else Neg(node)
+                negs -= 1
+            tok = tokens[i]
+            if power is not None:
+                if type(node) is not Const:
+                    raise _Unparsed("exponent must be a numeric constant", power_at)
+                node = Pow(power, node.value)
+                power = None
+            elif tok == "^":
+                power, power_at = node, i + 1
+                i += 1
+                break
+            if prod_op is not None:
+                node = BinOp(prod_op, prod_lhs, node)
+                prod_op = None
+            if tok == "*" or tok == "/":
+                prod_op, prod_lhs = tok, node
+                i += 1
+                break
+            if sum_op is not None:
+                node = BinOp(sum_op, sum_lhs, node)
+                sum_op = None
+            if tok == "+" or tok == "-":
+                sum_op, sum_lhs = tok, node
+                i += 1
+                break
+            if not stack:
+                if tok:
+                    raise _Unparsed(f"unexpected token {tok!r}", i)
+                return node
+            if tok != ")":
+                raise _Unparsed(f"expected ')', found {tok or 'end of input'!r}", i)
+            i += 1
+            if call != "(":
+                node = Call(call, node)
+            call, sum_op, sum_lhs, prod_op, prod_lhs, power, power_at, negs = stack.pop()
 
 
 def parse_expr(text: str) -> Expr:
     """Parse expression text into an AST, with offsets in error messages."""
-    tokens = _tokenize(text)
-    if tokens[0][0] == "end":
+    # without endpos, each trailing space would start a match that fails at the end
+    end = len(text.rstrip())
+    tokens = _TOKEN_RE.findall(text, 0, end)
+    if not tokens:
         raise ParseError("empty expression", 0)
-    return _Parser(tokens).parse()
+    tokens.append("")  # end of input
+    try:
+        return _parse(tokens)
+    except _Unparsed as err:
+        message, index = err.args
+    # the whole text is tokenized before it is parsed: its first unexpected
+    # character is the error, wherever the parse stopped
+    starts = []
+    for match in _TOKEN_RE.finditer(text, 0, end):
+        if match.group(1)[0] not in _TOKEN_STARTS:
+            raise ParseError(f"unexpected character {match.group(1)!r}", match.start(1))
+        starts.append(match.start(1))
+    starts.append(len(text))
+    raise ParseError(message, starts[index])
 
 
 # --- evaluation -----------------------------------------------------------
@@ -322,15 +322,8 @@ def _pow_value(v: float, p: float) -> float:
 
 def eval_expr(e: Expr, x: Sequence[float], u: Sequence[float]) -> float:
     """Evaluate at a single point; raises :class:`EvalError` on singularities."""
-    if isinstance(e, Const):
-        return e.value
-    if isinstance(e, StateVar):
-        return float(x[e.index - 1])
-    if isinstance(e, ControlVar):
-        return float(u[e.index - 1])
-    if isinstance(e, Neg):
-        return -eval_expr(e.arg, x, u)
-    if isinstance(e, BinOp):
+    kind = type(e)
+    if kind is BinOp:
         a = eval_expr(e.lhs, x, u)
         b = eval_expr(e.rhs, x, u)
         if e.op == "+":
@@ -342,14 +335,22 @@ def eval_expr(e: Expr, x: Sequence[float], u: Sequence[float]) -> float:
         if b == 0.0:
             raise EvalError("division by zero")
         return a / b
-    if isinstance(e, Pow):
+    if kind is Const:
+        return e.value
+    if kind is StateVar:
+        return float(x[e.index - 1])
+    if kind is Pow:
         return _pow_value(eval_expr(e.base, x, u), e.exponent)
-    if isinstance(e, Call):
+    if kind is Call:
         v = eval_expr(e.arg, x, u)
         try:
             return _SCALAR_FUNCS[e.func](v)
         except OverflowError:
             raise EvalError(f"overflow in {e.func}") from None
+    if kind is Neg:
+        return -eval_expr(e.arg, x, u)
+    if kind is ControlVar:
+        return float(u[e.index - 1])
     raise TypeError(f"not an expression node: {e!r}")
 
 
@@ -368,16 +369,8 @@ def eval_tangent(
     the same arithmetic, bit for bit, so one walk yields a Jacobian row
     (vector forward mode, Griewank & Walther, *Evaluating Derivatives*, ch. 3).
     """
-    if isinstance(e, Const):
-        return e.value, 0.0
-    if isinstance(e, StateVar):
-        return float(x[e.index - 1]), tx[e.index - 1]
-    if isinstance(e, ControlVar):
-        return float(u[e.index - 1]), tu[e.index - 1]
-    if isinstance(e, Neg):
-        v, dv = eval_tangent(e.arg, x, u, tx, tu)
-        return -v, -dv
-    if isinstance(e, BinOp):
+    kind = type(e)
+    if kind is BinOp:
         a, da = eval_tangent(e.lhs, x, u, tx, tu)
         b, db = eval_tangent(e.rhs, x, u, tx, tu)
         if e.op == "+":
@@ -389,7 +382,11 @@ def eval_tangent(
         if b * b == 0.0:  # b = 0, or so small that the derivative's b^2 underflows
             raise EvalError("division by zero")
         return a / b, (da * b - a * db) / (b * b)
-    if isinstance(e, Pow):
+    if kind is Const:
+        return e.value, 0.0
+    if kind is StateVar:
+        return float(x[e.index - 1]), tx[e.index - 1]
+    if kind is Pow:
         v, dv = eval_tangent(e.base, x, u, tx, tu)
         p = e.exponent
         value = _pow_value(v, p)
@@ -398,7 +395,7 @@ def eval_tangent(
         if v == 0.0 and p < 1.0:
             raise EvalError("power is not differentiable at zero base")
         return value, p * _pow_value(v, p - 1.0) * dv
-    if isinstance(e, Call):
+    if kind is Call:
         v, dv = eval_tangent(e.arg, x, u, tx, tu)
         try:
             if e.func == "sin":
@@ -412,6 +409,11 @@ def eval_tangent(
             return th, (1.0 - th * th) * dv
         except OverflowError:
             raise EvalError(f"overflow in {e.func}") from None
+    if kind is Neg:
+        v, dv = eval_tangent(e.arg, x, u, tx, tu)
+        return -v, -dv
+    if kind is ControlVar:
+        return float(u[e.index - 1]), tu[e.index - 1]
     raise TypeError(f"not an expression node: {e!r}")
 
 
@@ -426,35 +428,27 @@ def _fmt_number(v: float) -> str:
     return repr(v)
 
 
-def _level(e: Expr) -> int:
-    if isinstance(e, BinOp):
-        return _ADD_LEVEL if e.op in "+-" else _MUL_LEVEL
-    if isinstance(e, Pow):
-        return _POW_LEVEL
-    return _BASE_LEVEL
-
-
 def _fmt(e: Expr, context: int) -> str:
-    if isinstance(e, Const):
-        text = _fmt_number(e.value)
-    elif isinstance(e, StateVar):
-        text = f"x{e.index}"
-    elif isinstance(e, ControlVar):
-        text = f"u{e.index}"
-    elif isinstance(e, Neg):
-        text = f"-{_fmt(e.arg, _BASE_LEVEL)}"
-    elif isinstance(e, BinOp):
-        own = _level(e)
+    # base-level nodes never need parentheses: no context exceeds _BASE_LEVEL
+    kind = type(e)
+    if kind is BinOp:
+        own = _ADD_LEVEL if e.op in "+-" else _MUL_LEVEL
         text = f"{_fmt(e.lhs, own)} {e.op} {_fmt(e.rhs, own + 1)}"
-    elif isinstance(e, Pow):
+        return f"({text})" if own < context else text
+    if kind is Const:
+        return _fmt_number(e.value)
+    if kind is StateVar:
+        return f"x{e.index}"
+    if kind is Pow:
         text = f"{_fmt(e.base, _BASE_LEVEL)}^{_fmt_number(e.exponent)}"
-    elif isinstance(e, Call):
-        text = f"{e.func}({_fmt(e.arg, _ADD_LEVEL)})"
-    else:
-        raise TypeError(f"not an expression node: {e!r}")
-    if _level(e) < context:
-        return f"({text})"
-    return text
+        return f"({text})" if _POW_LEVEL < context else text
+    if kind is Call:
+        return f"{e.func}({_fmt(e.arg, _ADD_LEVEL)})"
+    if kind is Neg:
+        return f"-{_fmt(e.arg, _BASE_LEVEL)}"
+    if kind is ControlVar:
+        return f"u{e.index}"
+    raise TypeError(f"not an expression node: {e!r}")
 
 
 def unparse(e: Expr) -> str:
@@ -470,37 +464,59 @@ def iter_nodes(e: Expr) -> Iterator[Expr]:
     while stack:
         node = stack.pop()
         yield node
-        if isinstance(node, Neg):
+        kind = type(node)
+        if kind is BinOp:
+            stack += node.lhs, node.rhs
+        elif kind is Neg or kind is Call:
             stack.append(node.arg)
-        elif isinstance(node, BinOp):
-            stack.append(node.lhs)
-            stack.append(node.rhs)
-        elif isinstance(node, Pow):
+        elif kind is Pow:
             stack.append(node.base)
-        elif isinstance(node, Call):
-            stack.append(node.arg)
 
 
 def max_indices(e: Expr) -> tuple[int, int]:
     """Largest state and control indices referenced by the expression."""
     max_x = max_u = 0
-    for node in iter_nodes(e):
-        if isinstance(node, StateVar):
-            max_x = max(max_x, node.index)
-        elif isinstance(node, ControlVar):
-            max_u = max(max_u, node.index)
+    stack = [e]
+    while stack:
+        node = stack.pop()
+        kind = type(node)
+        if kind is BinOp:
+            stack += node.lhs, node.rhs
+        elif kind is StateVar:
+            if node.index > max_x:
+                max_x = node.index
+        elif kind is Neg or kind is Call:
+            stack.append(node.arg)
+        elif kind is Pow:
+            stack.append(node.base)
+        elif kind is ControlVar:
+            if node.index > max_u:
+                max_u = node.index
     return max_x, max_u
 
+
 def uses_control(e: Expr) -> bool:
-    return any(isinstance(node, ControlVar) for node in iter_nodes(e))
+    stack = [e]
+    while stack:
+        node = stack.pop()
+        kind = type(node)
+        if kind is BinOp:
+            stack += node.lhs, node.rhs
+        elif kind is Neg or kind is Call:
+            stack.append(node.arg)
+        elif kind is Pow:
+            stack.append(node.base)
+        elif kind is ControlVar:
+            return True
+    return False
 
 
 def is_c1_everywhere(e: Expr) -> bool:
     """True when no division or fractional power can break differentiability."""
     for node in iter_nodes(e):
-        if isinstance(node, BinOp) and node.op == "/":
+        if type(node) is BinOp and node.op == "/":
             return False
-        if isinstance(node, Pow) and not (float(node.exponent).is_integer() and node.exponent >= 0):
+        if type(node) is Pow and not (float(node.exponent).is_integer() and node.exponent >= 0):
             return False
     return True
 

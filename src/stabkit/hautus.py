@@ -11,12 +11,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cache
 
 import numpy as np
 
 from .linalg import complex_pencil_rank, numerical_rank, spectrum
-from .system import CONTINUOUS, DISCRETE
+from .system import CONTINUOUS, DISCRETE, Linearization
 
 TOL_CLASS = 1e-8
 
@@ -105,7 +104,7 @@ def kalman_controllability_rank(a, b, tol: float | None = None) -> int:
 
 
 def hautus_tests(
-    a, b, unstable, eigenvalues, tol: float | None = None
+    lin: Linearization, unstable, eigenvalues, tol: float | None = None
 ) -> tuple[HautusResult, bool]:
     """Both Hautus tests, ranking [A - lam I | B] once per distinct eigenvalue.
 
@@ -115,14 +114,21 @@ def hautus_tests(
     whole spectrum it is equivalent to Kalman rank n.  Each pencil is ranked
     as a complex matrix under the cutoff every other rank uses, so at lam = 0
     the test agrees with the openness rank of [A | B].
-    """
-    n = np.shape(a)[0]
 
-    @cache
+    A and B are real, so a conjugate pair shares one rank, taken at its member
+    with imag >= 0 and kept on ``lin`` with the tol: ``synthesize`` reuses the
+    ranks ``analyze`` took on the same system.
+    """
+    n = lin.a.shape[0]
+    ranks = lin._pencil_ranks
+
     def full_rank(lam: complex) -> bool:
-        return complex_pencil_rank(a, lam, b, tol) == n
+        key = (lam if lam.imag >= 0 else lam.conjugate(), tol)
+        rank = ranks.get(key)
+        if rank is None:
+            rank = ranks[key] = complex_pencil_rank(lin.a, key[0], lin.b, tol)
+        return rank == n
 
     failures = tuple(lam for lam in _distinct(unstable) if not full_rank(lam))
     full = all(full_rank(lam) for lam in _distinct(eigenvalues))
     return HautusResult(holds=not failures, failures=failures), full
-

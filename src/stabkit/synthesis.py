@@ -279,7 +279,7 @@ def synthesize(system: SystemSpec, poles: Sequence[complex] | None = None,
     """
     lin = jacobian(system)
     prof = spectral_profile(lin.a, system.mode, tol_class)
-    haut = hautus_tests(lin.a, lin.b, prof.unstable, (), tol)[0]
+    haut = hautus_tests(lin, prof.unstable, (), tol)[0]
     if not haut.holds:
         joined = ", ".join(format_eigenvalue(v) for v in haut.failures)
         raise UncontrollableError(f"uncontrollable unstable mode at lambda={joined}")

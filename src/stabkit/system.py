@@ -241,6 +241,11 @@ class Linearization:
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
 
+    @cached_property
+    def _pencil_ranks(self) -> dict[tuple[complex, float | None], int]:
+        """Ranks of [A - lam I | B] by (lam with imag >= 0, tol), kept by hautus_tests."""
+        return {}
+
     @property
     def augmented(self) -> np.ndarray:
         """The stacked matrix [A | B] whose smallest singular value matters."""
@@ -276,18 +281,14 @@ def jacobian(system: SystemSpec, x: Sequence[float] | None = None,
 def _affine_parts(e: ex.Expr, m: int) -> list[ex.Expr] | None:
     """Split e into [c0, c1, ..., cm] with e = c0 + sum ci * ui, or None."""
     zero = ex.Const(0.0)
-    if isinstance(e, ex.ControlVar):
+    kind = type(e)
+    if kind is ex.ControlVar:
         parts = [zero] * (m + 1)
         parts[e.index] = ex.Const(1.0)
         return parts
     if not ex.uses_control(e):
         return [e] + [zero] * m
-    if isinstance(e, ex.Neg):
-        inner = _affine_parts(e.arg, m)
-        if inner is None:
-            return None
-        return [ex.neg(p) for p in inner]
-    if isinstance(e, ex.BinOp):
+    if kind is ex.BinOp:
         if e.op in "+-":
             left = _affine_parts(e.lhs, m)
             right = _affine_parts(e.rhs, m)
@@ -313,7 +314,12 @@ def _affine_parts(e: ex.Expr, m: int) -> list[ex.Expr] | None:
                 return None
             return [ex.div(p, e.rhs) for p in inner]
         return None
-    if isinstance(e, ex.Pow) and e.exponent == 1.0:
+    if kind is ex.Neg:
+        inner = _affine_parts(e.arg, m)
+        if inner is None:
+            return None
+        return [ex.neg(p) for p in inner]
+    if kind is ex.Pow and e.exponent == 1.0:
         return _affine_parts(e.base, m)
     return None
 

@@ -270,7 +270,7 @@ def analyze(system: SystemSpec, config: AnalysisConfig | None = None) -> Analysi
     lin = jacobian(system)
     rep = openness_report(lin, tol=cfg.tol_rank)
     prof = spectral_profile(lin.a, system.mode, tol_class=cfg.tol_class)
-    haut, full = hautus_tests(lin.a, lin.b, prof.unstable, prof.eigenvalues, tol=cfg.tol_rank)
+    haut, full = hautus_tests(lin, prof.unstable, prof.eigenvalues, tol=cfg.tol_rank)
     kalman = kalman_controllability_rank(lin.a, lin.b, tol=cfg.tol_rank)
     affine = _affine_structure(system, cfg)
 

@@ -193,7 +193,7 @@ def test_criterion_09_hautus_kalman_equivalence():
         n = a.shape[0]
         kalman_full = kalman_controllability_rank(a, b) == n
         assert kalman_full == controllable
-        assert hautus_tests(a, b, (), spectrum(a))[1] == kalman_full
+        assert hautus_tests(Linearization(a, b), (), spectrum(a))[1] == kalman_full
     _announce(9, "full-spectrum Hautus == full Kalman rank on 200 pairs")
 
 

@@ -1,5 +1,6 @@
 """Expression language: parsing, evaluation, differentiation, batch evaluation."""
 
+import hashlib
 import math
 import warnings
 
@@ -8,7 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from perfbench.workloads import cold_cli_systems, large_systems, validate_systems
 from stabkit import expr as ex
+from stabkit.system import parse_system
 
 FD_STEP = 1e-5
 FD_REL_TOL = 1e-6
@@ -29,6 +32,9 @@ def test_unary_minus_folds_into_literals_only():
 
 def test_whitespace_insignificant():
     assert ex.parse_expr(" x1 ^ 3+ x2 ") == ex.parse_expr("x1^3+x2")
+    # trailing spaces and newlines, tabs, and Unicode spaces such as U+00A0
+    for text in ("x1 + x2   ", "x1 + x2\n", "x1\t+\nx2", "x1\xa0+\xa0x2"):
+        assert ex.parse_expr(text) == ex.BinOp("+", ex.StateVar(1), ex.StateVar(2))
 
 
 @pytest.mark.parametrize(
@@ -51,6 +57,21 @@ def test_round_trip(text):
     assert ex.parse_expr(ex.unparse(tree)) == tree
 
 
+def test_unparsed_components_of_examples_and_generated_draws_are_pinned(examples_dir):
+    # sha256 of unparse(parse_expr(c)) over every component c of the examples
+    # and of the seed 0-1 generator draws, one line each, as the recursive-
+    # descent parser of commit 0b8086c gave it.  Float repr is the same on
+    # every platform, so the hash is too
+    texts = [path.read_text() for path in sorted(examples_dir.glob("*.stab"))]
+    texts += [g.text for seed in (0, 1)
+              for draws in (large_systems, cold_cli_systems, validate_systems)
+              for g in draws(seed, False)]
+    lines = [ex.unparse(c) for text in texts for c in parse_system(text).components]
+    assert len(lines) == 1512
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == (
+        "fd35c08c37e865ef34c0828288911de79d2cca8db559a8b4805feadae7129a50")
+
+
 def test_unparse_known_strings():
     assert ex.unparse(ex.parse_expr("-(x1+u1)*x2")) == "-(x1 + u1) * x2"
     assert ex.unparse(ex.parse_expr("sin(x1)^2*cos(u1)")) == "sin(x1)^2 * cos(u1)"
@@ -70,6 +91,17 @@ def test_unparse_known_strings():
         ("x0", "indices start at 1", None),
         ("1e999", "number out of range", 0),
         ("x1 + u1 + 1e999 - 1e999", "number out of range", 10),
+        # offsets count whitespace: trailing, and before a token after a tab or newline
+        ("x1 x2  \n", "unexpected token 'x2'", 3),
+        ("(x1\n", "expected ')', found 'end of input'", 4),
+        ("x1 +   ", "found 'end of input'", 7),
+        ("x1 +\tx0", "indices start at 1", 5),
+        ("x1\n x2", "unexpected token 'x2'", 4),
+        # the whole text is tokenized first, so a bad character wins over an earlier error
+        ("x1 + * $", "unexpected character '$'", 7),
+        ("sin x1", "expected '(', found 'x1'", 4),
+        # a number is ASCII digits only: U+0663 (Arabic-Indic three) is not one
+        ("\u0663*x1", "unexpected character '\u0663'", 0),
     ],
 )
 def test_parse_errors(text, message_part, offset):

@@ -15,8 +15,9 @@ from stabkit.hautus import (
     spectral_profile,
 )
 from stabkit.linalg import complex_pencil_rank, spectrum
-from stabkit.system import jacobian, load_system, parse_system
-from stabkit.verdict import analyze
+from stabkit.system import Linearization, jacobian, load_system, parse_system
+from stabkit.synthesis import PlacementError, UncontrollableError, synthesize
+from stabkit.verdict import AnalysisConfig, analyze
 
 SQRT_TENTH = 0.31622776601683794
 
@@ -73,7 +74,7 @@ def test_hautus_holds_on_controllable_fixtures(examples_dir):
     for name in ("planar_cubic", "three_state_mixed"):
         lin = jacobian(load_system(examples_dir / f"{name}.stab"))
         prof = spectral_profile(lin.a, "continuous")
-        result, full = hautus_tests(lin.a, lin.b, prof.unstable, prof.eigenvalues)
+        result, full = hautus_tests(lin, prof.unstable, prof.eigenvalues)
         assert result.holds
         assert result.failures == ()
         assert full
@@ -82,7 +83,7 @@ def test_hautus_holds_on_controllable_fixtures(examples_dir):
 def test_hautus_fails_at_unreachable_unstable_mode(examples_dir):
     lin = jacobian(load_system(examples_dir / "unstable_drift.stab"))
     prof = spectral_profile(lin.a, "continuous")
-    result, full = hautus_tests(lin.a, lin.b, prof.unstable, prof.eigenvalues)
+    result, full = hautus_tests(lin, prof.unstable, prof.eigenvalues)
     assert not result.holds
     assert any(abs(v - 1.0) <= 1e-9 for v in result.failures)
     assert not full
@@ -127,7 +128,7 @@ def test_full_spectrum_hautus_equals_kalman():
         a, b, controllable = _random_pair(rng, controllable=trial % 2 == 0)
         n = a.shape[0]
         assert (kalman_controllability_rank(a, b) == n) == controllable
-        assert hautus_tests(a, b, (), spectrum(a))[1] == controllable
+        assert hautus_tests(Linearization(a, b), (), spectrum(a))[1] == controllable
 
 
 def test_full_spectrum_implies_asymptotic():
@@ -135,7 +136,7 @@ def test_full_spectrum_implies_asymptotic():
     for _ in range(40):
         a, b, _ = _random_pair(rng, controllable=True)
         prof = spectral_profile(a, "continuous")
-        assert hautus_tests(a, b, prof.unstable, ())[0].holds
+        assert hautus_tests(Linearization(a, b), prof.unstable, ())[0].holds
 
 
 def _separate_hautus_tests(a, b, prof):
@@ -159,7 +160,7 @@ def test_shared_pencil_ranks_match_the_separate_tests():
     outcomes = set()
     for a, b, mode in cases:
         prof = spectral_profile(a, mode)
-        haut, full = hautus_tests(a, b, prof.unstable, prof.eigenvalues)
+        haut, full = hautus_tests(Linearization(a, b), prof.unstable, prof.eigenvalues)
         assert (haut.failures, full) == _separate_hautus_tests(a, b, prof)
         assert haut.holds == (not haut.failures)
         outcomes.add((haut.holds, full))
@@ -182,7 +183,34 @@ def test_analyze_ranks_each_eigenvalue_once(monkeypatch, examples_dir):
         ranked.clear()
         prof = analyze(spec).profile
         assert len(ranked) == len(set(ranked)) <= len(prof.eigenvalues)
+        # a conjugate pair is ranked once, at its member in the upper half-plane
+        assert all(lam.imag >= 0 for lam in ranked)
         unstable_seen += bool(prof.unstable)
+    assert unstable_seen >= len(specs) // 2
+
+
+@pytest.mark.parametrize("cfg", [AnalysisConfig(),
+                                 AnalysisConfig(tol_rank=1e-7, tol_class=1e-6)])
+def test_synthesize_after_analyze_ranks_no_pencil(monkeypatch, examples_dir, cfg):
+    ranked = []
+
+    def counted(a, lam, b, tol=None):
+        ranked.append(lam)
+        return complex_pencil_rank(a, lam, b, tol)
+
+    monkeypatch.setattr(hautus, "complex_pencil_rank", counted)
+    specs = [load_system(path) for path in sorted(examples_dir.glob("*.stab"))]
+    specs += [parse_system(g.text) for g in large_systems(0, False) if g.n <= 30]
+    unstable_seen = 0
+    for spec in specs:
+        unstable_seen += bool(analyze(spec, cfg).profile.unstable)
+        ranked.clear()
+        # the tolerances as the synthesize command passes them
+        try:
+            synthesize(spec, seed=cfg.seed, tol=cfg.tol_rank, tol_class=cfg.tol_class)
+        except (PlacementError, UncontrollableError):
+            pass
+        assert ranked == []
     assert unstable_seen >= len(specs) // 2
 
 
