@@ -84,12 +84,14 @@ def _covering_directions(dim: int, count: int) -> np.ndarray:
 
 
 def _cube_grid(dim: int, radius: float, axis_points: int) -> np.ndarray:
+    """Grid points of the cube [-r, r]^dim, one coordinate column per row."""
     axis = np.linspace(-radius, radius, axis_points)
     mesh = np.meshgrid(*([axis] * dim), indexing="ij")
-    return np.column_stack([m.ravel() for m in mesh])
+    return np.array([m.ravel() for m in mesh])
 
 
-def _cube_to_ball(points: np.ndarray) -> np.ndarray:
+def _cube_to_ball(columns: np.ndarray, mags: Sequence[np.ndarray],
+                  squares: Sequence[np.ndarray]) -> np.ndarray:
     """Map the cube [-r, r]^dim radially onto the ball of radius r.
 
     Each point keeps its direction and takes its max-norm as Euclidean norm,
@@ -97,11 +99,18 @@ def _cube_to_ball(points: np.ndarray) -> np.ndarray:
     one-to-one.  Searching in cube coordinates keeps the domain constraint
     separable: feasibility is a per-coordinate clip, and no move can drag
     the other coordinates along the way a projection onto the sphere would.
+
+    ``columns`` holds one coordinate c_j per row, ``mags`` and ``squares``
+    its |c_j| and c_j^2, so a move recomputes only its own coordinate's.
+    The norms are max |c_j| and sqrt((c_0^2 + c_1^2) + c_2^2), the order of
+    ``np.max(np.abs(p), axis=1)`` and ``np.linalg.norm(p, axis=1)`` on rows p.
     """
-    inf_norms = np.max(np.abs(points), axis=1)
-    two_norms = np.linalg.norm(points, axis=1)
-    safe = np.where(two_norms > 0.0, two_norms, 1.0)
-    return points * (inf_norms / safe)[:, None]
+    inf_norms, two_norms = mags[0], squares[0]
+    for mag, square in zip(mags[1:], squares[1:]):
+        inf_norms = np.maximum(inf_norms, mag)
+        two_norms = two_norms + square
+    two_norms = np.sqrt(two_norms)
+    return columns * (inf_norms / np.where(two_norms > 0.0, two_norms, 1.0))
 
 
 def _distances(columns: Sequence[np.ndarray], targets: np.ndarray) -> np.ndarray:
@@ -112,7 +121,7 @@ def _distances(columns: Sequence[np.ndarray], targets: np.ndarray) -> np.ndarray
 
 
 def _refine(
-    objective: Callable[[np.ndarray], np.ndarray],
+    image: Callable[[np.ndarray], np.ndarray],
     points: np.ndarray,
     dist: np.ndarray,
     targets: np.ndarray,
@@ -122,43 +131,53 @@ def _refine(
 ) -> bool:
     """Whether a box-constrained coordinate pattern search brings every target within tol.
 
-    Operates in cube coordinates (see _cube_to_ball), and steps are tracked
-    per coordinate: a nearly flat coordinate that keeps yielding microscopic
-    gains must not pin the step of the others.
+    Operates in cube coordinates (see _cube_to_ball), one coordinate per row
+    of ``points``; ``image`` takes ball offsets the same way and returns one
+    field row per point.  Steps are tracked per coordinate: a nearly flat
+    coordinate that keeps yielding microscopic gains must not pin the step
+    of the others.  Each move starts from the point the move before it
+    accepted (coordinates in order, + before -), so the moves cannot be
+    batched into one field call; a move builds only its coordinate's column,
+    |c| and c^2.
 
-    A row within ``tol`` is frozen: distances only shrink, and rows do not
+    A row within ``tol`` is dropped: distances only shrink, and rows do not
     interact, so the live rows follow the same path as when every row is
     evaluated.  A row with all steps below the floor could move less than
     1e-9 * radius per coordinate in the remaining passes, far short of
     ``tol``, so the first such row outside ``tol`` decides the answer.
     """
-    points = points.copy()
-    dist = dist.copy()
-    dim = points.shape[1]
+    points, dist = points.copy(), dist.copy()
+    mags = [np.abs(column) for column in points]
+    squares = [column * column for column in points]
     step = np.full(points.shape, initial_step)
     floor = 1e-12 * radius
-    live = np.arange(len(points))
     for _ in range(400):
-        live = live[dist[live] > tol]
-        if (step[live].max(axis=1) <= floor).any():
+        live = dist > tol
+        if not live.all():
+            points, step, dist, targets = points[:, live], step[:, live], dist[live], targets[live]
+            mags = [mag[live] for mag in mags]
+            squares = [square[live] for square in squares]
+        if (step.max(axis=0) <= floor).any():
             return False
-        if not live.size:
+        if not dist.size:
             return True
-        live_points, live_dist, live_step = points[live], dist[live], step[live]
-        live_targets = targets[live]
-        for k in range(dim):
-            improved = np.zeros(live.size, dtype=bool)
-            for sign in (1.0, -1.0):
-                candidate = live_points.copy()
-                moved = candidate[:, k] + sign * live_step[:, k]
-                candidate[:, k] = np.clip(moved, -radius, radius)
-                trial = _distances(objective(candidate).T, live_targets)
-                better = trial < live_dist
-                live_points[better] = candidate[better]
-                live_dist[better] = trial[better]
+        for k in range(len(points)):
+            improved = np.zeros(dist.size, dtype=bool)
+            for move in (np.add, np.subtract):
+                # the moved coordinate, clipped to the cube
+                column = np.minimum(np.maximum(move(points[k], step[k]), -radius), radius)
+                candidate = points.copy()
+                candidate[k] = column
+                mag, square = mags[:], squares[:]
+                mag[k], square[k] = np.abs(column), column * column
+                trial = _distances(image(_cube_to_ball(candidate, mag, square)).T, targets)
+                better = trial < dist
+                np.copyto(points[k], column, where=better)
+                np.copyto(mags[k], mag[k], where=better)
+                np.copyto(squares[k], square[k], where=better)
+                np.copyto(dist, trial, where=better)
                 improved |= better
-            live_step[~improved, k] *= 0.5
-        points[live], dist[live], step[live] = live_points, live_dist, live_step
+            np.multiply(step[k], 0.5, out=step[k], where=~improved)
     return bool(np.all(dist <= tol))
 
 
@@ -166,7 +185,6 @@ def _refine(
 @np.errstate(all="ignore")
 def empirical_covering_modulus(
     system: SystemSpec,
-    center: tuple[Sequence[float], Sequence[float]] | None = None,
     radius: float = 0.1,
     grid: CoveringGrid | None = None,
 ) -> float:
@@ -174,9 +192,9 @@ def empirical_covering_modulus(
 
     Returns the largest kappa (up to ``KAPPA_RESOLUTION``) such that
     every sampled target in the ball of radius kappa*r around f(z) is
-    attained by f from the joint ball of radius r around z, to within
-    ``ATTAIN_REL_TOL * r``.  Deterministic: the search uses fixed grids and a
-    projected pattern search, no randomness.
+    attained by f from the joint ball of radius r around z = (x*, u*), to
+    within ``ATTAIN_REL_TOL * r``.  Deterministic: the search uses fixed
+    grids and a projected pattern search, no randomness.
     """
     grid = grid or CoveringGrid()
     n, m = system.n, system.m
@@ -187,25 +205,28 @@ def empirical_covering_modulus(
         )
     if not radius > 0:
         raise ValueError("radius must be positive")
-    if center is None:
-        x0 = np.asarray(system.x_eq, dtype=float)
-        u0 = np.asarray(system.u_eq, dtype=float)
-    else:
-        x0 = np.asarray(center[0], dtype=float)
-        u0 = np.asarray(center[1], dtype=float)
     samples = grid.axis_points ** joint
     if samples * joint > MAX_STORED_FLOATS:
         raise ValueError(
             f"covering grid of {grid.axis_points}^{joint} points x {joint} coordinates "
             f"exceeds the limit of {MAX_STORED_FLOATS} stored numbers; use fewer axis points")
+    count = 2 if n == 1 else grid.directions  # _covering_directions' target directions
+    if grid.radial_levels * count * joint > MAX_STORED_FLOATS:
+        raise ValueError(
+            f"covering target set of {grid.radial_levels} levels x {count} directions x "
+            f"{joint} coordinates exceeds the limit of {MAX_STORED_FLOATS} stored numbers; "
+            f"use fewer levels or directions")
+    x0 = np.asarray(system.x_eq, dtype=float)
+    u0 = np.asarray(system.u_eq, dtype=float)
+    center = np.concatenate([x0, u0])[:, None]
 
-    def ball_objective(cube_points: np.ndarray) -> np.ndarray:
-        offsets = _cube_to_ball(cube_points)
-        return ex.eval_field(system.components, x0 + offsets[:, :n], u0 + offsets[:, n:])
+    def image(offsets: np.ndarray) -> np.ndarray:
+        points = np.add(offsets, center, out=offsets)
+        return ex.eval_field(system.components, points[:n].T, points[n:].T)
 
     f_center = evaluate(system, x0, u0)
     cube = _cube_grid(joint, radius, grid.axis_points)
-    values = ball_objective(cube)
+    values = image(_cube_to_ball(cube, np.abs(cube), cube * cube))
     finite = np.all(np.isfinite(values), axis=1)
     if not finite.any():
         return 0.0
@@ -232,11 +253,10 @@ def empirical_covering_modulus(
             dist_matrix = _distances(columns, targets[rows, None, :])
             seeds[rows] = np.argmin(dist_matrix, axis=1)
             start_dist[rows] = dist_matrix[np.arange(len(dist_matrix)), seeds[rows]]
-        start_points = cube[seeds]
         if np.all(start_dist <= attain_tol):
             return True
         return _refine(
-            ball_objective, start_points, start_dist, targets, radius, attain_tol, initial_step
+            image, cube[:, seeds], start_dist, targets, radius, attain_tol, initial_step
         )
 
     hi = 1.1 * spread / radius + 1e-9

@@ -405,7 +405,7 @@ def _fit_decays(times: np.ndarray, norms: np.ndarray, rows: np.ndarray,
     if not lengths.all():
         raise ValueError("trajectory starts at the equilibrium; nothing to fit")
     fits = [DecayFit(m_hat=1.0, alpha_hat=math.inf, residual=0.0, certified=True)] * len(rows)
-    for length in np.unique(lengths[lengths > 1]).tolist():
+    for length in sorted(set(lengths[lengths > 1].tolist())):
         group = np.flatnonzero(lengths == length)
         start = min(math.floor(transient_skip * length), length - 2)
         mean_t = times[start:length].mean()

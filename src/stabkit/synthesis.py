@@ -94,7 +94,7 @@ def pole_match_error(achieved: Sequence[complex], desired: Sequence[complex]) ->
         return 0.0
     cost = np.abs(ach[:, None] - des[None, :])
     nearest = cost.argmin(axis=1)
-    if len(np.unique(nearest)) == len(nearest):
+    if len(set(nearest.tolist())) == len(nearest):
         return float(cost.min(axis=1).max())
     from scipy.optimize import linear_sum_assignment
 

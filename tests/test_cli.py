@@ -642,6 +642,33 @@ def test_oversized_covering_grid_exits_two(run_cli, examples_dir, monkeypatch):
     assert err.startswith("error: covering grid of 1000^3 points x 3 coordinates exceeds the limit")
 
 
+@pytest.mark.parametrize("name, flag, target_set", [
+    ("planar_cubic", "--directions=1000000000", "4 levels x 1000000000 directions x 3"),
+    ("planar_cubic", "--levels=1000000000", "1000000000 levels x 48 directions x 3"),
+    ("identity_input", "--levels=1000000000", "1000000000 levels x 2 directions x 2"),
+])
+def test_oversized_covering_target_set_exits_two(run_cli, examples_dir, monkeypatch,
+                                                 name, flag, target_set):
+    # the target set is checked against the storage cap before any of it is allocated
+    monkeypatch.setattr(openness, "_covering_directions",
+                        lambda *args: pytest.fail("directions allocated"))
+    start = time.perf_counter()
+    code, out, err = run_cli("covering", examples_dir / f"{name}.stab", "--radius", "0.1", flag)
+    assert time.perf_counter() - start < 0.5
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: covering target set of {target_set} coordinates exceeds "
+                          "the limit of 8388608 stored numbers")
+
+
+def test_one_state_covering_ignores_an_oversized_direction_count(run_cli, examples_dir):
+    # a 1-state system targets the two signs, so the count never reaches the cap
+    path = examples_dir / "identity_input.stab"
+    table = run_cli("covering", path, "--radius", "0.1,0.05", "--directions", "48")
+    assert table[0] == 0
+    assert run_cli("covering", path, "--radius", "0.1,0.05",
+                   "--directions", "1000000000") == table
+
+
 @pytest.mark.parametrize("argv", [
     ["covering", "--radius", "0.1,inf"],
     ["simulate", "--feedback=-x1 - x2", "--x0", "nan,0"],
@@ -708,24 +735,28 @@ def test_analyze_and_synthesize_load_no_scipy(examples_dir, tmp_path):
     discrete = str(examples_dir / "discrete_quadratic.stab")
     two_input = tmp_path / "two_input.stab"
     two_input.write_text(TWO_INPUT_SYSTEM)
-    # validation of the 2-state system draws its starts through the inverse normal
+    # validation of the 2-state system draws its starts through the inverse normal;
+    # np.unique loads numpy.ma on numpy >= 2, while numpy 1.24 imports it with numpy
     script = (
         "import contextlib, io, sys\n"
+        "import numpy\n"
         "from stabkit.cli import main\n"
+        "before = set(sys.modules)\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         f"    codes = [main(['analyze', {path!r}]), main(['analyze', {path!r}, '--json']),\n"
         f"             main(['synthesize', {path!r}, '--json']),\n"
         f"             main(['synthesize', {str(two_input)!r}, '--json']),\n"
         f"             main(['synthesize', {path!r}, '--validate']),\n"
         f"             main(['synthesize', {discrete!r}, '--validate', '--json'])]\n"
-        "print(codes, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        "print(codes, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'),\n"
+        "      sorted(m for m in set(sys.modules) - before if m.split('.')[:2] == ['numpy', 'ma']))\n"
     )
     src = str(Path(stabkit.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
                          text=True, timeout=120)
     assert out.returncode == 0, out.stderr
-    assert out.stdout.strip() == "[0, 0, 0, 0, 0, 0] []"
+    assert out.stdout.strip() == "[0, 0, 0, 0, 0, 0] [] []"
 
 
 def test_synthesize_classifies_with_the_tol_class_flag(run_cli, tmp_path):
