@@ -45,6 +45,7 @@ __all__ = [
     "ParseError",
     "Pow",
     "StateVar",
+    "eval_components",
     "eval_field",
     "eval_expr",
     "eval_tangent",
@@ -548,6 +549,12 @@ def _eval_batch(e: Expr, x: np.ndarray, u: np.ndarray):
     raise TypeError(f"not an expression node: {e!r}")
 
 
+def eval_components(components: Sequence[Expr], x: np.ndarray, u: np.ndarray) -> Iterator:
+    """Each component's walk of :func:`eval_field`, in order; a constant yields a float."""
+    for c in components:
+        yield _eval_batch(c, x, u)
+
+
 def eval_field(components: Sequence[Expr], x, u) -> np.ndarray:
     """Evaluate components on a batch, by a vectorized walk of each tree.
 
@@ -565,6 +572,6 @@ def eval_field(components: Sequence[Expr], x, u) -> np.ndarray:
     if u.shape[:-1] != shape:  # every internal caller passes one batch shape for both
         shape = np.broadcast_shapes(shape, u.shape[:-1])
     out = np.empty(shape + (len(components),))
-    for i, c in enumerate(components):
-        out[..., i] = _eval_batch(c, x, u)
+    for i, column in enumerate(eval_components(components, x, u)):
+        out[..., i] = column
     return out

@@ -25,6 +25,8 @@ from .system import SystemSpec, evaluate
 MAX_SEARCH_DIM = 3
 ATTAIN_REL_TOL = 1e-6  # a target counts as attained within this fraction of the radius
 KAPPA_RESOLUTION = 1e-3  # the bisection stops at this fraction of its upper bracket
+MIN_RADIUS = 2.0 ** -511 / ATTAIN_REL_TOL  # sqrt of the smallest normal: tolerance^2 is normal
+MAX_RADIUS = math.sqrt(1.7976931348623157e308 / 16.0)  # of the largest float: (4r)^2 is finite
 
 
 @dataclass(frozen=True)
@@ -113,32 +115,60 @@ def _cube_to_ball(columns: np.ndarray, mags: Sequence[np.ndarray],
     return columns * (inf_norms / np.where(two_norms > 0.0, two_norms, 1.0))
 
 
-def _distances(columns: Sequence[np.ndarray], targets: np.ndarray) -> np.ndarray:
-    """``linalg.distances``, with non-finite distances read as inf: unattainable."""
-    total = distances(columns, targets)
-    total[np.isnan(total)] = np.inf
-    return total
+def _nearest_images(values: np.ndarray) -> Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]:
+    """Map finite targets, one per row, to the index and distance of the nearest of
+    the images ``values`` (one per row, non-finite read as inf): ``np.argmin`` over
+    the (targets, samples) ``linalg.distances`` matrix, bit for bit, without the
+    matrix (bound pruning; Friedman, Bentley & Finkel, *ACM TOMS* 3(3), 1977).
+    The distances to the 64 images next to a target in first-coordinate
+    order bound its nearest distance b.  A computed distance <= b has a first
+    coordinate within b(1 + 4u) + 2^-537.5 of the target's (u = 2^-53 per rounding
+    of gap, square, sum and sqrt; 2^-537.5 covers an underflowed square), so the
+    images within b(1 + 2^-48) + 2^-536 hold every tie; the lowest index wins.
+    """
+    values = np.where(np.isfinite(values).all(axis=1, keepdims=True), values, np.inf)
+    order = np.argsort(values[:, 0])
+    columns = [values[order, k] for k in range(values.shape[1])]
+    keys, samples = columns[0], len(order)
+    width = min(64, samples)
+    block = MAX_STORED_FLOATS // samples  # a target with an inf bound takes every image
+
+    def nearest(targets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        seeds, dist = np.empty(len(targets), dtype=np.intp), np.empty(len(targets))
+        for first in range(0, len(targets), block):
+            part = targets[first:first + block]
+            lead = part[:, 0]
+            start = np.clip(np.searchsorted(keys, lead) - width // 2, 0, samples - width)
+            window = start[:, None] + np.arange(width)
+            bound = distances([c[window] for c in columns], part[:, None, :]).min(axis=1)
+            reach = bound * (1.0 + 2.0 ** -48) + 2.0 ** -536
+            low = np.searchsorted(keys, lead - reach)
+            counts = np.searchsorted(keys, lead + reach, side="right") - low
+            heads = np.cumsum(counts) - counts
+            candidates = np.arange(heads[-1] + counts[-1]) + np.repeat(low - heads, counts)
+            near = distances([c[candidates] for c in columns], np.repeat(part.T, counts, 1).T)
+            best = np.minimum.reduceat(near, heads)
+            ties = np.where(near == np.repeat(best, counts), order[candidates], samples)
+            seeds[first:first + block] = np.minimum.reduceat(ties, heads)
+            dist[first:first + block] = best
+        return seeds, dist
+
+    return nearest
 
 
-def _refine(
-    image: Callable[[np.ndarray], np.ndarray],
-    points: np.ndarray,
-    dist: np.ndarray,
-    targets: np.ndarray,
-    radius: float,
-    tol: float,
-    initial_step: float,
-) -> bool:
+def _refine(components: Sequence[ex.Expr], center: np.ndarray, points: np.ndarray,
+            dist: np.ndarray, targets: np.ndarray, radius: float, tol: float,
+            initial_step: float) -> bool:
     """Whether a box-constrained coordinate pattern search brings every target within tol.
 
     Operates in cube coordinates (see _cube_to_ball), one coordinate per row
-    of ``points``; ``image`` takes ball offsets the same way and returns one
-    field row per point.  Steps are tracked per coordinate: a nearly flat
-    coordinate that keeps yielding microscopic gains must not pin the step
-    of the others.  Each move starts from the point the move before it
-    accepted (coordinates in order, + before -), so the moves cannot be
-    batched into one field call; a move builds only its coordinate's column,
-    |c| and c^2.
+    of ``points``, around the column ``center``.  Steps are tracked per
+    coordinate: a nearly flat coordinate that keeps yielding microscopic gains
+    must not pin the step of the others.  Each move starts from the point the
+    move before it accepted (coordinates in order, + before -), so the moves
+    cannot be batched into one field call; a move builds only its coordinate's
+    column, |c| and c^2, and folds each component's walk into the distances.
+    A NaN distance fails ``trial < dist`` as inf does: ``dist`` holds no NaN.
 
     A row within ``tol`` is dropped: distances only shrink, and rows do not
     interact, so the live rows follow the same path as when every row is
@@ -146,6 +176,7 @@ def _refine(
     1e-9 * radius per coordinate in the remaining passes, far short of
     ``tol``, so the first such row outside ``tol`` decides the answer.
     """
+    n = len(components)
     points, dist = points.copy(), dist.copy()
     mags = [np.abs(column) for column in points]
     squares = [column * column for column in points]
@@ -170,7 +201,9 @@ def _refine(
                 candidate[k] = column
                 mag, square = mags[:], squares[:]
                 mag[k], square[k] = np.abs(column), column * column
-                trial = _distances(image(_cube_to_ball(candidate, mag, square)).T, targets)
+                ball = _cube_to_ball(candidate, mag, square)
+                ball += center
+                trial = distances(ex.eval_components(components, ball[:n].T, ball[n:].T), targets)
                 better = trial < dist
                 np.copyto(points[k], column, where=better)
                 np.copyto(mags[k], mag[k], where=better)
@@ -203,8 +236,9 @@ def empirical_covering_modulus(
         raise ValueError(
             f"empirical covering search supports n + m <= {MAX_SEARCH_DIM}, got {joint}"
         )
-    if not radius > 0:
-        raise ValueError("radius must be positive")
+    if not MIN_RADIUS <= radius <= MAX_RADIUS:
+        raise ValueError(f"radius must be positive and within [{MIN_RADIUS!r}, {MAX_RADIUS!r}], "
+                         f"got {radius!r}")
     samples = grid.axis_points ** joint
     if samples * joint > MAX_STORED_FLOATS:
         raise ValueError(
@@ -219,24 +253,18 @@ def empirical_covering_modulus(
     x0 = np.asarray(system.x_eq, dtype=float)
     u0 = np.asarray(system.u_eq, dtype=float)
     center = np.concatenate([x0, u0])[:, None]
-
-    def image(offsets: np.ndarray) -> np.ndarray:
-        points = np.add(offsets, center, out=offsets)
-        return ex.eval_field(system.components, points[:n].T, points[n:].T)
-
     f_center = evaluate(system, x0, u0)
     cube = _cube_grid(joint, radius, grid.axis_points)
-    values = image(_cube_to_ball(cube, np.abs(cube), cube * cube))
+    ball = _cube_to_ball(cube, np.abs(cube), cube * cube)
+    ball += center
+    values = ex.eval_field(system.components, ball[:n].T, ball[n:].T)
     finite = np.all(np.isfinite(values), axis=1)
     if not finite.any():
         return 0.0
     spread = float(np.max(np.linalg.norm(values[finite] - f_center, axis=1)))
     if spread == 0.0:
         return 0.0
-    # contiguous coordinate columns of the grid's images, taken once for every seeding
-    columns = np.ascontiguousarray(values.T)
-    # seed targets in row blocks so no (block, samples) matrix exceeds the cap
-    block = MAX_STORED_FLOATS // samples
+    nearest = _nearest_images(values)
     directions = _covering_directions(n, grid.directions)
     attain_tol = ATTAIN_REL_TOL * radius
     initial_step = 2.0 * radius / grid.axis_points
@@ -245,19 +273,14 @@ def empirical_covering_modulus(
         shell_radii = [kappa * radius * j / grid.radial_levels
                        for j in range(1, grid.radial_levels + 1)]
         targets = np.vstack([f_center + r_k * directions for r_k in shell_radii])
-        # (targets, samples) distance matrix seeds each search at the best grid point
-        seeds = np.empty(len(targets), dtype=np.intp)
-        start_dist = np.empty(len(targets))
-        for first in range(0, len(targets), block):
-            rows = slice(first, first + block)
-            dist_matrix = _distances(columns, targets[rows, None, :])
-            seeds[rows] = np.argmin(dist_matrix, axis=1)
-            start_dist[rows] = dist_matrix[np.arange(len(dist_matrix)), seeds[rows]]
+        if not np.isfinite(targets).all():  # at distance inf from every image: unattainable
+            return False
+        # each search starts at the grid point of the nearest image
+        seeds, start_dist = nearest(targets)
         if np.all(start_dist <= attain_tol):
             return True
-        return _refine(
-            image, cube[:, seeds], start_dist, targets, radius, attain_tol, initial_step
-        )
+        return _refine(system.components, center, cube[:, seeds], start_dist, targets,
+                       radius, attain_tol, initial_step)
 
     hi = 1.1 * spread / radius + 1e-9
     if attained_everywhere(hi):

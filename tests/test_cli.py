@@ -669,6 +669,17 @@ def test_one_state_covering_ignores_an_oversized_direction_count(run_cli, exampl
                    "--directions", "1000000000") == table
 
 
+@pytest.mark.parametrize("radius", [math.nextafter(openness.MIN_RADIUS, 0.0),
+                                    math.nextafter(openness.MAX_RADIUS, math.inf)])
+def test_covering_radius_outside_the_float_range_exits_two(run_cli, examples_dir, radius):
+    code, out, err = run_cli("covering", examples_dir / "identity_input.stab",
+                             "--radius", f"0.1,{radius!r}")
+    assert (code, out) == (2, "")
+    assert err.startswith(
+        f"error: radius must be positive and within [{openness.MIN_RADIUS!r}, "
+        f"{openness.MAX_RADIUS!r}], got")
+
+
 @pytest.mark.parametrize("argv", [
     ["covering", "--radius", "0.1,inf"],
     ["simulate", "--feedback=-x1 - x2", "--x0", "nan,0"],

@@ -3,6 +3,7 @@
 import functools
 import math
 import time
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from conftest import EXAMPLES
 from perfbench import gen, workloads
 from stabkit import openness
 from stabkit.expr import eval_field, parse_expr
+from stabkit.linalg import distances
 from stabkit.openness import (
     CoveringGrid,
     empirical_covering_modulus,
@@ -119,9 +121,19 @@ def test_empirical_dimension_cap():
 
 
 def test_empirical_rejects_bad_radius(examples_dir):
+    # squared distances underflow at 1e-200 and 1e-160 and overflow at 1e155
     spec = load_system(examples_dir / "identity_input.stab")
-    with pytest.raises(ValueError, match="radius"):
-        empirical_covering_modulus(spec, radius=0.0)
+    for radius in (0.0, -0.1, math.nan, 1e-200, 1e-160, 1e155):
+        with pytest.raises(ValueError, match="radius must be positive and within"):
+            empirical_covering_modulus(spec, radius=radius)
+
+
+def test_identity_rate_holds_at_both_ends_of_the_radius_range(examples_dir):
+    spec = load_system(examples_dir / "identity_input.stab")
+    assert openness.MIN_RADIUS == pytest.approx(1.49e-148, rel=1e-2)
+    assert openness.MAX_RADIUS == pytest.approx(3.35e153, rel=1e-2)
+    for radius in (openness.MIN_RADIUS, openness.MAX_RADIUS):
+        assert repr(empirical_covering_modulus(spec, radius=radius)) == "0.9990234384082033"
 
 
 # repr(kappa) of the covering search: it is deterministic, so a change in the
@@ -138,6 +150,9 @@ KAPPA_PINS = [
     ("planar_translated", 0.1, None, "0.9990234384082035"),
     ("cli_c21", 0.1, None, "0.5605183258841149"),
     ("cli_c21", 0.1, (16, 2, 7), "0.558794564000918"),
+    ("nan_images", 0.2, None, "0.9992009717792183"),
+    ("nan_images", 0.1, None, "0.928774226403988"),
+    ("huge_images", 0.1, None, "0.0"),
 ]
 
 
@@ -146,6 +161,11 @@ def _pinned_system(examples_dir, name):
         return parse_system(gen.planar_systems()[1].text)
     if name == "cli_c21":
         return parse_system(workloads.cold_cli_systems(0, False)[0].text)
+    if name == "nan_images":  # the square root is nan on the grid points with x2 < -0.05
+        return system_from_strings(
+            "continuous", ["u1 + x2 + (x2 + 0.05)^0.5 - 0.05^0.5", "x1"], m=1)
+    if name == "huge_images":  # images of 1e308 overflow the bisection bracket to inf targets
+        return system_from_strings("continuous", ["x2 + 1e308*u1*10", "x1"], m=1)
     return load_system(examples_dir / f"{name}.stab")
 
 
@@ -157,7 +177,7 @@ def test_empirical_kappa_pinned_bit_for_bit(examples_dir, name, radius, grid, ex
 
 
 def test_seeding_in_row_blocks_keeps_kappa(examples_dir, monkeypatch):
-    # a cap of five rows of the (targets, samples) matrix splits the 32 targets into seven blocks
+    # a cap of five targets with every image a candidate splits the 32 targets into seven blocks
     spec = load_system(examples_dir / "planar_cubic.stab")
     monkeypatch.setattr(openness, "MAX_STORED_FLOATS", 5 * 7**3)
     kappa = empirical_covering_modulus(spec, radius=0.1, grid=CoveringGrid(16, 2, 7))
@@ -165,18 +185,50 @@ def test_seeding_in_row_blocks_keeps_kappa(examples_dir, monkeypatch):
 
 
 def test_distance_matrix_matches_norm_bit_for_bit():
+    # the seeding reads the (targets, samples) norm matrix, non-finite as inf, without building it
     rng = np.random.default_rng(11)
     values = rng.standard_normal((300, 2)) * 10.0 ** rng.integers(-8, 8, (300, 1))
     targets = rng.standard_normal((40, 2))
     values[[3, 50, 77], [0, 1, 0]] = [np.inf, np.nan, -np.inf]
-    targets[[5, 9], [1, 0]] = [np.nan, np.inf]
     with np.errstate(all="ignore"):  # inf - inf is nan, as in the search
         expected = np.linalg.norm(values[None, :, :] - targets[:, None, :], axis=-1)
-        matrix = openness._distances(np.ascontiguousarray(values.T), targets[:, None, :])
-        rows = openness._distances(values[:40].T, targets)
+        seeds, dist = openness._nearest_images(values)(targets)
     expected = np.where(np.isfinite(expected), expected, np.inf)
-    assert matrix.tobytes() == expected.tobytes()
-    assert rows.tobytes() == expected[np.arange(40), np.arange(40)].tobytes()
+    assert seeds.tolist() == np.argmin(expected, axis=1).tolist()
+    assert dist.tobytes() == expected.min(axis=1).tobytes()
+
+
+# image coordinates from a lattice, for duplicate images and exact distance ties
+LATTICE = st.one_of(st.sampled_from([-1.0, -0.5, 0.0, 0.5, 1.0]), st.floats(-2.0, 2.0))
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(data=st.data())
+def test_nearest_images_follow_the_distance_matrix(data):
+    dim = data.draw(st.integers(1, 2))
+    samples = data.draw(st.integers(1, 150))
+    count = data.draw(st.integers(1, 40))
+    # 1e-170 puts squared gaps among the subnormals, 1e160 overflows them to inf
+    scale = 10.0 ** data.draw(st.integers(-170, 160))
+    point = st.lists(LATTICE, min_size=dim, max_size=dim)
+    values = scale * np.array(data.draw(st.lists(point, min_size=samples, max_size=samples)))
+    special = st.sampled_from([np.inf, -np.inf, np.nan])
+    for row, col, value in data.draw(st.lists(
+            st.tuples(st.integers(0, samples - 1), st.integers(0, dim - 1), special), max_size=5)):
+        values[row, col] = value
+    targets = scale * np.array(data.draw(st.lists(point, min_size=count, max_size=count)))
+    # a target scaled by 1e3 lies beyond every image
+    targets *= np.array(data.draw(st.lists(st.sampled_from([1.0, 1.0, 1e3]),
+                                           min_size=count, max_size=count)))[:, None]
+    block = data.draw(st.integers(1, count))  # targets per block
+    with np.errstate(all="ignore"):
+        matrix = distances(values.T, targets[:, None, :])
+        matrix[np.isnan(matrix)] = np.inf
+        with mock.patch.object(openness, "MAX_STORED_FLOATS", block * samples):
+            seeds, dist = openness._nearest_images(values)(targets)
+    expected = np.argmin(matrix, axis=1)
+    assert seeds.tolist() == expected.tolist()
+    assert dist.tobytes() == matrix[np.arange(count), expected].tobytes()
 
 
 def test_oversized_covering_grid_rejected_before_allocation(examples_dir, monkeypatch):
@@ -285,6 +337,11 @@ def _cube_to_ball_rows(points):
     return points * (inf_norms / safe)[:, None]
 
 
+def _row_distances(values, targets):
+    dist = np.linalg.norm(values - targets, axis=1)
+    return np.where(np.isnan(dist), np.inf, dist)
+
+
 def _refine_rows(objective, points, dist, targets, radius, tol, initial_step):
     points = points.copy()
     dist = dist.copy()
@@ -306,7 +363,7 @@ def _refine_rows(objective, points, dist, targets, radius, tol, initial_step):
                 candidate = live_points.copy()
                 moved = candidate[:, k] + sign * live_step[:, k]
                 candidate[:, k] = np.clip(moved, -radius, radius)
-                trial = openness._distances(objective(candidate).T, live_targets)
+                trial = _row_distances(objective(candidate), live_targets)
                 better = trial < live_dist
                 live_points[better] = candidate[better]
                 live_dist[better] = trial[better]
@@ -349,16 +406,20 @@ def test_column_refine_follows_the_row_form(data):
         offsets = _cube_to_ball_rows(cube)
         return eval_field(components, offsets[:, :n], offsets[:, n:])
 
-    def image(offsets):  # one coordinate per row, around the origin
+    walk = openness.ex.eval_components
+
+    def counted_walk(*args):  # the column search's field call
         calls["columns"] += 1
-        return eval_field(components, offsets[:n].T, offsets[n:].T)
+        return walk(*args)
 
     with np.errstate(all="ignore"):
         # images of ball points, some of them attained, moved by up to a radius
         images = objective(ends)
         targets = np.where(np.isfinite(images), images, 0.0) + shifts
-        dist = openness._distances(objective(starts).T, targets)
+        dist = _row_distances(objective(starts), targets)
         calls["rows"] = 0
         expected = _refine_rows(objective, starts, dist, targets, radius, tol, initial_step)
-        got = openness._refine(image, starts.T.copy(), dist, targets, radius, tol, initial_step)
+        with mock.patch.object(openness.ex, "eval_components", counted_walk):
+            got = openness._refine(components, np.zeros((dim, 1)), starts.T.copy(), dist,
+                                   targets, radius, tol, initial_step)
     assert (got, calls["columns"]) == (expected, calls["rows"])
