@@ -1,18 +1,17 @@
 """Stabilizability verdicts from openness bounds and spectral data.
 
-The engine runs a fixed cascade of sufficiency and necessity rules against
-the analysis artifacts.  Every rule whose premise holds is recorded; the
-decision comes from the first positive rule, then the first negative rule,
-and is INCONCLUSIVE when nothing fires.  Specific-case rules run before the
-general margin rules so a nilpotent-type system is decided by the rule that
-actually matches its structure.
+The rules are one ordered table of (rule, decision, premise, evidence) rows.
+Every row whose premise holds fires and is recorded with its evidence; the
+decision is that of the first row that fired, or INCONCLUSIVE when none did.
+Positive rows precede negative ones, and specific-case rows precede the
+general margin rows, so a nilpotent-type system is decided by the rule that
+matches its structure.
 
-Both time modes share one cascade.  The discrete sufficient conditions are
-the continuous ones with the spectrum classified against the unit circle
-instead of the imaginary axis: D3, D1 and D2 are R2, R1 and R3 read under
-that classification, with D3 asking the whole spectrum (not only its
-unstable part) to sit at zero.  The driftless rule R7 and the necessity
-rules R4-R6 are continuous-only; discrete mode has no negative route.
+The three sufficiency rows serve both time modes: D3, D1 and D2 are R2, R1
+and R3 with the spectrum classified against the unit circle, D3 asking the
+whole spectrum (not only its unstable part) to sit at zero.  The driftless
+rule R7 and the necessity rules R4-R6 require continuous time, so discrete
+mode has no negative route.
 """
 
 from __future__ import annotations
@@ -154,10 +153,6 @@ class Analysis:
     perturbation_margin: float  # Lipschitz perturbation size the sufficiency margin absorbs
 
 
-def _fire(rule: str, decision: str, evidence: dict) -> FiredRule:
-    return FiredRule(rule, RULE_CITATIONS[rule], decision, evidence)
-
-
 def _affine_structure(system: SystemSpec, cfg: AnalysisConfig) -> AffineStructure:
     fields = detect_control_affine(system)
     if fields is None:
@@ -179,9 +174,8 @@ def _rules(
     rep: OpennessReport,
     prof: SpectralProfile,
     affine: AffineStructure,
-    real_spectrum: bool,
-    spectrum_wide: bool,
-) -> tuple[list[FiredRule], list[FiredRule], list[str]]:
+) -> tuple[list[FiredRule], list[str]]:
+    """The fired rules in table order, and the margin warnings when none fired."""
     n, m = system.n, system.m
     cov = rep.cov_bound
     tol = cfg.tol_class
@@ -195,63 +189,45 @@ def _rules(
         zero_rule, margin_rule, wide_rule = "D3", "D1", "D2"
         positive = ASY_STABILIZABLE_CONT_FEEDBACK
         zero_set, zero_key = prof.eigenvalues, "max_eigen_modulus"
-    positives: list[FiredRule] = []
-    negatives: list[FiredRule] = []
+    is_open = rep.linearly_open
+    open_real = is_open and prof.unstable_real_only
+    real_spectrum = all(abs(v.imag) <= tol for v in prof.eigenvalues)
+    strictly_unstable = bool(prof.unstable) and all(v.real > tol for v in prof.unstable)
+    driftless = continuous and affine.driftless and affine.input_rank == m
+    witness = 0.5 * (prof.eta + cov) if math.isfinite(prof.eta) else 0.5 * cov
+    rank = {"jacobian_rank": rep.jacobian_rank, "n": n}
+    inputs = {"m": m, "n": n, "input_rank": affine.input_rank}
+
+    # (rule, decision, premise, evidence); every positive row precedes every
+    # negative one, so the first row that fires decides
+    table = (
+        (zero_rule, positive, is_open and all(abs(v) <= tol for v in zero_set),
+         {"cov": cov, zero_key: max((abs(v) for v in zero_set), default=0.0)}),
+        (margin_rule, positive, open_real and cov > prof.eta + margin,
+         {"cov": cov, "eta": prof.eta, "margin": margin, "kappa_witness": witness}),
+        (wide_rule, positive, real_spectrum and cov > prof.eta_tilde + margin,
+         {"cov": cov, "eta_tilde": prof.eta_tilde}),
+        ("R7", EXP_STABILIZABLE_CONT_FEEDBACK, driftless and m == n, inputs),
+        ("R4", NOT_SMOOTHLY_EXP_STABILIZABLE, continuous and not is_open, rank),
+        ("R5", NOT_SMOOTHLY_ASY_STABILIZABLE, continuous and not is_open and strictly_unstable,
+         {**rank, "min_unstable_real": min((v.real for v in prof.unstable), default=math.inf)}),
+        ("R6", (NOT_SMOOTHLY_ASY_STABILIZABLE if strictly_unstable
+                else NOT_SMOOTHLY_EXP_STABILIZABLE),
+         continuous and affine.span_dim is not None and affine.span_dim < n,
+         {"span_dim": affine.span_dim, "n": n}),
+        ("R7", NOT_SMOOTHLY_EXP_STABILIZABLE, driftless and m < n, inputs),
+    )
+    fired = [FiredRule(rule, RULE_CITATIONS[rule], decision, evidence)
+             for rule, decision, premise, evidence in table if premise]
+
     warnings: list[str] = []
-
-    if rep.linearly_open and all(abs(v) <= tol for v in zero_set):
-        positives.append(_fire(zero_rule, positive, {
-            "cov": cov,
-            zero_key: max((abs(v) for v in zero_set), default=0.0),
-        }))
-    if rep.linearly_open and prof.unstable_real_only and cov > prof.eta + margin:
-        witness = 0.5 * (prof.eta + cov) if math.isfinite(prof.eta) else 0.5 * cov
-        positives.append(_fire(margin_rule, positive, {
-            "cov": cov, "eta": prof.eta, "margin": margin, "kappa_witness": witness,
-        }))
-    if spectrum_wide:
-        positives.append(_fire(wide_rule, positive, {
-            "cov": cov, "eta_tilde": prof.eta_tilde,
-        }))
-
-    if continuous:
-        r7_applicable = affine.driftless and affine.input_rank == m
-        if r7_applicable and m == n:
-            positives.append(_fire("R7", EXP_STABILIZABLE_CONT_FEEDBACK, {
-                "m": m, "n": n, "input_rank": affine.input_rank,
-            }))
-
-        strictly_unstable = all(v.real > tol for v in prof.unstable)
-        if not rep.linearly_open:
-            negatives.append(_fire("R4", NOT_SMOOTHLY_EXP_STABILIZABLE, {
-                "jacobian_rank": rep.jacobian_rank, "n": n,
-            }))
-            if strictly_unstable and prof.unstable:
-                negatives.append(_fire("R5", NOT_SMOOTHLY_ASY_STABILIZABLE, {
-                    "jacobian_rank": rep.jacobian_rank, "n": n,
-                    "min_unstable_real": min(v.real for v in prof.unstable),
-                }))
-        if affine.is_control_affine and affine.span_dim is not None and affine.span_dim < n:
-            decision = (
-                NOT_SMOOTHLY_ASY_STABILIZABLE
-                if strictly_unstable and prof.unstable
-                else NOT_SMOOTHLY_EXP_STABILIZABLE
-            )
-            negatives.append(_fire("R6", decision, {
-                "span_dim": affine.span_dim, "n": n,
-            }))
-        if r7_applicable and m < n:
-            negatives.append(_fire("R7", NOT_SMOOTHLY_EXP_STABILIZABLE, {
-                "m": m, "n": n, "input_rank": affine.input_rank,
-            }))
-
-    if not positives and not negatives:
-        if rep.linearly_open and not prof.unstable_real_only:
+    if not fired:
+        if is_open and not prof.unstable_real_only:
             warnings.append(
                 "unstable spectrum contains nonreal eigenvalues; "
                 "the sufficiency margin test does not apply"
             )
-        if rep.linearly_open and prof.unstable_real_only and cov <= prof.eta + margin:
+        if open_real and cov <= prof.eta + margin:
             warnings.append(
                 f"sufficiency margin failed: cov={cov:.12g} <= "
                 f"eta={prof.eta:.12g} + margin={margin:.12g}"
@@ -261,7 +237,7 @@ def _rules(
                 f"spectrum-wide margin failed: cov={cov:.12g} <= "
                 f"eta_tilde={prof.eta_tilde:.12g} + margin={margin:.12g}"
             )
-    return positives, negatives, warnings
+    return fired, warnings
 
 
 def analyze(system: SystemSpec, config: AnalysisConfig | None = None) -> Analysis:
@@ -274,19 +250,8 @@ def analyze(system: SystemSpec, config: AnalysisConfig | None = None) -> Analysi
     kalman = kalman_controllability_rank(lin.a, lin.b, tol=cfg.tol_rank)
     affine = _affine_structure(system, cfg)
 
-    real_spectrum = all(abs(v.imag) <= cfg.tol_class for v in prof.eigenvalues)
-    spectrum_wide = real_spectrum and rep.cov_bound > prof.eta_tilde + cfg.margin
-    positives, negatives, warnings = _rules(
-        system, cfg, rep, prof, affine, real_spectrum, spectrum_wide
-    )
-
-    fired = tuple(positives + negatives)
-    if positives:
-        decision = positives[0].decision
-    elif negatives:
-        decision = negatives[0].decision
-    else:
-        decision = INCONCLUSIVE
+    fired, warnings = _rules(system, cfg, rep, prof, affine)
+    decision = fired[0].decision if fired else INCONCLUSIVE
 
     notes: list[str] = []
     if not haut.holds:
@@ -300,7 +265,7 @@ def analyze(system: SystemSpec, config: AnalysisConfig | None = None) -> Analysi
             "the margin comparison is tolerance-sensitive"
         )
 
-    small_time = True if system.mode == CONTINUOUS and spectrum_wide else None
+    small_time = True if any(r.rule == "R3" for r in fired) else None
     if small_time and cfg.assume_bounded_perturbation and is_affine_system(system):
         notes.append(
             "with the asserted bounded perturbation, this linear system with real "
@@ -316,7 +281,7 @@ def analyze(system: SystemSpec, config: AnalysisConfig | None = None) -> Analysi
     flags = VerdictFlags(linearized_controllable=full, small_time_locally_controllable=small_time)
     verdict = Verdict(
         decision=decision,
-        fired_rules=fired,
+        fired_rules=tuple(fired),
         flags=flags,
         warnings=tuple(warnings),
         notes=tuple(notes),
