@@ -18,7 +18,6 @@ import numpy as np
 
 from . import __version__
 from .expr import EvalError
-from .hautus import format_eigenvalue
 from .openness import CoveringGrid, empirical_covering_modulus
 from .report import build_report, report_json, report_text
 from .sim import (
@@ -106,17 +105,13 @@ def cmd_synthesize(args: argparse.Namespace) -> int:
     cfg = _config_from(args)
     analysis = analyze(system, cfg)
     positive = analysis.verdict.decision in POSITIVE_DECISIONS
-    if not positive:
-        if not analysis.hautus.holds:
-            joined = ", ".join(format_eigenvalue(v) for v in analysis.hautus.failures)
-            sys.stderr.write(f"error: uncontrollable unstable mode at lambda={joined}\n")
-            return 3
-        if not args.force:
-            sys.stderr.write(
-                f"error: verdict is {analysis.verdict.decision}; "
-                "pass --force to synthesize from the linearization anyway\n"
-            )
-            return 3
+    # a failed Hautus test goes on to synthesize, which raises UncontrollableError
+    if not (positive or args.force or not analysis.hautus.holds):
+        sys.stderr.write(
+            f"error: verdict is {analysis.verdict.decision}; "
+            "pass --force to synthesize from the linearization anyway\n"
+        )
+        return 3
     poles = _parse_pole_list(args.poles) if args.poles else None
     gain = synthesize(system, poles=poles, seed=args.seed, tol=cfg.tol_rank,
                       tol_class=cfg.tol_class)
@@ -147,18 +142,14 @@ def cmd_covering(args: argparse.Namespace) -> int:
     # every radius is searched before the table starts, so a rejected one prints no rows
     kappas = [empirical_covering_modulus(system, radius=r, grid=grid) for r in radii]
     sys.stdout.write(f"{'r':>14} {'kappa':>16} {'kappa/r':>16}\n")
-    ratios = []
     for r, kappa in zip(radii, kappas):
-        ratio = kappa / r
-        ratios.append(ratio)
-        sys.stdout.write(f"{r:>14.9g} {kappa:>16.9g} {ratio:>16.9g}\n")
-    if len(ratios) >= 2:
-        vanishing = ratios[-1] <= 0.0 or (ratios[0] / ratios[-1] > 2.0)
-        if vanishing:
-            sys.stdout.write(
-                "suspect: kappa/r decreased by more than 2x across the sweep; "
-                "openness at a linear rate is doubtful at these scales\n"
-            )
+        sys.stdout.write(f"{r:>14.9g} {kappa:>16.9g} {kappa / r:>16.9g}\n")
+    # open at a linear rate means kappa stays bounded away from zero as r shrinks
+    if len(kappas) >= 2 and (kappas[-1] <= 0.0 or kappas[0] / kappas[-1] > 2.0):
+        sys.stdout.write(
+            "suspect: kappa decreased by more than 2x across the sweep; "
+            "openness at a linear rate is doubtful at these scales\n"
+        )
     return 0
 
 

@@ -22,11 +22,10 @@ from .hautus import (
     TOL_CLASS,
     format_eigenvalue,
     hautus_tests,
-    kalman_controllability_rank,
     kalman_matrix,
     spectral_profile,
 )
-from .linalg import rank_from_singular_values, spectrum
+from .linalg import numerical_rank, rank_from_singular_values, spectrum
 from .system import CONTINUOUS, SystemSpec, jacobian
 
 PLACEMENT_TOL = 1e-6
@@ -134,7 +133,7 @@ def _real_block_form(desired: Sequence[complex], tol: float = 1e-9) -> np.ndarra
     return out
 
 
-def _ackermann(a: np.ndarray, b: np.ndarray, desired: Sequence[complex]) -> np.ndarray:
+def _ackermann(a: np.ndarray, ctrb: np.ndarray, desired: Sequence[complex]) -> np.ndarray:
     n = a.shape[0]
     coeffs = np.poly(np.asarray(desired, dtype=complex))
     if np.max(np.abs(coeffs.imag)) > 1e-9 * max(1.0, np.max(np.abs(coeffs.real))):
@@ -144,7 +143,6 @@ def _ackermann(a: np.ndarray, b: np.ndarray, desired: Sequence[complex]) -> np.n
     eye = np.eye(n)
     for c in coeffs:
         phi = phi @ a + c * eye
-    ctrb = kalman_matrix(a, b)
     last_unit = np.zeros(n)
     last_unit[-1] = 1.0
     try:
@@ -228,10 +226,11 @@ def place_poles(a, b, desired: Sequence[complex],
                 f"desired pole {p} collides with an open-loop eigenvalue; "
                 "placement needs disjoint spectra"
             )
-    if kalman_controllability_rank(a_arr, b_arr) < n:
+    ctrb = kalman_matrix(a_arr, b_arr)
+    if numerical_rank(ctrb) < n:
         raise UncontrollableError("the pair (A, B) is not controllable")
     if b_arr.shape[1] == 1:
-        k = _ackermann(a_arr, b_arr, desired)
+        k = _ackermann(a_arr, ctrb, desired)
         achieved = np.linalg.eigvals(a_arr + b_arr @ k)
         if pole_match_error(achieved, desired) > PLACEMENT_TOL:
             raise PlacementError("single-input placement lost accuracy")
