@@ -257,7 +257,24 @@ def test_covering_table_cubic(run_cli, examples_dir):
         assert kappa == pytest.approx(want_r ** 2, rel=0.5)
         assert ratio == pytest.approx(kappa / r, rel=1e-9)
     assert rows[0][2] > rows[1][2] > rows[2][2]
-    assert lines[4].startswith("suspect: kappa/r decreased by more than 2x")
+    assert lines[4].startswith("suspect: kappa decreased by more than 2x")
+
+
+def test_covering_rate_shrinking_like_r_is_suspect(run_cli, tmp_path):
+    # the complex square z -> z^2 keeps kappa/r near 1 while kappa itself halves with r
+    path = tmp_path / "complex_square.stab"
+    path.write_text(
+        "mode continuous\nstates 2\ncontrols 1\neq x = 0 0\neq u = 0\n"
+        "f1 = x1^2 - u1^2\nf2 = 2*x1*u1\n"
+    )
+    code, out, _ = run_cli("covering", path, "--radius", "0.1,0.05,0.025")
+    assert code == 0
+    lines = out.strip().splitlines()
+    rows = [[float(v) for v in line.split()] for line in lines[1:4]]
+    for (r, kappa, ratio), want_r in zip(rows, (0.1, 0.05, 0.025)):
+        assert kappa == pytest.approx(want_r, rel=0.01)
+        assert ratio == pytest.approx(1.0, rel=0.01)
+    assert lines[4].startswith("suspect: kappa decreased by more than 2x")
 
 
 def test_covering_identity_not_suspect(run_cli, examples_dir):
