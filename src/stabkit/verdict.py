@@ -193,7 +193,7 @@ def _rules(
     open_real = is_open and prof.unstable_real_only
     real_spectrum = all(abs(v.imag) <= tol for v in prof.eigenvalues)
     strictly_unstable = bool(prof.unstable) and all(v.real > tol for v in prof.unstable)
-    driftless = continuous and affine.driftless and affine.input_rank == m
+    r7_applicable = continuous and affine.driftless and affine.input_rank == m
     witness = 0.5 * (prof.eta + cov) if math.isfinite(prof.eta) else 0.5 * cov
     rank = {"jacobian_rank": rep.jacobian_rank, "n": n}
     inputs = {"m": m, "n": n, "input_rank": affine.input_rank}
@@ -207,7 +207,7 @@ def _rules(
          {"cov": cov, "eta": prof.eta, "margin": margin, "kappa_witness": witness}),
         (wide_rule, positive, real_spectrum and cov > prof.eta_tilde + margin,
          {"cov": cov, "eta_tilde": prof.eta_tilde}),
-        ("R7", EXP_STABILIZABLE_CONT_FEEDBACK, driftless and m == n, inputs),
+        ("R7", EXP_STABILIZABLE_CONT_FEEDBACK, r7_applicable and m == n, inputs),
         ("R4", NOT_SMOOTHLY_EXP_STABILIZABLE, continuous and not is_open, rank),
         ("R5", NOT_SMOOTHLY_ASY_STABILIZABLE, continuous and not is_open and strictly_unstable,
          {**rank, "min_unstable_real": min((v.real for v in prof.unstable), default=math.inf)}),
@@ -215,7 +215,7 @@ def _rules(
                 else NOT_SMOOTHLY_EXP_STABILIZABLE),
          continuous and affine.span_dim is not None and affine.span_dim < n,
          {"span_dim": affine.span_dim, "n": n}),
-        ("R7", NOT_SMOOTHLY_EXP_STABILIZABLE, driftless and m < n, inputs),
+        ("R7", NOT_SMOOTHLY_EXP_STABILIZABLE, r7_applicable and m < n, inputs),
     )
     fired = [FiredRule(rule, RULE_CITATIONS[rule], decision, evidence)
              for rule, decision, premise, evidence in table if premise]
