@@ -171,7 +171,9 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     x0 = _parse_float_list(args.x0)
     if len(x0) != system.n:
         raise ValueError(f"--x0 needs {system.n} values, got {len(x0)}")
-    if not np.linalg.norm(np.subtract(x0, system.x_eq), axis=-1):  # as the decay fit measures
+    with np.errstate(over="ignore"):  # a distance past the largest float reads inf
+        start_norm = np.linalg.norm(np.subtract(x0, system.x_eq), axis=-1)
+    if not start_norm:  # as the decay fit measures
         raise ValueError("--x0 lies on the equilibrium x* (its distance rounds to 0)")
     if args.gain:
         feedback = make_feedback(system, _load_gain_file(args.gain, system))
@@ -189,7 +191,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     else:
         sys.stdout.write(csv)
         summary_stream = sys.stderr
-    final_norm = float(np.linalg.norm(traj.states[-1] - traj.x_eq))
+    with np.errstate(over="ignore"):
+        final_norm = float(np.linalg.norm(traj.states[-1] - traj.x_eq))
     summary_stream.write(
         f"samples={len(traj.times)} final_norm={final_norm:.12g} "
         f"diverged={'yes' if traj.diverged else 'no'}\n"

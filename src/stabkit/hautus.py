@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import complex_pencil_rank, numerical_rank, spectrum
+from .linalg import complex_pencil_rank, rank_from_singular_values, spectrum
 from .system import CONTINUOUS, DISCRETE, Linearization
 
 TOL_CLASS = 1e-8
@@ -98,9 +98,27 @@ def kalman_matrix(a, b) -> np.ndarray:
     return np.hstack(blocks)
 
 
-def kalman_controllability_rank(a, b, tol: float | None = None) -> int:
-    """Rank of [B, AB, ..., A^(n-1) B]."""
-    return numerical_rank(kalman_matrix(a, b), tol)
+def controllable_subspace(lin: Linearization, tol: float | None = None) -> tuple[np.ndarray, int]:
+    """Orthogonal T whose leading dim columns span the controllable subspace, and dim.
+
+    Both come from one SVD of [B, AB, ..., A^(n-1) B]: T holds its left singular
+    vectors and dim is its rank.  T' A T is block upper triangular with the
+    controllable pair in the leading dim rows and columns, and the trailing
+    diagonal block carries the uncontrollable modes.  The SVD does not depend
+    on the tol, so it is kept on ``lin``: ``analyze`` reports the rank of the
+    SVD whose block ``synthesize`` places.
+    """
+    svd = lin._controllability.get("kalman")
+    if svd is None:
+        with np.errstate(over="ignore", invalid="ignore"):  # A and B are finite
+            kalman = kalman_matrix(lin.a, lin.b)
+        if not np.all(np.isfinite(kalman)):
+            raise ValueError("the Kalman matrix [B, AB, ..., A^(n-1) B] overflows")
+        # the matrix is n x nm, so the reduced U is square whenever m >= 1
+        t, svals, _ = np.linalg.svd(kalman, full_matrices=False)
+        svd = lin._controllability["kalman"] = (t, svals, kalman.shape)
+    t, svals, shape = svd
+    return t, rank_from_singular_values(svals, shape, tol)
 
 
 def hautus_tests(
@@ -120,7 +138,7 @@ def hautus_tests(
     ranks ``analyze`` took on the same system.
     """
     n = lin.a.shape[0]
-    ranks = lin._pencil_ranks
+    ranks = lin._controllability
 
     def full_rank(lam: complex) -> bool:
         key = (lam if lam.imag >= 0 else lam.conjugate(), tol)

@@ -42,6 +42,8 @@ STEP_ERROR_TOL = 1e-8
 # once ||x - x*|| has decayed that far (u* + K(x - x*) cancels)
 STEP_ERROR_FLOOR = 1e-16
 ALPHA_FLOOR = 1e-12
+# share of a trajectory's samples the decay fit leaves out as transient
+TRANSIENT_SKIP = 0.1
 # floats of the one buffer a continuous run evaluates its dense output in, so
 # that its working memory does not grow with the grid points a step covers
 DENSE_FLOATS = 1 << 15
@@ -225,7 +227,8 @@ def _dp54(g, x0s: np.ndarray, x_eq: np.ndarray, times: np.ndarray, states: bool)
     """
     count = len(x0s)
     y = x0s.astype(float)
-    dist = np.linalg.norm(y - x_eq, axis=1)
+    with np.errstate(over="ignore"):  # a distance that overflows reads inf: diverged, below
+        dist = np.linalg.norm(y - x_eq, axis=1)
     first = y if states else dist
     values = np.empty((count, len(times)) + first.shape[1:])
     values[:, 0] = first
@@ -375,11 +378,6 @@ def iterate_closed_loop(
     return _trajectory(system, feedback, x0, None, None, steps)
 
 
-def _check_transient_skip(transient_skip: float) -> None:
-    if not 0.0 <= transient_skip < 1.0:
-        raise ValueError("transient_skip must lie in [0, 1)")
-
-
 def _fit_decays(times: np.ndarray, norms: np.ndarray, rows: np.ndarray,
                 transient_skip: float) -> list[DecayFit]:
     """Least-squares lines through log ||x - x*|| over time, one per listed row of norms.
@@ -433,13 +431,12 @@ def _fit_decays(times: np.ndarray, norms: np.ndarray, rows: np.ndarray,
     return fits
 
 
-def estimate_decay(traj: Trajectory, transient_skip: float = 0.1) -> DecayFit:
+def estimate_decay(traj: Trajectory) -> DecayFit:
     """Least-squares exponential envelope of a non-divergent trajectory."""
     if traj.diverged:
         raise ValueError("cannot fit a decay envelope on a divergent trajectory")
-    _check_transient_skip(transient_skip)
     norms = np.linalg.norm(traj.states - traj.x_eq, axis=1)
-    return _fit_decays(traj.times, norms[None], np.arange(1), transient_skip)[0]
+    return _fit_decays(traj.times, norms[None], np.arange(1), TRANSIENT_SKIP)[0]
 
 
 def _first_primes(count: int) -> list[int]:
@@ -571,7 +568,6 @@ def verify_local_stability(
     horizon: float = DEFAULT_HORIZON,
     dt: float = DEFAULT_DT,
     steps: int = DEFAULT_STEPS,
-    transient_skip: float = 0.1,
 ) -> StabilityCheck:
     """Certify decay from deterministic initial conditions near the equilibrium.
 
@@ -586,7 +582,6 @@ def verify_local_stability(
         raise ValueError("delta must be positive")
     if samples < 1:
         raise ValueError("need at least one sample")
-    _check_transient_skip(transient_skip)
     # the grid is checked before the starts are drawn, so a huge samples fails fast
     times = _time_grid(system, horizon, dt, steps, samples)
     x0s = _initial_states(system, delta, samples)
@@ -594,7 +589,7 @@ def verify_local_stability(
         raise ValueError(f"delta={float(delta)} puts a start on x* (its distance rounds to 0)")
     _, g = _closed_loop(system, feedback)
     norms, diverged, _ = _run(system, g, x0s, times, states=False)
-    fits = iter(_fit_decays(times, norms, np.flatnonzero(~diverged), transient_skip))
+    fits = iter(_fit_decays(times, norms, np.flatnonzero(~diverged), TRANSIENT_SKIP))
 
     failures: list[tuple[float, ...]] = []
     worst: DecayFit | None = None

@@ -6,8 +6,8 @@ uses Ackermann's formula; multi-input placement solves a Sylvester equation
 for a similarity bringing A + B K to a chosen stable block-diagonal form.
 That form has 1x1 and 2x2 blocks, so the equation splits into one shifted
 linear solve per block and needs numpy alone.  Partially controllable pairs
-are reduced with an orthogonal staircase transform first and only the
-controllable block is placed.
+are first brought to an orthogonal basis of their controllable subspace
+(``hautus.controllable_subspace``) and only the controllable block is placed.
 """
 
 from __future__ import annotations
@@ -20,12 +20,13 @@ import numpy as np
 
 from .hautus import (
     TOL_CLASS,
+    controllable_subspace,
     format_eigenvalue,
     hautus_tests,
     kalman_matrix,
     spectral_profile,
 )
-from .linalg import numerical_rank, rank_from_singular_values, spectrum
+from .linalg import numerical_rank, spectrum
 from .system import CONTINUOUS, SystemSpec, jacobian
 
 PLACEMENT_TOL = 1e-6
@@ -55,27 +56,6 @@ class FeedbackGain:
         object.__setattr__(self, "k", arr)
         object.__setattr__(self, "target_poles", tuple(complex(v) for v in self.target_poles))
         object.__setattr__(self, "achieved_poles", tuple(complex(v) for v in self.achieved_poles))
-
-
-@dataclass(frozen=True)
-class Staircase:
-    """Orthogonal change of basis isolating the controllable block."""
-
-    transform: np.ndarray
-    controllable_dim: int
-
-
-def staircase_decompose(a, b, tol: float | None = None) -> Staircase:
-    """Basis whose leading block carries the controllable subspace.
-
-    The transform T is orthogonal; T' A T is block upper triangular with the
-    controllable pair in the leading controllable_dim rows and columns, and
-    the trailing diagonal block carries the uncontrollable modes.
-    """
-    kalman = kalman_matrix(a, b)
-    u, svals, _ = np.linalg.svd(kalman)
-    dim = rank_from_singular_values(svals, kalman.shape, tol)
-    return Staircase(transform=u, controllable_dim=dim)
 
 
 def pole_match_error(achieved: Sequence[complex], desired: Sequence[complex]) -> float:
@@ -282,9 +262,7 @@ def synthesize(system: SystemSpec, poles: Sequence[complex] | None = None,
     if not haut.holds:
         joined = ", ".join(format_eigenvalue(v) for v in haut.failures)
         raise UncontrollableError(f"uncontrollable unstable mode at lambda={joined}")
-    stair = staircase_decompose(lin.a, lin.b, tol=tol)
-    dim = stair.controllable_dim
-    t = stair.transform
+    t, dim = controllable_subspace(lin, tol)
     a_bar = t.T @ lin.a @ t
     b_bar = t.T @ lin.b
     a_c = a_bar[:dim, :dim]

@@ -242,8 +242,9 @@ class Linearization:
         object.__setattr__(self, "b", b)
 
     @cached_property
-    def _pencil_ranks(self) -> dict[tuple[complex, float | None], int]:
-        """Ranks of [A - lam I | B] by (lam with imag >= 0, tol), kept by hautus_tests."""
+    def _controllability(self) -> dict:
+        """Kept by ``hautus``: the rank of [A - lam I | B] under the key (lam with
+        imag >= 0, tol), and the Kalman matrix's SVD under the key "kalman"."""
         return {}
 
     @property

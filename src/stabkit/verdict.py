@@ -26,9 +26,9 @@ from .hautus import (
     HautusResult,
     SpectralProfile,
     TOL_CLASS,
+    controllable_subspace,
     format_eigenvalue,
     hautus_tests,
-    kalman_controllability_rank,
     spectral_profile,
 )
 from .linalg import numerical_rank
@@ -124,6 +124,9 @@ class AnalysisConfig:
             raise ValueError("tol_rank must be non-negative")
         if not self.tol_class >= 0:
             raise ValueError("tol_class must be non-negative")
+        # a negative margin lets R1-R3 fire below the spectral bound; NaN silences them
+        if not 0 <= self.margin < math.inf:
+            raise ValueError("margin must be non-negative and finite")
         # below 1 the estimate would fall back to 4n points without a word
         if not self.span_samples >= 1:
             raise ValueError("span_samples must be at least 1")
@@ -247,7 +250,7 @@ def analyze(system: SystemSpec, config: AnalysisConfig | None = None) -> Analysi
     rep = openness_report(lin, tol=cfg.tol_rank)
     prof = spectral_profile(lin.a, system.mode, tol_class=cfg.tol_class)
     haut, full = hautus_tests(lin, prof.unstable, prof.eigenvalues, tol=cfg.tol_rank)
-    kalman = kalman_controllability_rank(lin.a, lin.b, tol=cfg.tol_rank)
+    kalman = controllable_subspace(lin, tol=cfg.tol_rank)[1]
     affine = _affine_structure(system, cfg)
 
     fired, warnings = _rules(system, cfg, rep, prof, affine)

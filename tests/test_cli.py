@@ -9,6 +9,7 @@ import re
 import subprocess
 import sys
 import time
+import warnings
 from pathlib import Path
 
 import jsonschema
@@ -405,6 +406,17 @@ def test_simulate_x0_length_error(run_cli, examples_dir):
     assert "--x0 needs 2 values, got 1" in err
 
 
+def test_simulate_start_whose_distance_overflows_warns_of_nothing(run_cli, examples_dir):
+    # 1e308 squared overflows: both distances read inf, and numpy's overflow warning
+    # used to reach stderr (a traceback under -W error)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli("simulate", examples_dir / "planar_cubic.stab",
+                                 "--feedback=-1.5*x1 - 2.5*x2", "--x0", "1e308,1e308")
+    assert (code, out) == (0, "t,x1,x2\n0,1e+308,1e+308\n")
+    assert err == "samples=1 final_norm=inf diverged=yes\n"
+
+
 # the square of 1e-320 underflows, so that start is as far from x* as 0,0
 @pytest.mark.parametrize("x0", ["0,0", "1e-320,0"])
 def test_simulate_from_the_equilibrium_exits_two_before_writing(run_cli, examples_dir, x0):
@@ -715,6 +727,27 @@ def test_negative_tolerances_exit_two(run_cli, examples_dir, flag):
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and "must be non-negative" in err
+
+
+@pytest.mark.parametrize("command", ["analyze", "synthesize"])
+def test_negative_margin_exits_two(run_cli, examples_dir, command):
+    # unstable_drift fails the Hautus test, yet --margin -5 let R1 and R3 call it stabilizable
+    code, out, err = run_cli(command, examples_dir / "unstable_drift.stab", "--margin", "-5")
+    assert (code, out) == (2, "")
+    assert err == "error: margin must be non-negative and finite\n"
+
+
+@pytest.mark.parametrize("command", ["analyze", "synthesize"])
+def test_overflowing_kalman_matrix_exits_two(run_cli, tmp_path, command):
+    # A^2 B holds 1e400; the matmul's overflow warning used to reach stderr
+    path = tmp_path / "big.stab"
+    path.write_text("mode continuous\nstates 3\ncontrols 1\neq x = 0 0 0\neq u = 0\n"
+                    "f1 = 1e200*x2\nf2 = 1e200*x3\nf3 = u1\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(command, path)
+    assert (code, out) == (2, "")
+    assert err == "error: the Kalman matrix [B, AB, ..., A^(n-1) B] overflows\n"
 
 
 @pytest.mark.parametrize("samples", ["0", "-5"])

@@ -6,7 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from perfbench import gen, oracle
-from stabkit.system import jacobian, parse_system, system_from_strings
+from stabkit.hautus import controllable_subspace
+from stabkit.synthesis import PlacementError, UncontrollableError, synthesize
+from stabkit.system import Linearization, jacobian, parse_system, system_from_strings
 from stabkit.verdict import INCONCLUSIVE, POSITIVE_DECISIONS, AnalysisConfig, analyze
 
 MODES = st.sampled_from([gen.CONTINUOUS, gen.DISCRETE])
@@ -38,6 +40,22 @@ def test_generated_systems_linearize_and_decide_as_built(g):
     assert oracle.linearization(g, lin.a, lin.b) == []
     if g.expect_positive:
         assert analyze(spec).verdict.decision in POSITIVE_DECISIONS
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(g=st.one_of(chain_systems(), dense_systems()))
+def test_one_kalman_svd_gives_the_reported_rank_and_the_placed_block(g):
+    spec = parse_system(g.text)
+    lin = jacobian(spec)
+    # a fresh linearization takes its own SVD, which must agree with the one analyze kept
+    t, dim = controllable_subspace(Linearization(lin.a, lin.b))
+    assert dim == analyze(spec).kalman_rank
+    assert np.abs(t.T @ t - np.eye(spec.n)).max() <= 1e-12
+    try:
+        gain = synthesize(spec)
+    except (PlacementError, UncontrollableError):  # n >= 30 placement fails (ROADMAP item 3)
+        return
+    assert len(gain.target_poles) == dim
 
 
 @st.composite

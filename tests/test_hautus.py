@@ -9,9 +9,9 @@ from perfbench.workloads import large_systems
 from stabkit import hautus
 from stabkit.hautus import (
     _distinct,
+    controllable_subspace,
     format_eigenvalue,
     hautus_tests,
-    kalman_controllability_rank,
     spectral_profile,
 )
 from stabkit.linalg import complex_pencil_rank, spectrum
@@ -88,14 +88,18 @@ def test_hautus_fails_at_unreachable_unstable_mode(examples_dir):
     assert any(abs(v - 1.0) <= 1e-9 for v in result.failures)
     assert not full
     # the stable direction is still reachable, so the Kalman rank is 1
-    assert kalman_controllability_rank(lin.a, lin.b) == 1
+    assert controllable_subspace(lin)[1] == 1
+
+
+def _kalman_rank(a, b):
+    return controllable_subspace(Linearization(a, b))[1]
 
 
 def test_kalman_rank_known_pairs():
     a = np.array([[0.0, 1.0], [0.0, 0.0]])
     b = np.array([[0.0], [1.0]])
-    assert kalman_controllability_rank(a, b) == 2
-    assert kalman_controllability_rank(np.zeros((2, 2)), np.zeros((2, 1))) == 0
+    assert _kalman_rank(a, b) == 2
+    assert _kalman_rank(np.zeros((2, 2)), np.zeros((2, 1))) == 0
 
 
 def _random_pair(rng, controllable):
@@ -105,13 +109,13 @@ def _random_pair(rng, controllable):
         while True:
             a = rng.normal(size=(n, n))
             b = rng.normal(size=(n, m))
-            if kalman_controllability_rank(a, b) == n:
+            if _kalman_rank(a, b) == n:
                 return a, b, True
     k = int(rng.integers(1, n))  # dimension of the reachable block
     while True:
         a_c = rng.normal(size=(k, k))
         b_c = rng.normal(size=(k, m))
-        if kalman_controllability_rank(a_c, b_c) == k:
+        if _kalman_rank(a_c, b_c) == k:
             break
     a = np.zeros((n, n))
     a[:k, :k] = a_c
@@ -127,7 +131,7 @@ def test_full_spectrum_hautus_equals_kalman():
     for trial in range(60):
         a, b, controllable = _random_pair(rng, controllable=trial % 2 == 0)
         n = a.shape[0]
-        assert (kalman_controllability_rank(a, b) == n) == controllable
+        assert (_kalman_rank(a, b) == n) == controllable
         assert hautus_tests(Linearization(a, b), (), spectrum(a))[1] == controllable
 
 
@@ -212,6 +216,30 @@ def test_synthesize_after_analyze_ranks_no_pencil(monkeypatch, examples_dir, cfg
             pass
         assert ranked == []
     assert unstable_seen >= len(specs) // 2
+
+
+def test_analyze_then_synthesize_take_one_kalman_svd(monkeypatch, examples_dir):
+    # at n = 1 the Kalman matrix is B, which the affine structure and place_poles rank too
+    specs = [load_system(path) for path in sorted(examples_dir.glob("*.stab"))]
+    specs += [parse_system(g.text) for g in large_systems(0, False) if g.n == 10]
+    svd = np.linalg.svd
+    for spec in (s for s in specs if s.n > 1):
+        lin = jacobian(spec)
+        kalman = hautus.kalman_matrix(lin.a, lin.b)
+        taken = []
+
+        def counted(m, *args, **kwargs):
+            taken.append(np.shape(m) == kalman.shape and np.array_equal(m, kalman))
+            return svd(m, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counted)
+        analyze(spec)
+        try:
+            synthesize(spec)
+        except (PlacementError, UncontrollableError):
+            pass
+        monkeypatch.setattr(np.linalg, "svd", svd)
+        assert taken.count(True) == 1
 
 
 def test_format_eigenvalue():

@@ -737,12 +737,6 @@ def test_mode_and_argument_guards():
         sim.iterate_closed_loop(disc, ["0"], [0.1], steps=0)
     with pytest.raises(ValueError, match="delta"):
         sim.verify_local_stability(cont, ["0"], delta=0.0)
-    with pytest.raises(ValueError, match="transient_skip"):
-        traj = sim.integrate_closed_loop(cont, ["-x1"], [0.1], horizon=1.0, dt=0.1)
-        sim.estimate_decay(traj, transient_skip=1.0)
-    for skip in (-0.1, 1.0, float("nan")):
-        with pytest.raises(ValueError, match="transient_skip"):
-            sim.verify_local_stability(cont, ["-x1"], delta=0.1, transient_skip=skip)
 
 
 def test_nan_and_nonpositive_grids_are_rejected():

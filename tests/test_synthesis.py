@@ -7,6 +7,7 @@ from scipy.optimize import linear_sum_assignment
 
 from stabkit import expr as ex
 from stabkit import synthesis
+from stabkit.hautus import controllable_subspace
 from stabkit.linalg import spectrum
 from stabkit.synthesis import (
     FeedbackGain,
@@ -19,10 +20,9 @@ from stabkit.synthesis import (
     gain_expressions,
     place_poles,
     pole_match_error,
-    staircase_decompose,
     synthesize,
 )
-from stabkit.system import load_system, system_from_strings
+from stabkit.system import Linearization, load_system, system_from_strings
 
 PLACEMENT_ROUNDS = 100
 SYLVESTER_CASES = 200
@@ -65,9 +65,8 @@ def test_discrete_default_gain(examples_dir):
 # --- partially controllable pairs ---------------------------------------
 
 def test_staircase_dimension():
-    stair = staircase_decompose([[1.0, 0.0], [0.0, 0.0]], [[0.0], [1.0]])
-    assert stair.controllable_dim == 1
-    t = stair.transform
+    t, dim = controllable_subspace(Linearization([[1.0, 0.0], [0.0, 0.0]], [[0.0], [1.0]]))
+    assert dim == 1
     assert t.T @ t == pytest.approx(np.eye(2), abs=1e-12)
 
 

@@ -144,6 +144,14 @@ def test_margin_override_suppresses_sufficiency(examples_dir):
     assert v.warnings[0].startswith("sufficiency margin failed: cov=0.61446986818")
 
 
+@pytest.mark.parametrize("margin", [-5.0, -1e-300, math.nan, math.inf])
+def test_margin_must_be_non_negative_and_finite(margin):
+    # at margin -5 the unstabilizable unstable_drift read EXP_STABILIZABLE by R1 and R3;
+    # a NaN margin made every margin row and margin warning false
+    with pytest.raises(ValueError, match="^margin must be non-negative and finite$"):
+        AnalysisConfig(margin=margin)
+
+
 def test_margin_sweep_is_monotone(examples_dir):
     sys = load_system(examples_dir / "three_state_mixed.stab")
     seen_inconclusive = False
