@@ -172,9 +172,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     if len(x0) != system.n:
         raise ValueError(f"--x0 needs {system.n} values, got {len(x0)}")
     with np.errstate(over="ignore"):  # a distance past the largest float reads inf
-        start_norm = np.linalg.norm(np.subtract(x0, system.x_eq), axis=-1)
-    if not start_norm:  # as the decay fit measures
-        raise ValueError("--x0 lies on the equilibrium x* (its distance rounds to 0)")
+        if not np.linalg.norm(np.subtract(x0, system.x_eq), axis=-1):  # as the fit measures
+            raise ValueError("--x0 lies on the equilibrium x* (its distance rounds to 0)")
     if args.gain:
         feedback = make_feedback(system, _load_gain_file(args.gain, system))
     else:

@@ -101,12 +101,10 @@ def kalman_matrix(a, b) -> np.ndarray:
 def controllable_subspace(lin: Linearization, tol: float | None = None) -> tuple[np.ndarray, int]:
     """Orthogonal T whose leading dim columns span the controllable subspace, and dim.
 
-    Both come from one SVD of [B, AB, ..., A^(n-1) B]: T holds its left singular
-    vectors and dim is its rank.  T' A T is block upper triangular with the
-    controllable pair in the leading dim rows and columns, and the trailing
-    diagonal block carries the uncontrollable modes.  The SVD does not depend
-    on the tol, so it is kept on ``lin``: ``analyze`` reports the rank of the
-    SVD whose block ``synthesize`` places.
+    T holds the left singular vectors of [B, AB, ..., A^(n-1) B] and dim is its
+    rank, so T' A T is block upper triangular with the controllable pair leading.
+    The SVD does not depend on the tol and is kept on ``lin``: ``analyze``
+    reports the rank of the SVD whose block ``synthesize`` places.
     """
     svd = lin._controllability.get("kalman")
     if svd is None:

@@ -227,8 +227,7 @@ def _dp54(g, x0s: np.ndarray, x_eq: np.ndarray, times: np.ndarray, states: bool)
     """
     count = len(x0s)
     y = x0s.astype(float)
-    with np.errstate(over="ignore"):  # a distance that overflows reads inf: diverged, below
-        dist = np.linalg.norm(y - x_eq, axis=1)
+    dist = np.linalg.norm(y - x_eq, axis=1)
     first = y if states else dist
     values = np.empty((count, len(times)) + first.shape[1:])
     values[:, 0] = first
@@ -334,9 +333,10 @@ def _iterate(g, x0s: np.ndarray, x_eq: np.ndarray, steps: int, states: bool):
 def _run(system: SystemSpec, g, x0s: np.ndarray, times: np.ndarray, states: bool):
     """The mode's runner from every row of x0s on the grid ``times``."""
     x_eq = np.asarray(system.x_eq, dtype=float)
-    if system.mode == CONTINUOUS:
-        return _dp54(g, x0s, x_eq, times, states)
-    return _iterate(g, x0s, x_eq, len(times) - 1, states)
+    with np.errstate(over="ignore"):  # a start whose distance overflows reads inf and diverges
+        if system.mode == CONTINUOUS:
+            return _dp54(g, x0s, x_eq, times, states)
+        return _iterate(g, x0s, x_eq, len(times) - 1, states)
 
 
 def _trajectory(system: SystemSpec, feedback, x0, horizon, dt, steps) -> Trajectory:
@@ -585,8 +585,9 @@ def verify_local_stability(
     # the grid is checked before the starts are drawn, so a huge samples fails fast
     times = _time_grid(system, horizon, dt, steps, samples)
     x0s = _initial_states(system, delta, samples)
-    if not np.linalg.norm(x0s - system.x_eq, axis=1).all():  # the distance the fit divides by
-        raise ValueError(f"delta={float(delta)} puts a start on x* (its distance rounds to 0)")
+    with np.errstate(over="ignore"):
+        if not np.linalg.norm(x0s - system.x_eq, axis=1).all():  # what the fit divides by
+            raise ValueError(f"delta={float(delta)} puts a start on x* (its distance rounds to 0)")
     _, g = _closed_loop(system, feedback)
     norms, diverged, _ = _run(system, g, x0s, times, states=False)
     fits = iter(_fit_decays(times, norms, np.flatnonzero(~diverged), TRANSIENT_SKIP))

@@ -417,6 +417,18 @@ def test_simulate_start_whose_distance_overflows_warns_of_nothing(run_cli, examp
     assert err == "samples=1 final_norm=inf diverged=yes\n"
 
 
+@pytest.mark.parametrize("example", ["planar_cubic", "discrete_quadratic"])
+def test_validation_radius_whose_distance_overflows_warns_of_nothing(run_cli, examples_dir,
+                                                                      example):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli("synthesize", examples_dir / f"{example}.stab", "--validate",
+                                 "--delta", "1e200", "--samples", "3", "--json")
+    assert (code, err) == (0, "")
+    validation = json.loads(out)["validation"]
+    assert not validation["passed"] and len(validation["failures"]) == 3
+
+
 # the square of 1e-320 underflows, so that start is as far from x* as 0,0
 @pytest.mark.parametrize("x0", ["0,0", "1e-320,0"])
 def test_simulate_from_the_equilibrium_exits_two_before_writing(run_cli, examples_dir, x0):
