@@ -172,7 +172,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     if len(x0) != system.n:
         raise ValueError(f"--x0 needs {system.n} values, got {len(x0)}")
     with np.errstate(over="ignore"):  # a distance past the largest float reads inf
-        if not np.linalg.norm(np.subtract(x0, system.x_eq), axis=-1):  # as the fit measures
+        if not np.linalg.norm(np.subtract(x0, system.x_eq), axis=-1):  # as the decay fit measures
             raise ValueError("--x0 lies on the equilibrium x* (its distance rounds to 0)")
     if args.gain:
         feedback = make_feedback(system, _load_gain_file(args.gain, system))

@@ -586,7 +586,7 @@ def verify_local_stability(
     times = _time_grid(system, horizon, dt, steps, samples)
     x0s = _initial_states(system, delta, samples)
     with np.errstate(over="ignore"):
-        if not np.linalg.norm(x0s - system.x_eq, axis=1).all():  # what the fit divides by
+        if not np.linalg.norm(x0s - system.x_eq, axis=1).all():  # the distance the fit divides by
             raise ValueError(f"delta={float(delta)} puts a start on x* (its distance rounds to 0)")
     _, g = _closed_loop(system, feedback)
     norms, diverged, _ = _run(system, g, x0s, times, states=False)

@@ -407,8 +407,8 @@ def test_simulate_x0_length_error(run_cli, examples_dir):
 
 
 def test_simulate_start_whose_distance_overflows_warns_of_nothing(run_cli, examples_dir):
-    # 1e308 squared overflows: both distances read inf, and numpy's overflow warning
-    # used to reach stderr (a traceback under -W error)
+    # 1e308 squared overflows: both distances read inf, without numpy's overflow warning
+    # (a traceback under -W error)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         code, out, err = run_cli("simulate", examples_dir / "planar_cubic.stab",
@@ -743,7 +743,7 @@ def test_negative_tolerances_exit_two(run_cli, examples_dir, flag):
 
 @pytest.mark.parametrize("command", ["analyze", "synthesize"])
 def test_negative_margin_exits_two(run_cli, examples_dir, command):
-    # unstable_drift fails the Hautus test, yet --margin -5 let R1 and R3 call it stabilizable
+    # unstable_drift fails the Hautus test, which --margin -5 would let R1 and R3 override
     code, out, err = run_cli(command, examples_dir / "unstable_drift.stab", "--margin", "-5")
     assert (code, out) == (2, "")
     assert err == "error: margin must be non-negative and finite\n"
@@ -751,7 +751,7 @@ def test_negative_margin_exits_two(run_cli, examples_dir, command):
 
 @pytest.mark.parametrize("command", ["analyze", "synthesize"])
 def test_overflowing_kalman_matrix_exits_two(run_cli, tmp_path, command):
-    # A^2 B holds 1e400; the matmul's overflow warning used to reach stderr
+    # A^2 B holds 1e400: an error naming the Kalman matrix, not numpy's overflow warning
     path = tmp_path / "big.stab"
     path.write_text("mode continuous\nstates 3\ncontrols 1\neq x = 0 0 0\neq u = 0\n"
                     "f1 = 1e200*x2\nf2 = 1e200*x3\nf3 = u1\n")

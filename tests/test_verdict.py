@@ -146,8 +146,8 @@ def test_margin_override_suppresses_sufficiency(examples_dir):
 
 @pytest.mark.parametrize("margin", [-5.0, -1e-300, math.nan, math.inf])
 def test_margin_must_be_non_negative_and_finite(margin):
-    # at margin -5 the unstabilizable unstable_drift read EXP_STABILIZABLE by R1 and R3;
-    # a NaN margin made every margin row and margin warning false
+    # margin -5 would let R1 and R3 call the unstabilizable unstable_drift stabilizable,
+    # and a NaN margin would make every margin row and margin warning false
     with pytest.raises(ValueError, match="^margin must be non-negative and finite$"):
         AnalysisConfig(margin=margin)
 
