@@ -70,23 +70,13 @@ def _config_from(args: argparse.Namespace) -> AnalysisConfig:
     )
 
 
-def _parse_pole_list(text: str) -> list[complex]:
+def _parse_list(text: str, kind: type, noun: str) -> list:
     try:
-        poles = [complex(tok.strip()) for tok in text.split(",") if tok.strip()]
+        values = [kind(tok.strip()) for tok in text.split(",") if tok.strip()]
     except ValueError:
-        raise ValueError(f"could not parse pole list {text!r}") from None
-    if not all(cmath.isfinite(p) for p in poles):
-        raise ValueError(f"pole list {text!r} must hold finite numbers")
-    return poles
-
-
-def _parse_float_list(text: str) -> list[float]:
-    try:
-        values = [float(tok.strip()) for tok in text.split(",") if tok.strip()]
-    except ValueError:
-        raise ValueError(f"could not parse number list {text!r}") from None
-    if not all(math.isfinite(v) for v in values):
-        raise ValueError(f"number list {text!r} must hold finite numbers")
+        raise ValueError(f"could not parse {noun} list {text!r}") from None
+    if not all(cmath.isfinite(v) for v in values):
+        raise ValueError(f"{noun} list {text!r} must hold finite numbers")
     return values
 
 
@@ -112,7 +102,7 @@ def cmd_synthesize(args: argparse.Namespace) -> int:
             "pass --force to synthesize from the linearization anyway\n"
         )
         return 3
-    poles = _parse_pole_list(args.poles) if args.poles else None
+    poles = _parse_list(args.poles, complex, "pole") if args.poles else None
     gain = synthesize(system, poles=poles, seed=args.seed, tol=cfg.tol_rank,
                       tol_class=cfg.tol_class)
     validation = None
@@ -131,7 +121,7 @@ def cmd_synthesize(args: argparse.Namespace) -> int:
 
 def cmd_covering(args: argparse.Namespace) -> int:
     system = load_system(args.path)
-    radii = _parse_float_list(args.radius)
+    radii = _parse_list(args.radius, float, "number")
     if not radii:
         raise ValueError("--radius expects at least one value")
     grid = CoveringGrid(
@@ -168,7 +158,7 @@ def _load_gain_file(path: str, system) -> FeedbackGain:
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     system = load_system(args.path)
-    x0 = _parse_float_list(args.x0)
+    x0 = _parse_list(args.x0, float, "number")
     if len(x0) != system.n:
         raise ValueError(f"--x0 needs {system.n} values, got {len(x0)}")
     with np.errstate(over="ignore"):  # a distance past the largest float reads inf

@@ -19,10 +19,6 @@ MAX_STORED_FLOATS = 1 << 23
 DEFAULT_RANK_SCALE = 1e-9
 
 
-class ConvergenceError(RuntimeError):
-    """An iterative eigenvalue computation failed to converge."""
-
-
 def _as_matrix(m, name: str = "matrix") -> np.ndarray:
     arr = np.asarray(m, dtype=float)
     if arr.ndim != 2:
@@ -60,10 +56,7 @@ def spectrum(a) -> np.ndarray:
         raise ValueError(f"expected a square matrix, got shape {arr.shape}")
     if rows > MAX_DIM:
         raise ValueError(f"dimension {rows} exceeds the supported cap of {MAX_DIM}")
-    try:
-        values = np.linalg.eigvals(arr)
-    except np.linalg.LinAlgError as err:
-        raise ConvergenceError(f"eigenvalue computation failed: {err}") from err
+    values = np.linalg.eigvals(arr)
     order = np.lexsort((values.imag, values.real))
     return values[order]
 

@@ -59,11 +59,12 @@ class FeedbackGain:
 
 
 def pole_match_error(achieved: Sequence[complex], desired: Sequence[complex]) -> float:
-    """Largest pole deviation under a minimal-cost matching.
+    """Smallest t for which some one-to-one matching keeps every
+    |achieved - desired| <= t (the bottleneck value), or inf for a non-finite pole.
 
-    When every achieved pole has a distinct nearest target, matching each to
-    it attains the row-minimum lower bound, so every minimal matching has
-    those costs; only ties in the nearest target need the assignment solver.
+    t is at least the largest nearest-target distance, and is that bound when
+    the nearest targets are distinct; the bound is tested first, then the costs
+    above it are bisected (Burkard, Dell'Amico & Martello 2009, ch. 6).
     """
     ach = np.asarray(achieved, dtype=complex)
     des = np.asarray(desired, dtype=complex)
@@ -72,13 +73,35 @@ def pole_match_error(achieved: Sequence[complex], desired: Sequence[complex]) ->
     if len(ach) == 0:
         return 0.0
     cost = np.abs(ach[:, None] - des[None, :])
-    nearest = cost.argmin(axis=1)
-    if len(set(nearest.tolist())) == len(nearest):
-        return float(cost.min(axis=1).max())
-    from scipy.optimize import linear_sum_assignment
+    if not np.all(np.isfinite(cost)):
+        return float("inf")
+    candidates = np.sort(cost[cost >= cost.min(axis=1).max()])
+    lo, hi, mid = 0, len(candidates) - 1, 0  # at the largest cost any matching does
+    while lo < hi:
+        if _matches_every_row(cost <= candidates[mid]):
+            hi = mid
+        else:
+            lo = mid + 1
+        mid = (lo + hi) // 2
+    return float(candidates[lo])
 
-    rows, cols = linear_sum_assignment(cost)
-    return float(cost[rows, cols].max())
+
+def _matches_every_row(allowed: np.ndarray) -> bool:
+    """Whether the boolean (rows, cols) graph matches each row to its own column;
+    Kuhn's augmenting paths, recursing at most once per row (Hopcroft & Karp 1973)."""
+    neighbours = [np.flatnonzero(row).tolist() for row in allowed]
+    owner: dict[int, int] = {}
+
+    def augment(i: int, seen: set[int]) -> bool:
+        for j in neighbours[i]:
+            if j not in seen:
+                seen.add(j)
+                if j not in owner or augment(owner[j], seen):
+                    owner[j] = i
+                    return True
+        return False
+
+    return all(augment(i, set()) for i in range(len(neighbours)))  # no path: never matched
 
 
 def _real_block_form(desired: Sequence[complex], tol: float = 1e-9) -> np.ndarray:
@@ -181,13 +204,13 @@ def _sylvester(a: np.ndarray, b: np.ndarray, desired: Sequence[complex],
 
 
 def place_poles(a, b, desired: Sequence[complex],
-                rng: np.random.Generator | None = None) -> np.ndarray:
+                rng: np.random.Generator | None = None, tol: float | None = None) -> np.ndarray:
     """Gain K with the spectrum of A + B K at the desired poles.
 
     Requires a controllable pair and desired poles disjoint from the open-loop
     spectrum (the multi-input path needs the separation; the requirement is
-    enforced uniformly).  The achieved accuracy is validated to 1e-6 under a
-    minimal-cost matching.
+    enforced uniformly), with the Kalman matrix ranked under ``tol``.  The
+    achieved accuracy is validated to 1e-6 under a bottleneck matching.
     """
     a_arr = np.asarray(a, dtype=float)
     b_arr = np.asarray(b, dtype=float)
@@ -207,7 +230,7 @@ def place_poles(a, b, desired: Sequence[complex],
                 "placement needs disjoint spectra"
             )
     ctrb = kalman_matrix(a_arr, b_arr)
-    if numerical_rank(ctrb) < n:
+    if numerical_rank(ctrb, tol) < n:
         raise UncontrollableError("the pair (A, B) is not controllable")
     if b_arr.shape[1] == 1:
         k = _ackermann(a_arr, ctrb, desired)
@@ -263,10 +286,8 @@ def synthesize(system: SystemSpec, poles: Sequence[complex] | None = None,
         joined = ", ".join(format_eigenvalue(v) for v in haut.failures)
         raise UncontrollableError(f"uncontrollable unstable mode at lambda={joined}")
     t, dim = controllable_subspace(lin, tol)
-    a_bar = t.T @ lin.a @ t
-    b_bar = t.T @ lin.b
-    a_c = a_bar[:dim, :dim]
-    b_c = b_bar[:dim, :]
+    a_c = (t.T @ lin.a @ t)[:dim, :dim]
+    b_c = (t.T @ lin.b)[:dim, :]
 
     if poles is None:
         avoid = np.linalg.eigvals(a_c) if dim else []
@@ -284,11 +305,7 @@ def synthesize(system: SystemSpec, poles: Sequence[complex] | None = None,
         if bad:
             raise ValueError(f"requested poles are not stable for {system.mode} mode: {bad}")
 
-    rng = np.random.default_rng(seed)
-    if dim:
-        k_c = place_poles(a_c, b_c, desired, rng=rng)
-    else:
-        k_c = np.zeros((system.m, 0))
+    k_c = place_poles(a_c, b_c, desired, rng=np.random.default_rng(seed), tol=tol)
     k_full = np.hstack([k_c, np.zeros((system.m, system.n - dim))]) @ t.T
     achieved = spectrum(lin.a + lin.b @ k_full)
     if system.mode == CONTINUOUS:

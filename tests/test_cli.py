@@ -13,6 +13,7 @@ import warnings
 from pathlib import Path
 
 import jsonschema
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -809,18 +810,26 @@ def test_analyze_and_synthesize_load_no_scipy(examples_dir, tmp_path):
     two_input = tmp_path / "two_input.stab"
     two_input.write_text(TWO_INPUT_SYSTEM)
     # validation of the 2-state system draws its starts through the inverse normal;
-    # np.unique loads numpy.ma on numpy >= 2, while numpy 1.24 imports it with numpy
+    # np.unique loads numpy.ma on numpy >= 2, while numpy 1.24 imports it with numpy.
+    # Tied pole lists give two achieved poles one nearest target, so the pole match
+    # goes past its first threshold
     script = (
         "import contextlib, io, sys\n"
         "import numpy\n"
         "from stabkit.cli import main\n"
         "before = set(sys.modules)\n"
-        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "with contextlib.redirect_stdout(io.StringIO()), "
+        "contextlib.redirect_stderr(io.StringIO()):\n"
         f"    codes = [main(['analyze', {path!r}]), main(['analyze', {path!r}, '--json']),\n"
         f"             main(['synthesize', {path!r}, '--json']),\n"
         f"             main(['synthesize', {str(two_input)!r}, '--json']),\n"
         f"             main(['synthesize', {path!r}, '--validate']),\n"
-        f"             main(['synthesize', {discrete!r}, '--validate', '--json'])]\n"
+        f"             main(['synthesize', {discrete!r}, '--validate', '--json']),\n"
+        f"             main(['synthesize', {path!r}, '--poles=-1,-1']),\n"
+        f"             main(['synthesize', {str(two_input)!r}, '--poles=-1,-1,-2']),\n"
+        f"             main(['covering', {path!r}, '--radius', '0.1']),\n"
+        f"             main(['simulate', {path!r}, '--feedback=-x1 - x2', '--x0', '0.1,0',\n"
+        "                   '--horizon', '1'])]\n"
         "print(codes, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'),\n"
         "      sorted(m for m in set(sys.modules) - before if m.split('.')[:2] == ['numpy', 'ma']))\n"
     )
@@ -829,7 +838,35 @@ def test_analyze_and_synthesize_load_no_scipy(examples_dir, tmp_path):
     out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
                          text=True, timeout=120)
     assert out.returncode == 0, out.stderr
-    assert out.stdout.strip() == "[0, 0, 0, 0, 0, 0] [] []"
+    assert out.stdout.strip() == "[0, 0, 0, 0, 0, 0, 0, 0, 0, 0] [] []"
+
+
+def test_synthesize_ranks_the_placed_block_under_tol_rank(run_cli, tmp_path):
+    # B = (1, 1e-12): the Kalman matrix has singular values near 1.4 and 7e-13, full
+    # rank under --tol-rank 1e-14 but not under the default cutoff 1e-9 * 1.4 * 2
+    path = tmp_path / "weak_input.stab"
+    path.write_text("mode continuous\nstates 2\ncontrols 1\neq x = 0 0\neq u = 0\n"
+                    "f1 = x1 + u1\nf2 = 2*x2 + 1e-12*u1\n")
+    code, out, _ = run_cli("analyze", path, "--tol-rank", "1e-14")
+    assert code == 0
+    assert "hautus: asymptotic_holds=yes kalman_rank=2" in out
+    code, out, err = run_cli("synthesize", path, "--tol-rank", "1e-14", "--force")
+    assert (code, err) == (0, "")
+    assert "achieved poles: -3.5 -3\n" in out
+    code, out, err = run_cli("synthesize", path, "--force")
+    assert (code, out) == (3, "")
+    assert err == "error: uncontrollable unstable mode at lambda=2\n"
+
+
+def test_nonconverging_eigenvalues_exit_two(run_cli, examples_dir, monkeypatch):
+    # numpy's LinAlgError is a ValueError, so it ends in exit 2 like any other bad input
+    def fail(a):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigvals", fail)
+    code, out, err = run_cli("analyze", examples_dir / "planar_cubic.stab")
+    assert (code, out) == (2, "")
+    assert err == "error: Eigenvalues did not converge\n"
 
 
 def test_synthesize_classifies_with_the_tol_class_flag(run_cli, tmp_path):

@@ -1,9 +1,16 @@
 """Gain synthesis tests: placement accuracy, reductions, failure modes."""
 
+import bisect
+import itertools
+
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import maximum_bipartite_matching
 
 from stabkit import expr as ex
 from stabkit import synthesis
@@ -239,13 +246,22 @@ def test_pole_match_error_is_permutation_invariant():
         pole_match_error(achieved, desired[:2])
 
 
-def _assignment_error(achieved, desired) -> float:
-    cost = np.abs(np.subtract.outer(np.asarray(achieved), np.asarray(desired)))
-    rows, cols = linear_sum_assignment(cost)
-    return float(cost[rows, cols].max())
+def _costs(achieved, desired) -> np.ndarray:
+    return np.abs(np.subtract.outer(np.asarray(achieved, dtype=complex),
+                                    np.asarray(desired, dtype=complex)))
 
 
-def test_pole_match_error_equals_assignment_solver():
+def _bottleneck_oracle(cost: np.ndarray) -> float:
+    """Smallest cost t whose graph {cost <= t} matches every row (Hopcroft-Karp)."""
+    def matches_every_row(t):
+        graph = csr_matrix((cost <= t).astype(np.int8))
+        return bool(np.all(maximum_bipartite_matching(graph, perm_type="column") >= 0))
+
+    values = np.unique(cost)
+    return float(values[bisect.bisect_left(values, True, key=matches_every_row)])
+
+
+def test_pole_match_error_is_the_bottleneck_value():
     rng = np.random.default_rng(7)
     for case in range(600):
         n = int(rng.integers(1, 9))
@@ -254,10 +270,54 @@ def test_pole_match_error_equals_assignment_solver():
             desired[rng.integers(1, n)] = desired[0]
         noise = rng.normal(size=n) + 1j * rng.normal(size=n)
         achieved = rng.permutation(desired) + 10.0 ** rng.uniform(-14, 0.5) * noise
-        assert pole_match_error(achieved, desired) == _assignment_error(achieved, desired)
-    # two achieved poles share a nearest target: the solver path decides
-    achieved, desired = [0.0, 0.1], [0.05, 5.0]
-    assert pole_match_error(achieved, desired) == _assignment_error(achieved, desired)
+        cost = _costs(achieved, desired)
+        value = pole_match_error(achieved, desired)
+        assert value == _bottleneck_oracle(cost)
+        # a minimum-sum matching is one matching, so its largest cost bounds the value,
+        # and with distinct nearest targets both are the largest nearest distance
+        rows, cols = linear_sum_assignment(cost)
+        assert value <= cost[rows, cols].max()
+        if len(set(cost.argmin(axis=1).tolist())) == n:
+            assert value == cost[rows, cols].max() == cost.min(axis=1).max()
+    # both achieved poles are nearest to 0.05; matching 0.1 to 5.0 costs 4.9
+    assert pole_match_error([0.0, 0.1], [0.05, 5.0]) == _costs([0.1], [5.0])[0, 0]
+
+
+def test_pole_match_error_can_undercut_the_minimum_sum_matching():
+    # the minimum sum 0 + 3*sqrt(2) pairs 0 -> 0 and 3i -> 3; 3 + 3 pairs 0 -> 3 and 3i -> 0
+    achieved, desired = [0.0, 3j], [0.0, 3.0]
+    cost = _costs(achieved, desired)
+    rows, cols = linear_sum_assignment(cost)
+    assert cost[rows, cols].max() == cost[1, 1] > 4.0
+    assert pole_match_error(achieved, desired) == 3.0
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), complex(-1.0, float("nan"))])
+def test_pole_match_error_of_a_nonfinite_pole_is_inf(bad):
+    # inf fails the placement gate; a nan compares false with the tolerance either way
+    assert pole_match_error([bad, -2.0], [-1.0, -2.0]) == float("inf")
+    assert pole_match_error([-1.0, -2.0], [-1.0, bad]) == float("inf")
+
+
+@st.composite
+def _grid_pole_lists(draw):
+    # poles on a 5 x 5 integer grid, so ties in the nearest target are frequent
+    n = draw(st.integers(1, 6))
+    pole = st.builds(complex, st.integers(-2, 2), st.integers(-2, 2))
+    achieved = draw(st.lists(pole, min_size=n, max_size=n))
+    desired = draw(st.lists(pole, min_size=n, max_size=n))
+    return achieved, desired, draw(st.permutations(achieved)), draw(st.permutations(desired))
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(case=_grid_pole_lists())
+def test_pole_match_error_is_the_brute_force_minimum_over_matchings(case):
+    achieved, desired, shuffled_achieved, shuffled_desired = case
+    cost = _costs(achieved, desired)
+    n = len(achieved)
+    brute = min(max(cost[i, p[i]] for i in range(n)) for p in itertools.permutations(range(n)))
+    assert pole_match_error(achieved, desired) == brute
+    assert pole_match_error(shuffled_achieved, shuffled_desired) == brute
 
 
 # --- helpers ------------------------------------------------------------
