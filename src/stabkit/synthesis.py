@@ -76,7 +76,7 @@ def pole_match_error(achieved: Sequence[complex], desired: Sequence[complex]) ->
     if not np.all(np.isfinite(cost)):
         return float("inf")
     candidates = np.sort(cost[cost >= cost.min(axis=1).max()])
-    lo, hi, mid = 0, len(candidates) - 1, 0  # at the largest cost any matching does
+    lo, hi, mid = 0, len(candidates) - 1, 0  # any matching keeps within the largest cost
     while lo < hi:
         if _matches_every_row(cost <= candidates[mid]):
             hi = mid
@@ -87,8 +87,8 @@ def pole_match_error(achieved: Sequence[complex], desired: Sequence[complex]) ->
 
 
 def _matches_every_row(allowed: np.ndarray) -> bool:
-    """Whether the boolean (rows, cols) graph matches each row to its own column;
-    Kuhn's augmenting paths, recursing at most once per row (Hopcroft & Karp 1973)."""
+    """Whether the boolean (rows, cols) graph matches each row to its own column, by
+    Kuhn's augmenting paths: depth <= rows, and a row none reaches is never matched."""
     neighbours = [np.flatnonzero(row).tolist() for row in allowed]
     owner: dict[int, int] = {}
 
@@ -101,7 +101,7 @@ def _matches_every_row(allowed: np.ndarray) -> bool:
                     return True
         return False
 
-    return all(augment(i, set()) for i in range(len(neighbours)))  # no path: never matched
+    return all(augment(i, set()) for i in range(len(neighbours)))
 
 
 def _real_block_form(desired: Sequence[complex], tol: float = 1e-9) -> np.ndarray:

@@ -811,8 +811,8 @@ def test_analyze_and_synthesize_load_no_scipy(examples_dir, tmp_path):
     two_input.write_text(TWO_INPUT_SYSTEM)
     # validation of the 2-state system draws its starts through the inverse normal;
     # np.unique loads numpy.ma on numpy >= 2, while numpy 1.24 imports it with numpy.
-    # Tied pole lists give two achieved poles one nearest target, so the pole match
-    # goes past its first threshold
+    # Tied pole lists give two achieved poles one nearest target, which the placement
+    # gate must match without an assignment solver
     script = (
         "import contextlib, io, sys\n"
         "import numpy\n"
