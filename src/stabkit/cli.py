@@ -80,13 +80,16 @@ def _parse_list(text: str, kind: type, noun: str) -> list:
     return values
 
 
+def _write_report(args: argparse.Namespace, analysis, gain=None, validation=None) -> None:
+    if args.json:
+        sys.stdout.write(report_json(build_report(analysis, gain, validation, seed=args.seed)))
+    else:
+        sys.stdout.write(report_text(analysis, gain, validation))
+
+
 def cmd_analyze(args: argparse.Namespace) -> int:
     system = load_system(args.path)
-    analysis = analyze(system, _config_from(args))
-    if args.json:
-        sys.stdout.write(report_json(build_report(analysis, seed=args.seed)))
-    else:
-        sys.stdout.write(report_text(analysis))
+    _write_report(args, analyze(system, _config_from(args)))
     return 0
 
 
@@ -111,11 +114,7 @@ def cmd_synthesize(args: argparse.Namespace) -> int:
             system, gain, delta=args.delta, samples=args.samples,
             horizon=args.horizon, dt=args.dt, steps=args.steps,
         )
-    if args.json:
-        doc = build_report(analysis, gain=gain, validation=validation, seed=args.seed)
-        sys.stdout.write(report_json(doc))
-    else:
-        sys.stdout.write(report_text(analysis, gain=gain, validation=validation))
+    _write_report(args, analysis, gain, validation)
     return 0
 
 

@@ -114,6 +114,8 @@ def controllable_subspace(lin: Linearization, tol: float | None = None) -> tuple
             raise ValueError("the Kalman matrix [B, AB, ..., A^(n-1) B] overflows")
         # the matrix is n x nm, so the reduced U is square whenever m >= 1
         t, svals, _ = np.linalg.svd(kalman, full_matrices=False)
+        if not np.all(np.isfinite(svals)):  # an infinite cutoff would read rank 0
+            raise ValueError("a singular value of the Kalman matrix overflows the float range")
         svd = lin._controllability["kalman"] = (t, svals, kalman.shape)
     t, svals, shape = svd
     return t, rank_from_singular_values(svals, shape, tol)

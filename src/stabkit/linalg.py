@@ -57,18 +57,26 @@ def spectrum(a) -> np.ndarray:
     if rows > MAX_DIM:
         raise ValueError(f"dimension {rows} exceeds the supported cap of {MAX_DIM}")
     values = np.linalg.eigvals(arr)
+    # Python's abs() of an eigenvalue whose modulus overflows raises OverflowError
+    with np.errstate(over="ignore"):
+        if not np.all(np.isfinite(np.abs(values))):
+            raise ValueError("an eigenvalue's modulus overflows the float range")
     order = np.lexsort((values.imag, values.real))
     return values[order]
 
 
 def singular_values(m) -> np.ndarray:
-    """Singular values in descending order."""
+    """Singular values in descending order; raises ValueError if one is not finite."""
     arr = np.asarray(m, dtype=complex if np.iscomplexobj(m) else float)
     if arr.ndim != 2:
         raise ValueError(f"expected a matrix, got shape {arr.shape}")
     if not np.all(np.isfinite(arr)):
         raise ValueError("matrix contains non-finite entries")
-    return np.linalg.svd(arr, compute_uv=False)
+    svals = np.linalg.svd(arr, compute_uv=False)
+    # an infinite sigma_max makes the rank cutoff infinite, and every rank 0
+    if not np.all(np.isfinite(svals)):
+        raise ValueError("a singular value overflows the float range")
+    return svals
 
 
 def rank_tolerance(svals: np.ndarray, shape: tuple[int, int]) -> float:
@@ -105,4 +113,6 @@ def complex_pencil_rank(a, lam: complex, b, tol: float | None = None) -> int:
         raise ValueError("a must be square")
     if b_arr.shape[0] != n:
         raise ValueError("a and b must have the same number of rows")
-    return numerical_rank(np.hstack([a_arr - complex(lam) * np.eye(n), b_arr]), tol)
+    with np.errstate(over="ignore"):  # an entry past the largest float is rejected below
+        pencil = np.hstack([a_arr - complex(lam) * np.eye(n), b_arr])
+    return numerical_rank(pencil, tol)

@@ -1,16 +1,20 @@
-"""Report assembly: one document shape, JSON and text renderings.
+"""Report assembly: one document, rendered as JSON and as text.
 
-JSON has no representation for IEEE infinities, so infinite or undefined
-sentinel values (regularity bound of a rank-deficient system, spectral bound
-of an empty unstable set, infinite perturbation margin) serialize as null;
-the boolean flags alongside them keep decoding unambiguous.  Text output
-prints numeric values to 12 significant digits; JSON keeps full precision.
+``_document`` reads an analysis once and keeps raw values: complex
+eigenvalues, and infinite or undefined floats, which text prints as ``inf``,
+``-inf`` or ``n/a`` (other numbers to 12 significant digits).  JSON keeps
+full precision; ``_plain``, its one boundary, writes a complex number as
+{"re", "im"} and, since JSON has no IEEE infinities, an infinite or undefined
+sentinel (regularity bound of a rank-deficient system, spectral bound of an
+empty unstable set, infinite perturbation margin) as null; the boolean flags
+alongside them keep decoding unambiguous.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from dataclasses import asdict
 from importlib import resources
 
 import numpy as np
@@ -23,16 +27,7 @@ from .verdict import Analysis
 TOOL_NAME = "stabkit"
 
 
-def _num(v: float) -> float | None:
-    v = float(v)
-    return v if math.isfinite(v) else None
-
-
-def _cpx(z: complex) -> dict:
-    return {"re": float(z.real), "im": float(z.imag)}
-
-
-def build_report(
+def _document(
     analysis: Analysis,
     gain: FeedbackGain | None = None,
     validation: StabilityCheck | None = None,
@@ -42,7 +37,6 @@ def build_report(
     from . import expr as ex
 
     system = analysis.system
-    rep = analysis.openness
     prof = analysis.profile
     verdict = analysis.verdict
 
@@ -50,64 +44,39 @@ def build_report(
     if gain is not None:
         gain_doc = {
             "k": np.asarray(gain.k, dtype=float).tolist(),
-            "target_poles": [_cpx(v) for v in gain.target_poles],
-            "achieved_poles": [_cpx(v) for v in gain.achieved_poles],
+            "target_poles": gain.target_poles,
+            "achieved_poles": gain.achieved_poles,
             "mode": gain.mode,
             "expressions": gain_expressions(gain, system),
         }
 
-    validation_doc = None
-    if validation is not None:
-        worst_doc = None
-        if validation.worst is not None:
-            worst_doc = {
-                "m_hat": _num(validation.worst.m_hat),
-                "alpha_hat": _num(validation.worst.alpha_hat),
-                "residual": _num(validation.worst.residual),
-                "certified": validation.worst.certified,
-            }
-        validation_doc = {
-            "passed": validation.passed,
-            "delta": validation.delta,
-            "samples": validation.samples,
-            "min_alpha": _num(validation.min_alpha),
-            "worst": worst_doc,
-            "worst_x0": list(validation.worst_x0) if validation.worst_x0 is not None else None,
-            "failures": [list(x) for x in validation.failures],
-        }
-
+    # OpennessReport's and StabilityCheck's fields are in the schema's key order
     return {
         "tool": {"name": TOOL_NAME, "version": __version__, "seed": seed},
         "system": {
             "mode": system.mode,
             "states": system.n,
             "controls": system.m,
-            "equilibrium_x": list(system.x_eq),
-            "equilibrium_u": list(system.u_eq),
+            "equilibrium_x": system.x_eq,
+            "equilibrium_u": system.u_eq,
             "components": [ex.unparse(c) for c in system.components],
         },
         "linearization": {
             "a": np.asarray(analysis.linearization.a).tolist(),
             "b": np.asarray(analysis.linearization.b).tolist(),
         },
-        "openness": {
-            "cov_bound": rep.cov_bound,
-            "reg_bound": _num(rep.reg_bound),
-            "lip_bound": rep.lip_bound,
-            "jacobian_rank": rep.jacobian_rank,
-            "linearly_open": rep.linearly_open,
-        },
+        "openness": asdict(analysis.openness),
         "spectral": {
-            "eigenvalues": [_cpx(v) for v in prof.eigenvalues],
-            "unstable": [_cpx(v) for v in prof.unstable],
+            "eigenvalues": prof.eigenvalues,
+            "unstable": prof.unstable,
             "unstable_real_only": prof.unstable_real_only,
-            "eta": _num(prof.eta),
+            "eta": prof.eta,
             "eta_tilde": prof.eta_tilde,
-            "boundary_warnings": [_cpx(v) for v in prof.boundary_warnings],
+            "boundary_warnings": prof.boundary_warnings,
         },
         "hautus": {
             "asymptotic_holds": analysis.hautus.holds,
-            "failures": [_cpx(v) for v in analysis.hautus.failures],
+            "failures": analysis.hautus.failures,
             "full_spectrum_controllable": analysis.hautus_full,
             "kalman_rank": analysis.kalman_rank,
         },
@@ -124,7 +93,7 @@ def build_report(
                     "rule": r.rule,
                     "citation": r.citation,
                     "decision": r.decision,
-                    "evidence": {key: _num(v) for key, v in r.evidence.items()},
+                    "evidence": {key: float(v) for key, v in r.evidence.items()},
                 }
                 for r in verdict.fired_rules
             ],
@@ -132,13 +101,36 @@ def build_report(
                 "linearized_controllable": verdict.flags.linearized_controllable,
                 "small_time_locally_controllable": verdict.flags.small_time_locally_controllable,
             },
-            "warnings": list(verdict.warnings),
-            "notes": list(verdict.notes),
-            "perturbation_margin": _num(analysis.perturbation_margin),
+            "warnings": verdict.warnings,
+            "notes": verdict.notes,
+            "perturbation_margin": analysis.perturbation_margin,
         },
         "gain": gain_doc,
-        "validation": validation_doc,
+        "validation": None if validation is None else asdict(validation),
     }
+
+
+def _plain(value):
+    """The JSON form of a document value: a complex number becomes {"re", "im"},
+    a non-finite float null, and a tuple a list."""
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
+    if isinstance(value, (list, tuple)):
+        return [_plain(v) for v in value]
+    if isinstance(value, dict):
+        return {key: _plain(v) for key, v in value.items()}
+    if isinstance(value, complex):
+        return {"re": value.real, "im": value.imag}
+    return value
+
+
+def build_report(
+    analysis: Analysis,
+    gain: FeedbackGain | None = None,
+    validation: StabilityCheck | None = None,
+    seed: int = 0,
+) -> dict:
+    return _plain(_document(analysis, gain, validation, seed))
 
 
 def report_json(doc: dict) -> str:
@@ -146,16 +138,11 @@ def report_json(doc: dict) -> str:
 
 
 def _fmt(v: float) -> str:
-    if v is None or (isinstance(v, float) and not math.isfinite(v)):
-        return "n/a" if v is None or math.isnan(v) else ("inf" if v > 0 else "-inf")
-    return f"{v:.12g}"
+    return "n/a" if math.isnan(v) else f"{v:.12g}"
 
 
-def _matrix_lines(name: str, matrix: np.ndarray) -> list[str]:
-    lines = [f"{name} ="]
-    for row in np.asarray(matrix, dtype=float):
-        lines.append("  " + "  ".join(f"{v:.12g}" for v in row))
-    return lines
+def _yes(flag: bool) -> str:
+    return "yes" if flag else "no"
 
 
 def report_text(
@@ -163,86 +150,86 @@ def report_text(
     gain: FeedbackGain | None = None,
     validation: StabilityCheck | None = None,
 ) -> str:
-    from . import expr as ex
-
-    system = analysis.system
-    rep = analysis.openness
-    prof = analysis.profile
-    verdict = analysis.verdict
-    lines: list[str] = []
-    lines.append(f"system: {system.mode} | states {system.n} | controls {system.m}")
-    lines.append("equilibrium x*: " + " ".join(f"{v:.12g}" for v in system.x_eq))
-    lines.append("equilibrium u*: " + " ".join(f"{v:.12g}" for v in system.u_eq))
-    for i, comp in enumerate(system.components, start=1):
-        lines.append(f"f{i} = {ex.unparse(comp)}")
-    lines.extend(_matrix_lines("A", analysis.linearization.a))
-    lines.extend(_matrix_lines("B", analysis.linearization.b))
+    doc = _document(analysis, gain, validation)
+    system = doc["system"]
+    rep = doc["openness"]
+    prof = doc["spectral"]
+    hautus = doc["hautus"]
+    affine = doc["structure"]
+    verdict = doc["verdict"]
+    lines = [
+        f"system: {system['mode']} | states {system['states']} | controls {system['controls']}"
+    ]
+    lines.append("equilibrium x*: " + " ".join(map(_fmt, system["equilibrium_x"])))
+    lines.append("equilibrium u*: " + " ".join(map(_fmt, system["equilibrium_u"])))
+    for i, text in enumerate(system["components"], start=1):
+        lines.append(f"f{i} = {text}")
+    for name, matrix in (("A", doc["linearization"]["a"]), ("B", doc["linearization"]["b"])):
+        lines.append(f"{name} =")
+        lines.extend("  " + "  ".join(map(_fmt, row)) for row in matrix)
     lines.append(
-        f"openness: cov_bound={_fmt(rep.cov_bound)} reg_bound={_fmt(rep.reg_bound)} "
-        f"lip_bound={_fmt(rep.lip_bound)} jacobian_rank={rep.jacobian_rank}/{system.n} "
-        f"linearly_open={'yes' if rep.linearly_open else 'no'}"
+        f"openness: cov_bound={_fmt(rep['cov_bound'])} reg_bound={_fmt(rep['reg_bound'])} "
+        f"lip_bound={_fmt(rep['lip_bound'])} "
+        f"jacobian_rank={rep['jacobian_rank']}/{system['states']} "
+        f"linearly_open={_yes(rep['linearly_open'])}"
     )
-    lines.append("eigenvalues: " + (" ".join(_cfmt(v) for v in prof.eigenvalues) or "-"))
-    lines.append("unstable: " + (" ".join(_cfmt(v) for v in prof.unstable) or "(empty)"))
+    lines.append("eigenvalues: " + (" ".join(map(_cfmt, prof["eigenvalues"])) or "-"))
+    lines.append("unstable: " + (" ".join(map(_cfmt, prof["unstable"])) or "(empty)"))
     lines.append(
-        f"spectral: eta={_fmt(prof.eta)} eta_tilde={_fmt(prof.eta_tilde)} "
-        f"unstable_real_only={'yes' if prof.unstable_real_only else 'no'}"
+        f"spectral: eta={_fmt(prof['eta'])} eta_tilde={_fmt(prof['eta_tilde'])} "
+        f"unstable_real_only={_yes(prof['unstable_real_only'])}"
     )
-    if prof.boundary_warnings:
+    if prof["boundary_warnings"]:
+        lines.append("boundary eigenvalues: " + " ".join(map(_cfmt, prof["boundary_warnings"])))
+    lines.append(
+        f"hautus: asymptotic_holds={_yes(hautus['asymptotic_holds'])} "
+        f"kalman_rank={hautus['kalman_rank']} "
+        f"full_spectrum_controllable={_yes(hautus['full_spectrum_controllable'])}"
+    )
+    if hautus["failures"]:
+        lines.append("hautus failures: " + " ".join(map(_cfmt, hautus["failures"])))
+    if affine["control_affine"]:
         lines.append(
-            "boundary eigenvalues: " + " ".join(_cfmt(v) for v in prof.boundary_warnings)
-        )
-    lines.append(
-        f"hautus: asymptotic_holds={'yes' if analysis.hautus.holds else 'no'} "
-        f"kalman_rank={analysis.kalman_rank} "
-        f"full_spectrum_controllable={'yes' if analysis.hautus_full else 'no'}"
-    )
-    if analysis.hautus.failures:
-        lines.append("hautus failures: " + " ".join(_cfmt(v) for v in analysis.hautus.failures))
-    affine = analysis.affine
-    if affine.is_control_affine:
-        lines.append(
-            f"structure: control-affine (driftless={'yes' if affine.driftless else 'no'}, "
-            f"span_dim={affine.span_dim}, input_rank={affine.input_rank})"
+            f"structure: control-affine (driftless={_yes(affine['driftless'])}, "
+            f"span_dim={affine['span_dim']}, input_rank={affine['input_rank']})"
         )
     else:
         lines.append("structure: not control-affine")
-    lines.append(f"verdict: {verdict.decision}")
-    for r in verdict.fired_rules:
-        evidence = ", ".join(f"{key}={_fmt(v)}" for key, v in r.evidence.items())
-        lines.append(f"  {r.rule} [{r.decision}] ({evidence})")
-        lines.append(f"    {r.citation}")
+    lines.append(f"verdict: {verdict['decision']}")
+    for r in verdict["fired_rules"]:
+        evidence = ", ".join(f"{key}={_fmt(v)}" for key, v in r["evidence"].items())
+        lines.append(f"  {r['rule']} [{r['decision']}] ({evidence})")
+        lines.append(f"    {r['citation']}")
+    small_time = verdict["flags"]["small_time_locally_controllable"]
     lines.append(
-        "flags: linearized_controllable="
-        + ("yes" if verdict.flags.linearized_controllable else "no")
-        + " small_time_locally_controllable="
-        + {True: "yes", False: "no", None: "unknown"}[verdict.flags.small_time_locally_controllable]
+        f"flags: linearized_controllable={_yes(verdict['flags']['linearized_controllable'])} "
+        f"small_time_locally_controllable={'unknown' if small_time is None else _yes(small_time)}"
     )
-    lines.append(f"perturbation_margin: {_fmt(analysis.perturbation_margin)}")
-    for w in verdict.warnings:
-        lines.append(f"warning: {w}")
-    for note in verdict.notes:
-        lines.append(f"note: {note}")
-    if gain is not None:
-        lines.extend(_matrix_lines("K", gain.k))
-        lines.append("target poles: " + (" ".join(_cfmt(v) for v in gain.target_poles) or "-"))
-        lines.append("achieved poles: " + " ".join(_cfmt(v) for v in gain.achieved_poles))
-        for i, text in enumerate(gain_expressions(gain, analysis.system), start=1):
+    lines.append(f"perturbation_margin: {_fmt(verdict['perturbation_margin'])}")
+    lines.extend(f"warning: {w}" for w in verdict["warnings"])
+    lines.extend(f"note: {note}" for note in verdict["notes"])
+    gain_doc = doc["gain"]
+    if gain_doc is not None:
+        lines.append("K =")
+        lines.extend("  " + "  ".join(map(_fmt, row)) for row in gain_doc["k"])
+        lines.append("target poles: " + (" ".join(map(_cfmt, gain_doc["target_poles"])) or "-"))
+        lines.append("achieved poles: " + " ".join(map(_cfmt, gain_doc["achieved_poles"])))
+        for i, text in enumerate(gain_doc["expressions"], start=1):
             lines.append(f"u{i} = {text}")
-    if validation is not None:
+    check = doc["validation"]
+    if check is not None:
         lines.append(
-            f"validation: passed={'yes' if validation.passed else 'no'} "
-            f"delta={_fmt(validation.delta)} samples={validation.samples} "
-            f"min_alpha={_fmt(validation.min_alpha)}"
+            f"validation: passed={_yes(check['passed'])} delta={_fmt(check['delta'])} "
+            f"samples={check['samples']} min_alpha={_fmt(check['min_alpha'])}"
         )
-        if validation.worst is not None:
-            w = validation.worst
+        w = check["worst"]
+        if w is not None:
             lines.append(
-                f"  worst fit: alpha_hat={_fmt(w.alpha_hat)} m_hat={_fmt(w.m_hat)} "
-                f"residual={_fmt(w.residual)} certified={'yes' if w.certified else 'no'}"
+                f"  worst fit: alpha_hat={_fmt(w['alpha_hat'])} m_hat={_fmt(w['m_hat'])} "
+                f"residual={_fmt(w['residual'])} certified={_yes(w['certified'])}"
             )
-        for x in validation.failures:
-            lines.append("  failure at x0: " + " ".join(f"{v:.12g}" for v in x))
+        for x in check["failures"]:
+            lines.append("  failure at x0: " + " ".join(map(_fmt, x)))
     return "\n".join(lines) + "\n"
 
 

@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 import stabkit
 from stabkit import openness
 from stabkit.cli import main
+from stabkit.hautus import format_eigenvalue
 from stabkit.report import load_schema
 
 SQRT_TENTH = 0.31622776601683794
@@ -70,6 +71,27 @@ def test_text_and_json_numbers_agree(run_cli, examples_dir):
     assert f"eta={doc['spectral']['eta']:.12g}" in text
     assert f"eta_tilde={doc['spectral']['eta_tilde']:.12g}" in text
     assert f"perturbation_margin: {doc['verdict']['perturbation_margin']:.12g}" in text
+    # the gain and validation blocks, from a passing and a diverging validation
+    for argv, diverges in ((["synthesize", "--validate"], False), (DIVERGING_VALIDATION, True)):
+        _, text, _ = run_cli(argv[0], examples_dir / "planar_cubic.stab", *argv[1:])
+        _, raw, _ = run_cli(argv[0], examples_dir / "planar_cubic.stab", *argv[1:], "--json")
+        lines = text.splitlines()
+        gain, check = json.loads(raw)["gain"], json.loads(raw)["validation"]
+        assert bool(check["failures"]) == diverges
+        k_at = lines.index("K =")
+        assert lines[k_at + 1:k_at + 1 + len(gain["k"])] == [
+            "  " + "  ".join(f"{v:.12g}" for v in row) for row in gain["k"]]
+        for key, label in (("target_poles", "target"), ("achieved_poles", "achieved")):
+            poles = " ".join(format_eigenvalue(complex(p["re"], p["im"])) for p in gain[key])
+            assert f"{label} poles: {poles}" in lines
+        assert [line for line in lines if re.match(r"u\d+ = ", line)] == [
+            f"u{i} = {e}" for i, e in enumerate(gain["expressions"], start=1)]
+        w = check["worst"]
+        assert (f"  worst fit: alpha_hat={w['alpha_hat']:.12g} m_hat={w['m_hat']:.12g} "
+                f"residual={w['residual']:.12g} certified={'yes' if w['certified'] else 'no'}"
+                ) in lines
+        assert [line for line in lines if line.startswith("  failure at x0: ")] == [
+            "  failure at x0: " + " ".join(f"{v:.12g}" for v in x) for x in check["failures"]]
 
 
 STABLE_SYSTEM = ("mode continuous\nstates 2\ncontrols 1\neq x = 0 0\neq u = 0\n"
@@ -761,6 +783,38 @@ def test_overflowing_kalman_matrix_exits_two(run_cli, tmp_path, command):
         code, out, err = run_cli(command, path)
     assert (code, out) == (2, "")
     assert err == "error: the Kalman matrix [B, AB, ..., A^(n-1) B] overflows\n"
+
+
+OVERFLOWING_RANK_SYSTEMS = {
+    # sigma_max of [A | B] is inf: an infinite rank cutoff would read jacobian_rank 0 (R4)
+    "rank": ("f1 = 1.5e308*x1 + 1.5e308*u1", "a singular value overflows the float range"),
+    # [A | B] is fine, the span estimate's stack is not: span_dim would read 0 (R6)
+    "span": ("f1 = 1e308*x1 + 1e308*u1", "a singular value overflows the float range"),
+    # [A | B] is fine, [A - lam I | B] at lam = 8.5e307 is not: a false Hautus failure
+    "pencil": ("f1 = 8.5e307*x1 + 8.5e307*x2\nf2 = -8.5e307*x2 + u1",
+               "a singular value overflows the float range"),
+    # [A | B] is fine, [A - lam I | B] at lam = 1e308 holds -2e308
+    "pencil_entry": ("f1 = 1e308*x1 + u1\nf2 = -1e308*x2 + u1",
+                     "matrix contains non-finite entries"),
+    # not control-affine, so no span estimate; sigma_max of [B, AB] is inf: kalman_rank 0
+    "kalman": ("f1 = x1 + 1.2e308*sin(u1)\nf2 = x1",
+               "a singular value of the Kalman matrix overflows the float range"),
+}
+
+
+@pytest.mark.parametrize("argv", [["analyze"], ["analyze", "--json"], ["synthesize", "--force"]],
+                         ids=["text", "json", "force"])
+@pytest.mark.parametrize("case", sorted(OVERFLOWING_RANK_SYSTEMS))
+def test_rank_of_an_overflowing_matrix_exits_two(run_cli, tmp_path, case, argv):
+    field, message = OVERFLOWING_RANK_SYSTEMS[case]
+    n = field.count("\n") + 1
+    path = tmp_path / "big.stab"
+    path.write_text(f"mode continuous\nstates {n}\ncontrols 1\neq x = {' '.join(['0'] * n)}\n"
+                    f"eq u = 0\n{field}\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(argv[0], path, *argv[1:])
+    assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
 @pytest.mark.parametrize("samples", ["0", "-5"])

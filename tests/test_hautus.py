@@ -70,6 +70,18 @@ def test_profile_rejects_bad_mode():
         spectral_profile(np.eye(2), "sampled")
 
 
+@pytest.mark.parametrize("mode", ["continuous", "discrete"])
+def test_profile_whose_modulus_overflows_raises(mode):
+    # eigenvalues 1.5e308 +- 1.5e308j, whose modulus Python's abs() cannot return
+    a = [[1.5e308, -1.5e308], [1.5e308, 1.5e308]]
+    with pytest.raises(ValueError, match="eigenvalue's modulus overflows"):
+        spectral_profile(a, mode)
+    spec = parse_system(f"mode {mode}\nstates 2\ncontrols 1\neq x = 0 0\neq u = 0\n"
+                        "f1 = 1.5e308*x1 - 1.5e308*x2\nf2 = 1.5e308*x1 + 1.5e308*x2 + u1\n")
+    with pytest.raises(ValueError, match="eigenvalue's modulus overflows"):
+        synthesize(spec)
+
+
 def test_hautus_holds_on_controllable_fixtures(examples_dir):
     for name in ("planar_cubic", "three_state_mixed"):
         lin = jacobian(load_system(examples_dir / f"{name}.stab"))
@@ -100,6 +112,12 @@ def test_kalman_rank_known_pairs():
     b = np.array([[0.0], [1.0]])
     assert _kalman_rank(a, b) == 2
     assert _kalman_rank(np.zeros((2, 2)), np.zeros((2, 1))) == 0
+
+
+def test_kalman_singular_value_that_overflows_raises():
+    # [B, AB] = [[1.2e308, 1.2e308], [0, 1.2e308]] has finite entries and sigma_max = inf
+    with pytest.raises(ValueError, match="singular value of the Kalman matrix overflows"):
+        _kalman_rank(np.array([[1.0, 0.0], [1.0, 0.0]]), np.array([[1.2e308], [0.0]]))
 
 
 def _random_pair(rng, controllable):

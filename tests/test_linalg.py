@@ -82,6 +82,21 @@ def test_spectrum_rejects_bad_input():
         spectrum(np.eye(MAX_DIM + 1))
 
 
+def test_spectrum_whose_modulus_overflows_raises():
+    # eigenvalues 1.5e308 +- 1.5e308j: finite parts, a modulus past the largest float
+    with pytest.raises(ValueError, match="eigenvalue's modulus overflows"):
+        spectrum([[1.5e308, -1.5e308], [1.5e308, 1.5e308]])
+
+
+def test_singular_values_that_overflow_raise():
+    # sigma_max = 1.5e308 * sqrt(2): an infinite rank cutoff would read rank 0
+    with pytest.raises(ValueError, match="singular value overflows"):
+        singular_values([[1.5e308, 1.5e308]])
+    with pytest.raises(ValueError, match="singular value overflows"):
+        numerical_rank([[1.5e308, 1.5e308]])
+    assert numerical_rank([[1e308, 1e308]]) == 1
+
+
 def test_singular_values_descending_and_transpose_invariant():
     rng = np.random.default_rng(7)
     m = rng.normal(size=(4, 6))
