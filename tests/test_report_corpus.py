@@ -1,4 +1,4 @@
-"""A pinned corpus of `stabkit analyze` reports.
+"""A pinned corpus of `stabkit analyze` and `stabkit synthesize` reports.
 
 Each case is one in-process CLI run, pinned as its exit code and the sha256
 of its stdout and stderr in ``report_corpus.json``.  A change that moves any
@@ -9,20 +9,28 @@ The systems are the examples and perfbench's ``cold_cli_systems`` and
 reports are pinned for all of them.  Full-precision JSON is pinned for the
 examples only: on seed 0's chain_41 its last digits depend on the OpenBLAS
 kernel (``OPENBLAS_CORETYPE=SkylakeX`` differs from Prescott, Haswell and
-Zen), while the 12-digit text agrees under all four.  synthesize is left out
-for the same reason: under Prescott three_state_mixed's ``u1 =`` digits move,
-and identity_input's validation residual moves between all three kernel
-families.  Whether numpy 1.24 prints the same reports is unverified.
+Zen), while the 12-digit text agrees under all four.
 
-The 240 runs take about 2 s.  After a deliberate report change, rewrite the
-file with ``PYTHONPATH=src:. python tests/test_report_corpus.py`` and name the
-change in CHANGES.md.
+synthesize text is pinned for every system with its default flags, with
+``--margin 0.3`` and with ``--force`` (exit 3 included), and with
+``--validate`` on the examples.  Its ``u{i} =`` lines print the gain in full
+precision and its validation residual is a least-squares fit, and both move
+between OpenBLAS kernels (three_state_mixed's ``u1 =`` under Prescott,
+identity_input's residual across all three kernel families), so these two
+are masked before hashing; the masked text agrees under all four kernels.
+Whether numpy 1.24 prints the same reports is unverified.
+
+The 240 analyze and 132 synthesize runs take about 3 s.  After a deliberate
+report change, rewrite the file with
+``PYTHONPATH=src:. python tests/test_report_corpus.py`` and name the change in
+CHANGES.md.
 """
 
 import contextlib
 import hashlib
 import io
 import json
+import re
 import sys
 import tempfile
 from pathlib import Path
@@ -42,6 +50,13 @@ FLAG_SETS = {
     "tol-rank=1e-6": ["--tol-rank", "1e-6"],
     "bounded": ["--assume-bounded-perturbation"],
 }
+SYNTHESIZE_FLAG_SETS = {
+    "default": [],
+    "margin=0.3": ["--margin", "0.3"],
+    "force": ["--force"],
+}
+# the kernel-dependent digits of a synthesize report: repr gain lines and the fit residual
+KERNEL_DIGITS = re.compile(r"^(u\d+ = ).*$|(residual=)\S+", re.MULTILINE)
 
 
 def systems() -> dict[str, str]:
@@ -60,22 +75,42 @@ def _digest(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-def run_cases(name: str, text: str) -> dict[str, list]:
-    """Flag-set label -> [exit code, sha256 of stdout, sha256 of stderr]."""
-    formats = [("text", [])]
-    if name.startswith("example/"):
-        formats.append(("json", ["--json"]))
-    cases = {}
+def _mask(text: str) -> str:
+    return KERNEL_DIGITS.sub(r"\1\2<masked>", text)
+
+
+def _run(argv: list[str], text: str, mask=str) -> list:
+    """[exit code, sha256 of stdout, sha256 of stderr] of one run on the system text."""
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "system.stab"
         path.write_text(text)
-        for fmt, fmt_flags in formats:
-            for label, flags in FLAG_SETS.items():
-                out, err = io.StringIO(), io.StringIO()
-                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                    code = main(["analyze", str(path), *fmt_flags, *flags])
-                cases[f"{fmt} {label}"] = [code, _digest(out.getvalue()), _digest(err.getvalue())]
-    return cases
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([argv[0], str(path), *argv[1:]])
+    return [code, _digest(mask(out.getvalue())), _digest(mask(err.getvalue()))]
+
+
+def run_cases(name: str, text: str) -> dict[str, list]:
+    """analyze flag-set label -> [exit code, sha256 of stdout, sha256 of stderr]."""
+    formats = [("text", [])]
+    if name.startswith("example/"):
+        formats.append(("json", ["--json"]))
+    return {f"{fmt} {label}": _run(["analyze", *fmt_flags, *flags], text)
+            for fmt, fmt_flags in formats for label, flags in FLAG_SETS.items()}
+
+
+def synthesize_cases(name: str, text: str) -> dict[str, list]:
+    """synthesize flag-set label -> the same triple, hashed after masking."""
+    flag_sets = dict(SYNTHESIZE_FLAG_SETS)
+    if name.startswith("example/"):
+        flag_sets["validate"] = ["--validate"]
+    return {f"synthesize {label}": _run(["synthesize", *flags], text, _mask)
+            for label, flags in flag_sets.items()}
+
+
+def _pinned(name: str, synthesize: bool) -> dict[str, list]:
+    cases = json.loads(CORPUS.read_text())[name]
+    return {k: v for k, v in cases.items() if k.startswith("synthesize ") == synthesize}
 
 
 def test_corpus_names_every_system():
@@ -85,10 +120,21 @@ def test_corpus_names_every_system():
 
 @pytest.mark.parametrize("name", sorted(SYSTEMS))
 def test_analyze_reports_match_the_corpus(name):
-    assert run_cases(name, SYSTEMS[name]) == json.loads(CORPUS.read_text())[name]
+    assert run_cases(name, SYSTEMS[name]) == _pinned(name, synthesize=False)
+
+
+@pytest.mark.parametrize("name", sorted(SYSTEMS))
+def test_synthesize_reports_match_the_corpus(name):
+    assert synthesize_cases(name, SYSTEMS[name]) == _pinned(name, synthesize=True)
+
+
+def test_mask_keeps_all_but_the_kernel_digits():
+    report = "K =\n  -1.5  -2.5\nu1 = -1.5*x1 + -2.5*x2\nfit: residual=0.27 m_hat=1\n"
+    assert _mask(report) == "K =\n  -1.5  -2.5\nu1 = <masked>\nfit: residual=<masked> m_hat=1\n"
 
 
 if __name__ == "__main__":
-    corpus = {name: run_cases(name, text) for name, text in sorted(SYSTEMS.items())}
+    corpus = {name: {**run_cases(name, text), **synthesize_cases(name, text)}
+              for name, text in sorted(SYSTEMS.items())}
     CORPUS.write_text(json.dumps(corpus, indent=1) + "\n")
     print(f"wrote {sum(map(len, corpus.values()))} cases to {CORPUS}", file=sys.stderr)
