@@ -12,7 +12,6 @@ are first brought to an orthogonal basis of their controllable subspace
 
 from __future__ import annotations
 
-import cmath
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -104,18 +103,19 @@ def _matches_every_row(allowed: np.ndarray) -> bool:
     return all(augment(i, set()) for i in range(len(neighbours)))
 
 
-def _real_block_form(desired: Sequence[complex], tol: float = 1e-9) -> np.ndarray:
-    """Real block-diagonal matrix with the desired spectrum.
+def _real_block_form(desired: Sequence[complex], tol: float = 1e-9) -> list[complex]:
+    """Blocks of a real block-diagonal matrix with the desired spectrum: each
+    real pole, then one member with positive imaginary part per conjugate pair.
 
     Raises ValueError when a nonreal pole has no conjugate partner.
     """
-    reals: list[float] = []
+    reals: list[complex] = []
     pairs: list[complex] = []
     pool = [complex(v) for v in desired]
     while pool:
         v = pool.pop()
         if abs(v.imag) <= tol:
-            reals.append(v.real)
+            reals.append(complex(v.real))
             continue
         for i, w in enumerate(pool):
             if abs(w - v.conjugate()) <= tol * (1.0 + abs(v)):
@@ -124,16 +124,7 @@ def _real_block_form(desired: Sequence[complex], tol: float = 1e-9) -> np.ndarra
         else:
             raise ValueError(f"desired poles are not closed under conjugation near {v}")
         pairs.append(complex(v.real, abs(v.imag)))
-    size = len(reals) + 2 * len(pairs)
-    out = np.zeros((size, size))
-    pos = 0
-    for r in reals:
-        out[pos, pos] = r
-        pos += 1
-    for p in pairs:
-        out[pos:pos + 2, pos:pos + 2] = [[p.real, p.imag], [-p.imag, p.real]]
-        pos += 2
-    return out
+    return reals + pairs
 
 
 def _ackermann(a: np.ndarray, ctrb: np.ndarray, desired: Sequence[complex]) -> np.ndarray:
@@ -155,25 +146,20 @@ def _ackermann(a: np.ndarray, ctrb: np.ndarray, desired: Sequence[complex]) -> n
     return -(z @ phi)[None, :]
 
 
-def _block_sylvester(a: np.ndarray, target: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """X with A X - X T = C for T laid out by :func:`_real_block_form`.
+def _block_sylvester(a: np.ndarray, blocks: Sequence[complex], c: np.ndarray) -> np.ndarray:
+    """X with A X - X T = C for the T whose blocks :func:`_real_block_form` lists.
 
-    A real pole r of T gives (A - r I) x_j = c_j; a block [[p, q], [-q, p]]
-    gives (A - (p + iq) I) z = c_j + i c_{j+1} with z = x_j + i x_{j+1}
-    (Bhattacharyya & de Souza 1982).  Every block goes through one stacked
-    solve; raises ``np.linalg.LinAlgError`` when some A - lambda I is singular.
+    A real pole r of T gives (A - r I) x_j = c_j; a pole p + iq with q > 0
+    stands for the block [[p, q], [-q, p]] and gives (A - (p + iq) I) z =
+    c_j + i c_{j+1} with z = x_j + i x_{j+1} (Bhattacharyya & de Souza 1982).
+    Every block goes through one stacked solve; raises
+    ``np.linalg.LinAlgError`` when some A - lambda I is singular.
     """
-    n, size = c.shape
-    starts, shifts = [], []
-    j = 0
-    while j < size:
-        q = target[j, j + 1] if j + 1 < size else 0.0
-        starts.append(j)
-        shifts.append(complex(target[j, j], q))
-        j += 2 if q else 1
-    first = np.array(starts, dtype=int)
-    lam = np.array(shifts)
+    n = c.shape[0]
+    lam = np.asarray(blocks, dtype=complex)
     pair = lam.imag != 0.0
+    width = 1 + pair
+    first = np.cumsum(width) - width
     rhs = c[:, first].T.astype(complex)
     rhs[pair] += 1j * c[:, first[pair] + 1].T
     z = np.linalg.solve(a - lam[:, None, None] * np.eye(n), rhs[..., None])[..., 0]
@@ -184,12 +170,12 @@ def _block_sylvester(a: np.ndarray, target: np.ndarray, c: np.ndarray) -> np.nda
 
 
 def _sylvester(a: np.ndarray, b: np.ndarray, desired: Sequence[complex],
-               target: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+               blocks: Sequence[complex], rng: np.random.Generator) -> np.ndarray:
     m = b.shape[1]
     for _ in range(_SYLVESTER_TRIES):
         g = rng.standard_normal((m, a.shape[0]))
         try:
-            x = _block_sylvester(a, target, -b @ g)
+            x = _block_sylvester(a, blocks, -b @ g)
         except np.linalg.LinAlgError as err:
             # a singular A - lambda I does not depend on G: a redraw fails the same way
             raise PlacementError(
@@ -220,7 +206,7 @@ def place_poles(a, b, desired: Sequence[complex],
         raise ValueError(f"expected {n} poles, got {len(desired)}")
     if n == 0:
         return np.zeros((b_arr.shape[1], 0))
-    target = _real_block_form(desired)
+    blocks = _real_block_form(desired)
     open_loop = np.linalg.eigvals(a_arr)
     scale = max(1.0, float(np.max(np.abs(open_loop))))
     for p in desired:
@@ -240,33 +226,29 @@ def place_poles(a, b, desired: Sequence[complex],
         return k
     if rng is None:
         rng = np.random.default_rng(0)
-    return _sylvester(a_arr, b_arr, desired, target, rng)
+    return _sylvester(a_arr, b_arr, desired, blocks, rng)
 
 
 def default_poles(count: int, mode: str, eta_tilde: float = 0.0,
                   avoid: Sequence[complex] = ()) -> list[float]:
     """Deterministic stable pole defaults, nudged off any avoided values."""
-
-    def collides(p: float, taken: list[complex]) -> bool:
-        return any(abs(p - v) <= 1e-6 for v in taken)
-
-    avoid_list = [complex(v) for v in avoid]
+    taken = [complex(v) for v in avoid]
+    spacing = 0.05 if count <= 20 else 0.95 / (count - 1)
     chosen: list[float] = []
-    if mode == CONTINUOUS:
-        base = -(eta_tilde + 1.0)
-        for i in range(count):
-            p = base - 0.5 * i
-            while collides(p, avoid_list + [complex(c) for c in chosen]):
-                p -= 0.25
-            chosen.append(p)
-    else:
-        spacing = 0.05 if count <= 20 else 0.95 / (count - 1)
-        for i in range(count):
-            p = 0.5 - spacing * i
-            while collides(p, avoid_list + [complex(c) for c in chosen]):
-                p = 0.5 - ((0.5 - p + 0.0171) % 1.43)
-            chosen.append(p)
+    for i in range(count):
+        p = -(eta_tilde + 1.0) - 0.5 * i if mode == CONTINUOUS else 0.5 - spacing * i
+        while any(abs(p - v) <= 1e-6 for v in taken):
+            p = p - 0.25 if mode == CONTINUOUS else 0.5 - ((0.5 - p + 0.0171) % 1.43)
+        chosen.append(p)
+        taken.append(complex(p))
     return chosen
+
+
+def _stable(poles: Sequence[complex], mode: str) -> bool:
+    """Whether every pole is finite and strictly inside the mode's stability region."""
+    if mode == CONTINUOUS:
+        return all(p.real < 0.0 and np.isfinite(p) for p in poles)
+    return all(abs(p) < 1.0 for p in poles)
 
 
 def synthesize(system: SystemSpec, poles: Sequence[complex] | None = None,
@@ -298,21 +280,14 @@ def synthesize(system: SystemSpec, poles: Sequence[complex] | None = None,
             raise ValueError(
                 f"expected {dim} poles for the controllable block, got {len(desired)}"
             )
-        if system.mode == CONTINUOUS:
-            bad = [p for p in desired if not (p.real < 0.0 and cmath.isfinite(p))]
-        else:
-            bad = [p for p in desired if not abs(p) < 1.0]
+        bad = [p for p in desired if not _stable([p], system.mode)]
         if bad:
             raise ValueError(f"requested poles are not stable for {system.mode} mode: {bad}")
 
     k_c = place_poles(a_c, b_c, desired, rng=np.random.default_rng(seed), tol=tol)
     k_full = np.hstack([k_c, np.zeros((system.m, system.n - dim))]) @ t.T
     achieved = spectrum(lin.a + lin.b @ k_full)
-    if system.mode == CONTINUOUS:
-        stable = bool(np.all(achieved.real < 0.0))
-    else:
-        stable = bool(np.all(np.abs(achieved) < 1.0))
-    if not stable:
+    if not _stable(achieved, system.mode):
         raise PlacementError("closed-loop spectrum failed the stability validation")
     return FeedbackGain(
         k=k_full,

@@ -200,16 +200,23 @@ def _rules(
     witness = 0.5 * (prof.eta + cov) if math.isfinite(prof.eta) else 0.5 * cov
     rank = {"jacobian_rank": rep.jacobian_rank, "n": n}
     inputs = {"m": m, "n": n, "input_rank": affine.input_rank}
+    # a margin row fires iff its guard holds and its slack cov - (bound + margin)
+    # is positive, which for doubles is cov > bound + margin (cov - bound - margin
+    # is not: 1 - 0.7 - 0.3 > 0 while 0.7 + 0.3 == 1); when no row fires, each
+    # row whose guard holds warns
+    margin_rows = ((margin_rule, open_real, "eta", prof.eta, "sufficiency"),
+                   (wide_rule, real_spectrum, "eta_tilde", prof.eta_tilde, "spectrum-wide"))
+    fires = {rule: guard and cov - (bound + margin) > 0
+             for rule, guard, _, bound, _ in margin_rows}
 
     # (rule, decision, premise, evidence); every positive row precedes every
     # negative one, so the first row that fires decides
     table = (
         (zero_rule, positive, is_open and all(abs(v) <= tol for v in zero_set),
          {"cov": cov, zero_key: max((abs(v) for v in zero_set), default=0.0)}),
-        (margin_rule, positive, open_real and cov > prof.eta + margin,
+        (margin_rule, positive, fires[margin_rule],
          {"cov": cov, "eta": prof.eta, "margin": margin, "kappa_witness": witness}),
-        (wide_rule, positive, real_spectrum and cov > prof.eta_tilde + margin,
-         {"cov": cov, "eta_tilde": prof.eta_tilde}),
+        (wide_rule, positive, fires[wide_rule], {"cov": cov, "eta_tilde": prof.eta_tilde}),
         ("R7", EXP_STABILIZABLE_CONT_FEEDBACK, r7_applicable and m == n, inputs),
         ("R4", NOT_SMOOTHLY_EXP_STABILIZABLE, continuous and not is_open, rank),
         ("R5", NOT_SMOOTHLY_ASY_STABILIZABLE, continuous and not is_open and strictly_unstable,
@@ -230,16 +237,12 @@ def _rules(
                 "unstable spectrum contains nonreal eigenvalues; "
                 "the sufficiency margin test does not apply"
             )
-        if open_real and cov <= prof.eta + margin:
-            warnings.append(
-                f"sufficiency margin failed: cov={cov:.12g} <= "
-                f"eta={prof.eta:.12g} + margin={margin:.12g}"
-            )
-        if real_spectrum and cov <= prof.eta_tilde + margin:
-            warnings.append(
-                f"spectrum-wide margin failed: cov={cov:.12g} <= "
-                f"eta_tilde={prof.eta_tilde:.12g} + margin={margin:.12g}"
-            )
+        warnings += [
+            f"{subject} margin failed: cov={cov:.12g} <= "
+            f"{name}={bound:.12g} + margin={margin:.12g}"
+            for rule, guard, name, bound, subject in margin_rows
+            if guard and not fires[rule]
+        ]
     return fired, warnings
 
 
@@ -262,7 +265,8 @@ def analyze(system: SystemSpec, config: AnalysisConfig | None = None) -> Analysi
         warnings.append(
             f"Hautus rank test fails at lambda={joined}; linearization not stabilizable"
         )
-    if math.isfinite(prof.eta) and abs(rep.cov_bound - prof.eta) < 1e-8:
+    perturbation_margin = rep.cov_bound - prof.eta
+    if abs(perturbation_margin) < 1e-8:
         warnings.append(
             "covering bound within 1e-08 of the spectral bound; "
             "the margin comparison is tolerance-sensitive"
@@ -299,5 +303,5 @@ def analyze(system: SystemSpec, config: AnalysisConfig | None = None) -> Analysi
         kalman_rank=kalman,
         affine=affine,
         verdict=verdict,
-        perturbation_margin=rep.cov_bound - prof.eta,
+        perturbation_margin=perturbation_margin,
     )

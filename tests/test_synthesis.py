@@ -156,8 +156,10 @@ def test_block_sylvester_matches_scipy():
     worst = 0.0
     mixed = 0
     for _ in range(SYLVESTER_CASES):
-        a, target, c = _sylvester_case(rng)
-        x = _block_sylvester(a, target, c)
+        a, blocks, c = _sylvester_case(rng)
+        x = _block_sylvester(a, blocks, c)
+        target = scipy.linalg.block_diag(*[[[p.real, p.imag], [-p.imag, p.real]] if p.imag
+                                           else [[p.real]] for p in blocks])
         ref = scipy.linalg.solve_sylvester(a, -target, c)
         worst = max(worst, np.linalg.norm(x - ref) / np.linalg.norm(ref))
         pairs = np.count_nonzero(np.diag(target, 1))
