@@ -2,9 +2,15 @@
 
 import math
 
+import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from perfbench import workloads
+from stabkit import verdict
+from stabkit.hautus import spectral_profile
+from stabkit.openness import OpennessReport
 from stabkit.system import load_system, parse_system, system_from_strings
 from stabkit.verdict import (
     ASY_STABILIZABLE_CONT_FEEDBACK,
@@ -14,6 +20,7 @@ from stabkit.verdict import (
     NOT_SMOOTHLY_EXP_STABILIZABLE,
     POSITIVE_DECISIONS,
     RULE_CITATIONS,
+    AffineStructure,
     AnalysisConfig,
     analyze,
 )
@@ -142,6 +149,31 @@ def test_margin_override_suppresses_sufficiency(examples_dir):
     assert v.decision == INCONCLUSIVE
     assert v.fired_rules == ()
     assert v.warnings[0].startswith("sufficiency margin failed: cov=0.61446986818")
+
+
+# 0.7 + 0.3 == 1.0 and 1.7 + 0.3 == 2.0 in float64, while 1.0 - 0.7 - 0.3 and
+# 2.0 - 1.7 - 0.3 are 5.6e-17: a slack written cov - eta - margin would fire here
+@pytest.mark.parametrize("mode, cov, lam", [("continuous", 1.0, 0.7), ("discrete", 2.0, 1.7)])
+def test_margin_rows_at_the_knife_edge_neither_fire_nor_stay_silent(mode, cov, lam):
+    system = system_from_strings(mode, [f"{lam}*x1 + u1"], m=1)
+    prof = spectral_profile(np.array([[lam]]), mode)
+    assert (prof.eta, prof.eta_tilde) == (lam, lam)
+    rep = OpennessReport(cov, 1.0 / cov, cov, 1, True)
+    fired, warnings = verdict._rules(system, AnalysisConfig(margin=0.3), rep, prof,
+                                     AffineStructure(False, None, False, None))
+    assert fired == []
+    assert warnings == [
+        f"sufficiency margin failed: cov={cov:g} <= eta={lam} + margin=0.3",
+        f"spectrum-wide margin failed: cov={cov:g} <= eta_tilde={lam} + margin=0.3",
+    ]
+
+
+@given(cov=st.floats(allow_nan=False, allow_infinity=False),
+       bound=st.floats(allow_nan=False, allow_infinity=False) | st.just(-math.inf),
+       margin=st.floats(allow_nan=False, allow_infinity=False))
+def test_a_positive_slack_is_the_margin_premise(cov, bound, margin):
+    # a - b > 0 iff a > b for doubles, b = -inf (no unstable eigenvalue) included
+    assert (cov - (bound + margin) > 0) == (cov > bound + margin)
 
 
 @pytest.mark.parametrize("margin", [-5.0, -1e-300, math.nan, math.inf])
