@@ -143,11 +143,16 @@ def cmd_covering(args: argparse.Namespace) -> int:
 
 
 def _load_gain_file(path: str, system) -> FeedbackGain:
-    doc = json.loads(Path(path).read_text())
+    # integers are read as floats, so one past the float range reads inf, not OverflowError
+    doc = json.loads(Path(path).read_text(), parse_int=float)
     payload = doc.get("gain") if isinstance(doc, dict) and "gain" in doc else doc
     if not isinstance(payload, dict) or "k" not in payload:
         raise ValueError(f"{path} does not contain a gain matrix under 'k'")
-    k = np.asarray(payload["k"], dtype=float)
+    # a report writes a non-finite entry as null, and JSON true is no number either
+    k = np.asarray(payload["k"], dtype=object)
+    if not all(type(v) is float and math.isfinite(v) for v in k.flat):
+        raise ValueError(f"{path}: the gain matrix under 'k' must hold finite numbers only")
+    k = k.astype(float)
     if k.shape != (system.m, system.n):
         raise ValueError(
             f"gain shape {k.shape} does not match the system ({system.m}, {system.n})"

@@ -129,21 +129,27 @@ def _real_block_form(desired: Sequence[complex], tol: float = 1e-9) -> list[comp
 
 def _ackermann(a: np.ndarray, ctrb: np.ndarray, desired: Sequence[complex]) -> np.ndarray:
     n = a.shape[0]
-    coeffs = np.poly(np.asarray(desired, dtype=complex))
-    if np.max(np.abs(coeffs.imag)) > 1e-9 * max(1.0, np.max(np.abs(coeffs.real))):
-        raise ValueError("desired poles are not closed under conjugation")
-    coeffs = coeffs.real
-    phi = np.zeros((n, n))
-    eye = np.eye(n)
-    for c in coeffs:
-        phi = phi @ a + c * eye
-    last_unit = np.zeros(n)
-    last_unit[-1] = 1.0
-    try:
-        z = np.linalg.solve(ctrb.T, last_unit)
-    except np.linalg.LinAlgError as err:
-        raise PlacementError(f"controllability matrix is numerically singular: {err}") from err
-    return -(z @ phi)[None, :]
+    # poles near 1e160 overflow the polynomial's constant term; the gain check reports it
+    with np.errstate(over="ignore", invalid="ignore"):
+        coeffs = np.poly(np.asarray(desired, dtype=complex))
+        if np.max(np.abs(coeffs.imag)) > 1e-9 * max(1.0, np.max(np.abs(coeffs.real))):
+            raise ValueError("desired poles are not closed under conjugation")
+        coeffs = coeffs.real
+        phi = np.zeros((n, n))
+        eye = np.eye(n)
+        for c in coeffs:
+            phi = phi @ a + c * eye
+        last_unit = np.zeros(n)
+        last_unit[-1] = 1.0
+        try:
+            z = np.linalg.solve(ctrb.T, last_unit)
+        except np.linalg.LinAlgError as err:
+            raise PlacementError(f"controllability matrix is numerically singular: {err}") from err
+        k = -(z @ phi)[None, :]
+    if not np.all(np.isfinite(k)):
+        raise PlacementError("single-input placement overflows the float range: "
+                             "Ackermann's formula gave a non-finite gain")
+    return k
 
 
 def _block_sylvester(a: np.ndarray, blocks: Sequence[complex], c: np.ndarray) -> np.ndarray:

@@ -388,6 +388,37 @@ def test_simulate_gain_shape_mismatch(run_cli, examples_dir, tmp_path):
     assert "does not match the system" in err
 
 
+# a report writes a non-finite entry as null; 1e400 and a 400-digit integer read inf
+@pytest.mark.parametrize("k", [
+    "[[null, 1]]", "[[NaN, 1]]", "[[1e400, 1]]",
+    pytest.param("[[1" + "0" * 400 + ", 1]]", id="[[1e400 as an integer, 1]]"),
+    '{"a": 1}', '[["1", 1]]', "[[true, 1]]", "[[1, [2]]]",
+])
+def test_simulate_gain_that_is_not_finite_numbers_exits_two(run_cli, examples_dir, tmp_path, k):
+    gain_path = tmp_path / "gain.json"
+    gain_path.write_text('{"k": ' + k + "}")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli("simulate", examples_dir / "planar_cubic.stab",
+                                 "--gain", gain_path, "--x0", "0.1,0", "--horizon", "0.01")
+    assert (code, out) == (2, "")
+    assert err == (f"error: {gain_path}: "
+                   "the gain matrix under 'k' must hold finite numbers only\n")
+
+
+def test_synthesize_single_input_overflow_exits_two(run_cli, tmp_path):
+    path = tmp_path / "double_integrator.stab"
+    path.write_text("mode continuous\nstates 2\ncontrols 1\neq x = 0 0\neq u = 0\n"
+                    "f1 = x2\nf2 = u1\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        overflow = run_cli("synthesize", path, "--poles=-1e160,-2e160")
+        inaccurate = run_cli("synthesize", path, "--poles=-1e150,-2e150")
+    assert overflow == (2, "", "error: single-input placement overflows the float range: "
+                               "Ackermann's formula gave a non-finite gain\n")
+    assert inaccurate == (2, "", "error: single-input placement lost accuracy\n")
+
+
 def test_simulate_discrete_steps(run_cli, examples_dir):
     code, out, err = run_cli(
         "simulate", examples_dir / "discrete_quadratic.stab",

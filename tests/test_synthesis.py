@@ -2,6 +2,7 @@
 
 import bisect
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -197,6 +198,19 @@ B2 = np.array([[0.0], [1.0]])
 def test_pole_count_mismatch():
     with pytest.raises(ValueError, match="expected 2 poles"):
         place_poles(A2, B2, [-1.0])
+
+
+def test_single_input_placement_that_overflows_raises_placement_error():
+    # the characteristic polynomial's constant term 2e320 overflows; the
+    # multi-input path places the same poles
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(PlacementError, match="^single-input placement overflows the "
+                                                 "float range: Ackermann's formula gave a "
+                                                 "non-finite gain$"):
+            place_poles(A2, B2, [-1e160, -2e160])
+        k = place_poles(A2, np.eye(2), [-1e160, -2e160])
+    assert sorted(np.linalg.eigvals(A2 + k).real) == pytest.approx([-2e160, -1e160])
 
 
 def test_unpaired_complex_pole():
