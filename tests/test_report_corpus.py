@@ -20,8 +20,19 @@ identity_input's residual across all three kernel families), so these two
 are masked before hashing; the masked text agrees under all four kernels.
 Whether numpy 1.24 prints the same reports is unverified.
 
-The 240 analyze and 132 synthesize runs take about 3 s.  After a deliberate
-report change, rewrite the file with
+The 240 analyze and 132 synthesize runs take about 3 s.
+
+perfbench's ``large_systems`` for seeds 0-2 (72 systems, n = 10-50) are
+pinned in ``large_verdicts.json`` by the exit code of a default ``analyze``
+and the sha256 of its verdict lines only: the rank and openness of the
+Jacobian, whether the Hautus test holds, the structure line, the decision
+and each fired rule's name and decision.  One digest over these lines agrees
+under the default kernel and ``OPENBLAS_CORETYPE`` = Prescott, Haswell,
+SkylakeX and Zen; the full report's digits do not, and ``kalman_rank`` is
+left out because it moves with the kernel at n = 50.  The 72 runs take
+about 3 s.
+
+After a deliberate report change, rewrite both files with
 ``PYTHONPATH=src:. python tests/test_report_corpus.py`` and name the change in
 CHANGES.md.
 """
@@ -42,6 +53,7 @@ from stabkit.cli import main
 
 HERE = Path(__file__).resolve().parent
 CORPUS = HERE / "report_corpus.json"
+LARGE_CORPUS = HERE / "large_verdicts.json"
 EXAMPLES = HERE.parent / "examples"
 FLAG_SETS = {
     "default": [],
@@ -57,6 +69,9 @@ SYNTHESIZE_FLAG_SETS = {
 }
 # the kernel-dependent digits of a synthesize report: repr gain lines and the fit residual
 KERNEL_DIGITS = re.compile(r"^(u\d+ = ).*$|(residual=)\S+", re.MULTILINE)
+# the kernel-robust facts of an analyze report, one match per kept line
+VERDICT_LINES = re.compile(r"(jacobian_rank=\S+ linearly_open=\S+)$|^(hautus: asymptotic_holds=\S+)"
+                           r"|^(structure: .*|verdict: .*|  \w+ \[\w+\])", re.MULTILINE)
 
 
 def systems() -> dict[str, str]:
@@ -69,6 +84,8 @@ def systems() -> dict[str, str]:
 
 
 SYSTEMS = systems()
+LARGE_SYSTEMS = {f"seed{seed}/{g.name}": g.text
+                 for seed in range(3) for g in workloads.large_systems(seed, False)}
 
 
 def _digest(text: str) -> str:
@@ -77,6 +94,10 @@ def _digest(text: str) -> str:
 
 def _mask(text: str) -> str:
     return KERNEL_DIGITS.sub(r"\1\2<masked>", text)
+
+
+def _verdict_lines(text: str) -> str:
+    return "".join("".join(groups) + "\n" for groups in VERDICT_LINES.findall(text))
 
 
 def _run(argv: list[str], text: str, mask=str) -> list:
@@ -108,6 +129,12 @@ def synthesize_cases(name: str, text: str) -> dict[str, list]:
             for label, flags in flag_sets.items()}
 
 
+def large_case(text: str) -> list:
+    """[exit code, sha256 of the verdict lines] of a default analyze."""
+    code, out, _err = _run(["analyze"], text, _verdict_lines)
+    return [code, out]
+
+
 def _pinned(name: str, synthesize: bool) -> dict[str, list]:
     cases = json.loads(CORPUS.read_text())[name]
     return {k: v for k, v in cases.items() if k.startswith("synthesize ") == synthesize}
@@ -128,6 +155,32 @@ def test_synthesize_reports_match_the_corpus(name):
     assert synthesize_cases(name, SYSTEMS[name]) == _pinned(name, synthesize=True)
 
 
+def test_large_corpus_names_every_system():
+    assert len(LARGE_SYSTEMS) == 72
+    assert sorted(json.loads(LARGE_CORPUS.read_text())) == sorted(LARGE_SYSTEMS)
+
+
+@pytest.mark.parametrize("name", sorted(LARGE_SYSTEMS))
+def test_large_system_verdicts_match_the_corpus(name):
+    assert large_case(LARGE_SYSTEMS[name]) == json.loads(LARGE_CORPUS.read_text())[name]
+
+
+def test_verdict_lines_keep_only_the_kernel_robust_facts():
+    report = ("openness: cov_bound=0.5 reg_bound=2 lip_bound=3 jacobian_rank=2/2 linearly_open=yes\n"
+              "hautus: asymptotic_holds=yes kalman_rank=2 full_spectrum_controllable=yes\n"
+              "structure: control-affine (driftless=no, span_dim=2, input_rank=1)\n"
+              "verdict: EXP_STABILIZABLE_CONT_FEEDBACK\n"
+              "  R1 [EXP_STABILIZABLE_CONT_FEEDBACK] (cov=0.5, eta=0.1)\n"
+              "    covering bound exceeds the real unstable spectral bound\n"
+              "perturbation_margin: 0.4\n")
+    assert _verdict_lines(report) == ("jacobian_rank=2/2 linearly_open=yes\n"
+                                      "hautus: asymptotic_holds=yes\n"
+                                      "structure: control-affine (driftless=no, span_dim=2, "
+                                      "input_rank=1)\n"
+                                      "verdict: EXP_STABILIZABLE_CONT_FEEDBACK\n"
+                                      "  R1 [EXP_STABILIZABLE_CONT_FEEDBACK]\n")
+
+
 def test_mask_keeps_all_but_the_kernel_digits():
     report = "K =\n  -1.5  -2.5\nu1 = -1.5*x1 + -2.5*x2\nfit: residual=0.27 m_hat=1\n"
     assert _mask(report) == "K =\n  -1.5  -2.5\nu1 = <masked>\nfit: residual=<masked> m_hat=1\n"
@@ -138,3 +191,6 @@ if __name__ == "__main__":
               for name, text in sorted(SYSTEMS.items())}
     CORPUS.write_text(json.dumps(corpus, indent=1) + "\n")
     print(f"wrote {sum(map(len, corpus.values()))} cases to {CORPUS}", file=sys.stderr)
+    large = {name: large_case(text) for name, text in sorted(LARGE_SYSTEMS.items())}
+    LARGE_CORPUS.write_text(json.dumps(large, indent=1) + "\n")
+    print(f"wrote {len(large)} cases to {LARGE_CORPUS}", file=sys.stderr)
