@@ -54,7 +54,6 @@ __all__ = [
     "max_indices",
     "parse_expr",
     "unparse",
-    "uses_control",
 ]
 
 FUNCTIONS = ("sin", "cos", "exp", "tanh")
@@ -114,67 +113,6 @@ class Pow(Expr):
 class Call(Expr):
     func: str
     arg: Expr
-
-
-# --- folding constructors -------------------------------------------------
-#
-# Used by structural rewrites (control-affine extraction, programmatic system
-# building).  The parser itself preserves the written structure except for
-# unary minus on literals, which must fold so negative constants survive an
-# unparse/parse round trip.
-
-
-def neg(e: Expr) -> Expr:
-    if isinstance(e, Const):
-        return Const(-e.value)
-    return Neg(e)
-
-
-def add(a: Expr, b: Expr) -> Expr:
-    if isinstance(a, Const) and isinstance(b, Const):
-        return Const(a.value + b.value)
-    if isinstance(a, Const) and a.value == 0.0:
-        return b
-    if isinstance(b, Const) and b.value == 0.0:
-        return a
-    return BinOp("+", a, b)
-
-
-def sub(a: Expr, b: Expr) -> Expr:
-    if isinstance(a, Const) and isinstance(b, Const):
-        return Const(a.value - b.value)
-    if isinstance(b, Const) and b.value == 0.0:
-        return a
-    if isinstance(a, Const) and a.value == 0.0:
-        return neg(b)
-    return BinOp("-", a, b)
-
-
-def mul(a: Expr, b: Expr) -> Expr:
-    if isinstance(a, Const) and isinstance(b, Const):
-        return Const(a.value * b.value)
-    if isinstance(a, Const):
-        if a.value == 0.0:
-            return Const(0.0)
-        if a.value == 1.0:
-            return b
-    if isinstance(b, Const):
-        if b.value == 0.0:
-            return Const(0.0)
-        if b.value == 1.0:
-            return a
-    return BinOp("*", a, b)
-
-
-def div(a: Expr, b: Expr) -> Expr:
-    if isinstance(b, Const) and b.value != 0.0:
-        if isinstance(a, Const):
-            return Const(a.value / b.value)
-        if b.value == 1.0:
-            return a
-    if isinstance(a, Const) and a.value == 0.0 and not (isinstance(b, Const) and b.value == 0.0):
-        return Const(0.0)
-    return BinOp("/", a, b)
 
 
 # --- tokenizer and parser -------------------------------------------------
@@ -494,22 +432,6 @@ def max_indices(e: Expr) -> tuple[int, int]:
             if node.index > max_u:
                 max_u = node.index
     return max_x, max_u
-
-
-def uses_control(e: Expr) -> bool:
-    stack = [e]
-    while stack:
-        node = stack.pop()
-        kind = type(node)
-        if kind is BinOp:
-            stack += node.lhs, node.rhs
-        elif kind is Neg or kind is Call:
-            stack.append(node.arg)
-        elif kind is Pow:
-            stack.append(node.base)
-        elif kind is ControlVar:
-            return True
-    return False
 
 
 def is_c1_everywhere(e: Expr) -> bool:

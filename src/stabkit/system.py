@@ -8,6 +8,7 @@ actually satisfy to 1e-9.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -278,141 +279,86 @@ def jacobian(system: SystemSpec, x: Sequence[float] | None = None,
 
 # --- structural analysis --------------------------------------------------
 
-
-def _affine_parts(e: ex.Expr, m: int) -> list[ex.Expr] | None:
-    """Split e into [c0, c1, ..., cm] with e = c0 + sum ci * ui, or None."""
-    zero = ex.Const(0.0)
-    kind = type(e)
-    if kind is ex.ControlVar:
-        parts = [zero] * (m + 1)
-        parts[e.index] = ex.Const(1.0)
-        return parts
-    if not ex.uses_control(e):
-        return [e] + [zero] * m
-    if kind is ex.BinOp:
-        if e.op in "+-":
-            left = _affine_parts(e.lhs, m)
-            right = _affine_parts(e.rhs, m)
-            if left is None or right is None:
-                return None
-            combine = ex.add if e.op == "+" else ex.sub
-            return [combine(a, b) for a, b in zip(left, right)]
-        if e.op == "*":
-            if not ex.uses_control(e.rhs):
-                inner = _affine_parts(e.lhs, m)
-                if inner is None:
-                    return None
-                return [ex.mul(p, e.rhs) for p in inner]
-            if not ex.uses_control(e.lhs):
-                inner = _affine_parts(e.rhs, m)
-                if inner is None:
-                    return None
-                return [ex.mul(e.lhs, p) for p in inner]
-            return None
-        if not ex.uses_control(e.rhs):
-            inner = _affine_parts(e.lhs, m)
-            if inner is None:
-                return None
-            return [ex.div(p, e.rhs) for p in inner]
-        return None
-    if kind is ex.Neg:
-        inner = _affine_parts(e.arg, m)
-        if inner is None:
-            return None
-        return [ex.neg(p) for p in inner]
-    if kind is ex.Pow and e.exponent == 1.0:
-        return _affine_parts(e.base, m)
-    return None
+_ZERO = (math.inf, -math.inf)  # the zero polynomial has no terms
 
 
-def detect_control_affine(system: SystemSpec) -> tuple[tuple[ex.Expr, ...], ...] | None:
-    """Extract drift and input fields when f = g0(x) + sum gi(x) ui.
+def degree_range(e: ex.Expr, kinds: tuple[type, ...]) -> tuple[float, float] | None:
+    """Lowest and highest degree of e's terms in the variables of the given node kinds.
 
-    Returns (g0, g1, ..., gm) as tuples of componentwise expressions, or None
-    when some component is not affine in the controls.  The reconstruction
-    g0 + sum gi * ui agrees with f pointwise.
+    None when e is not a polynomial in those variables; every other node is a
+    constant.  A literal 0, and any product with one, is the zero polynomial
+    and reads (inf, -inf).
     """
-    per_component = []
-    for comp in system.components:
-        parts = _affine_parts(comp, system.m)
-        if parts is None:
-            return None
-        per_component.append(parts)
-    return tuple(
-        tuple(per_component[i][j] for i in range(system.n)) for j in range(system.m + 1)
-    )
-
-
-def _total_degree(e: ex.Expr) -> int | None:
-    """Joint polynomial degree in (x, u), or None when not polynomial."""
-    if isinstance(e, ex.Const):
-        return 0
-    if isinstance(e, (ex.StateVar, ex.ControlVar)):
-        return 1
-    if isinstance(e, ex.Neg):
-        return _total_degree(e.arg)
-    if isinstance(e, ex.BinOp):
-        left = _total_degree(e.lhs)
-        right = _total_degree(e.rhs)
+    kind = type(e)
+    if kind is ex.BinOp:
+        left = degree_range(e.lhs, kinds)
+        right = degree_range(e.rhs, kinds)
         if left is None or right is None:
             return None
         if e.op in "+-":
-            return max(left, right)
+            return min(left[0], right[0]), max(left[1], right[1])
         if e.op == "*":
-            return left + right
-        return left if right == 0 else None
-    if isinstance(e, ex.Pow):
-        base = _total_degree(e.base)
-        if base is None:
+            return _ZERO if _ZERO in (left, right) else (left[0] + right[0], left[1] + right[1])
+        return left if right == (0, 0) else None
+    if kind is ex.Const:
+        return (0, 0) if e.value else _ZERO
+    if kind is ex.Neg:
+        return degree_range(e.arg, kinds)
+    if kind is ex.Pow:
+        base = degree_range(e.base, kinds)
+        p = e.exponent
+        if p == 0 or base == (0, 0):
+            return 0, 0
+        if base == _ZERO:
+            return _ZERO
+        if base is None or p < 0 or not float(p).is_integer():
             return None
-        if float(e.exponent).is_integer() and e.exponent >= 0:
-            return base * int(e.exponent)
-        return 0 if base == 0 else None
-    if isinstance(e, ex.Call):
-        return 0 if _total_degree(e.arg) == 0 else None
-    return None
+        return base[0] * p, base[1] * p
+    if kind is ex.Call:
+        return (0, 0) if degree_range(e.arg, kinds) in ((0, 0), _ZERO) else None
+    return (1, 1) if kind in kinds else (0, 0)
 
 
 def is_affine_system(system: SystemSpec) -> bool:
     """True when every component is jointly affine in states and controls."""
-    return all(
-        (deg := _total_degree(comp)) is not None and deg <= 1 for comp in system.components
-    )
+    kinds = (ex.StateVar, ex.ControlVar)
+    return all((deg := degree_range(comp, kinds)) is not None and deg[1] <= 1
+               for comp in system.components)
 
 
 def span_dimension_estimate(
-    fields: Sequence[Sequence[ex.Expr]],
-    center: Sequence[float],
+    system: SystemSpec,
     radius: float,
     samples: int,
     tol: float | None = None,
     seed: int = 0,
 ) -> int:
-    """Numerical dimension of span of the given state-space vector fields.
+    """Numerical dimension of the span of f's values near the equilibrium.
 
-    Each field is evaluated at points drawn from the ball of the given radius
-    around center and the values are stacked; the result is the numerical rank
-    of that stack.  Deterministic for a fixed seed.
+    x is drawn from the ball of the given radius around x* and u from a
+    standard normal around u*; the result is the numerical rank of the stack
+    of f(x, u).  For f = g0 + sum gi ui these values span what g0, ..., gm
+    span at the drawn points (Brockett's condition read on f itself).
+    Deterministic for a fixed seed.
     """
-    center_arr = np.asarray(center, dtype=float)
-    dim = center_arr.shape[0]
+    n, m = system.n, system.m
     if not radius > 0:
         raise ValueError("radius must be positive")
     if samples < 1:
         raise ValueError("need at least one sample point")
-    if len(fields) * samples * dim > MAX_STORED_FLOATS:
+    if samples * (n + m) > MAX_STORED_FLOATS:
         raise ValueError(
-            f"the span estimate's {len(fields)} fields x {samples} points x {dim} values "
+            f"the span estimate's {samples} points x {n + m} values "
             f"exceed the limit of {MAX_STORED_FLOATS} stored numbers; use fewer span samples")
     rng = np.random.default_rng(seed)
-    directions = rng.standard_normal((samples, dim))
+    directions = rng.standard_normal((samples, n))
     norms = np.linalg.norm(directions, axis=1, keepdims=True)
     norms[norms == 0.0] = 1.0
-    radii = radius * rng.random((samples, 1)) ** (1.0 / dim)
-    points = center_arr + directions / norms * radii
-    dummy_u = np.zeros((samples, 1))
+    radii = radius * rng.random((samples, 1)) ** (1.0 / n)
+    points = np.asarray(system.x_eq) + directions / norms * radii
+    inputs = np.asarray(system.u_eq) + rng.standard_normal((samples, m))
     with np.errstate(all="ignore"):
-        stacked = np.vstack([ex.eval_field(field, points, dummy_u) for field in fields])
-    if not np.all(np.isfinite(stacked)):
+        values = ex.eval_field(system.components, points, inputs)
+    if not np.all(np.isfinite(values)):
         raise ValueError("field evaluation produced non-finite values in the sample ball")
-    return numerical_rank(stacked, tol)
+    return numerical_rank(values, tol)

@@ -19,8 +19,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import expr as ex
 from .hautus import (
     HautusResult,
@@ -38,7 +36,7 @@ from .system import (
     DISCRETE,
     Linearization,
     SystemSpec,
-    detect_control_affine,
+    degree_range,
     is_affine_system,
     jacobian,
     span_dimension_estimate,
@@ -156,17 +154,18 @@ class Analysis:
     perturbation_margin: float  # Lipschitz perturbation size the sufficiency margin absorbs
 
 
-def _affine_structure(system: SystemSpec, cfg: AnalysisConfig) -> AffineStructure:
-    fields = detect_control_affine(system)
-    if fields is None:
+def _affine_structure(system: SystemSpec, lin: Linearization,
+                      cfg: AnalysisConfig) -> AffineStructure:
+    # f = g0(x) + sum gi(x) ui exactly when no term has control degree above 1,
+    # and g0 = 0 when every term has at least one; column i of B is gi(x*)
+    degrees = [degree_range(c, (ex.ControlVar,)) for c in system.components]
+    if any(d is None or d[1] > 1 for d in degrees):
         return AffineStructure(False, None, False, None)
-    drift = fields[0]
-    driftless = all(isinstance(c, ex.Const) and c.value == 0.0 for c in drift)
-    columns = [[ex.eval_expr(c, system.x_eq, system.u_eq) for c in g] for g in fields[1:]]
-    input_rank = numerical_rank(np.array(columns).T, cfg.tol_rank)
+    driftless = all(d[0] >= 1 for d in degrees)
+    input_rank = numerical_rank(lin.b, cfg.tol_rank)
     samples = max(cfg.span_samples, 4 * system.n)
     span_dim = span_dimension_estimate(
-        fields, system.x_eq, cfg.span_radius, samples, tol=cfg.tol_rank, seed=cfg.seed
+        system, cfg.span_radius, samples, tol=cfg.tol_rank, seed=cfg.seed
     )
     return AffineStructure(True, span_dim, driftless, input_rank)
 
@@ -254,7 +253,7 @@ def analyze(system: SystemSpec, config: AnalysisConfig | None = None) -> Analysi
     prof = spectral_profile(lin.a, system.mode, tol_class=cfg.tol_class)
     haut, full = hautus_tests(lin, prof.unstable, prof.eigenvalues, tol=cfg.tol_rank)
     kalman = controllable_subspace(lin, tol=cfg.tol_rank)[1]
-    affine = _affine_structure(system, cfg)
+    affine = _affine_structure(system, lin, cfg)
 
     fired, warnings = _rules(system, cfg, rep, prof, affine)
     decision = fired[0].decision if fired else INCONCLUSIVE

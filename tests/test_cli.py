@@ -819,8 +819,9 @@ def test_overflowing_kalman_matrix_exits_two(run_cli, tmp_path, command):
 OVERFLOWING_RANK_SYSTEMS = {
     # sigma_max of [A | B] is inf: an infinite rank cutoff would read jacobian_rank 0 (R4)
     "rank": ("f1 = 1.5e308*x1 + 1.5e308*u1", "a singular value overflows the float range"),
-    # [A | B] is fine, the span estimate's stack is not: span_dim would read 0 (R6)
-    "span": ("f1 = 1e308*x1 + 1e308*u1", "a singular value overflows the float range"),
+    # [A | B] is fine, f's values at the span estimate's points are not: span_dim would read 0 (R6)
+    "span": ("f1 = 1e308*x1 + 1e308*u1",
+             "field evaluation produced non-finite values in the sample ball"),
     # [A | B] is fine, [A - lam I | B] at lam = 8.5e307 is not: a false Hautus failure
     "pencil": ("f1 = 8.5e307*x1 + 8.5e307*x2\nf2 = -8.5e307*x2 + u1",
                "a singular value overflows the float range"),
@@ -857,7 +858,7 @@ def test_span_samples_below_one_exit_two(run_cli, examples_dir, samples):
 
 
 def test_huge_span_sample_count_exits_two_without_allocating(examples_dir):
-    # 2 fields x 1e8 points x 2 values would take 3 GiB; a 1.5 GB address-space
+    # 1e8 points x 3 values would take 2.4 GB; a 1.5 GB address-space
     # limit turns an attempt to allocate it into a MemoryError traceback
     script = (
         "import resource, sys\n"
@@ -874,7 +875,7 @@ def test_huge_span_sample_count_exits_two_without_allocating(examples_dir):
                          text=True, timeout=120)
     assert (out.returncode, out.stdout) == (2, "")
     assert out.stderr == (
-        "error: the span estimate's 2 fields x 100000000 points x 2 values exceed the limit "
+        "error: the span estimate's 100000000 points x 3 values exceed the limit "
         "of 8388608 stored numbers; use fewer span samples\n")
 
 

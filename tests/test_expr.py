@@ -395,8 +395,6 @@ def test_is_c1_everywhere_flags_division():
     assert not ex.is_c1_everywhere(ex.parse_expr("x1^0.5"))
 
 
-def test_max_indices_and_uses_control():
-    tree = ex.parse_expr("x3 + u2*sin(x1)")
-    assert ex.max_indices(tree) == (3, 2)
-    assert ex.uses_control(tree)
-    assert not ex.uses_control(ex.parse_expr("x1^2"))
+def test_max_indices():
+    assert ex.max_indices(ex.parse_expr("x3 + u2*sin(x1)")) == (3, 2)
+    assert ex.max_indices(ex.parse_expr("x1^2")) == (1, 0)

@@ -14,7 +14,6 @@ from stabkit.system import (
     SystemFormatError,
     SystemSpec,
     SystemValidationError,
-    detect_control_affine,
     evaluate,
     is_affine_system,
     jacobian,
@@ -276,25 +275,14 @@ def test_analyze_then_synthesize_linearize_once(monkeypatch, examples_dir):
     assert len(walks) == per_linearization
 
 
-def test_control_affine_reconstruction(examples_dir):
-    spec = load_system(examples_dir / "three_state_mixed.stab")
-    parts = detect_control_affine(spec)
-    assert parts is not None
-    g0, g1 = parts
-    rng = np.random.default_rng(11)
-    for _ in range(100):
-        x = rng.uniform(-1.0, 1.0, spec.n)
-        u = rng.uniform(-1.0, 1.0, spec.m)
-        direct = evaluate(spec, x, u)
-        recon = np.array([ex.eval_expr(c, x, []) for c in g0])
-        recon = recon + u[0] * np.array([ex.eval_expr(c, x, []) for c in g1])
-        np.testing.assert_allclose(recon, direct, rtol=1e-12, atol=1e-12)
+def _structure(*components, m=1):
+    return analyze(system_from_strings("continuous", components, m=m)).affine
 
 
 def test_control_affine_rejects_nonlinear_input():
-    assert detect_control_affine(system_from_strings("continuous", ["u1^2 + x1 - x1"], m=1)) is None
-    assert detect_control_affine(system_from_strings("continuous", ["sin(u1)"], m=1)) is None
-    assert detect_control_affine(system_from_strings("continuous", ["x1*u1"], m=1)) is not None
+    assert not _structure("u1^2 + x1 - x1").is_control_affine
+    assert not _structure("sin(u1)").is_control_affine
+    assert _structure("x1*u1").is_control_affine
 
 
 def test_is_affine_system():
@@ -303,23 +291,23 @@ def test_is_affine_system():
 
 
 def test_span_dimension_estimate():
-    g0 = (ex.parse_expr("x2"), ex.parse_expr("x1 - x1"))
-    g1 = (ex.parse_expr("x1 - x1"), ex.parse_expr("1"))
-    assert span_dimension_estimate([g0, g1], [0.0, 0.0], 0.1, 64) == 2
+    # f = g0 + g1 u1 with g0 = (x2, 0) and g1 = (0, 1)
+    spec = system_from_strings("continuous", ["x2", "u1"], m=1)
+    assert span_dimension_estimate(spec, 0.1, 64) == 2
     # a single direction spans one dimension
-    assert span_dimension_estimate([g1], [0.0, 0.0], 0.1, 64) == 1
+    spec = system_from_strings("continuous", ["x1 - x1", "u1"], m=1)
+    assert span_dimension_estimate(spec, 0.1, 64) == 1
 
 
 def test_span_estimate_refuses_a_stack_over_the_cap_before_drawing(monkeypatch):
-    g0 = (ex.parse_expr("x2"), ex.parse_expr("x1 - x1"))
-    g1 = (ex.parse_expr("x1 - x1"), ex.parse_expr("1"))
-    # 2 fields x 64 points x 2 values stored
-    monkeypatch.setattr(system, "MAX_STORED_FLOATS", 2 * 64 * 2)
-    assert span_dimension_estimate([g0, g1], [0.0, 0.0], 0.1, 64) == 2
+    spec = system_from_strings("continuous", ["x2", "u1"], m=1)
+    # 64 points x (2 states + 1 control) stored
+    monkeypatch.setattr(system, "MAX_STORED_FLOATS", 64 * 3)
+    assert span_dimension_estimate(spec, 0.1, 64) == 2
 
     def no_draws(*args, **kwargs):
         raise AssertionError("sampled points for an estimate over the cap")
 
     monkeypatch.setattr(system.np.random, "default_rng", no_draws)
-    with pytest.raises(ValueError, match="2 fields x 65 points x 2 values exceed the limit"):
-        span_dimension_estimate([g0, g1], [0.0, 0.0], 0.1, 65)
+    with pytest.raises(ValueError, match="65 points x 3 values exceed the limit"):
+        span_dimension_estimate(spec, 0.1, 65)
