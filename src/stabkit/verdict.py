@@ -17,6 +17,7 @@ mode has no negative route.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 from . import expr as ex
@@ -128,6 +129,12 @@ class AnalysisConfig:
         # below 1 the estimate would fall back to 4n points without a word
         if not self.span_samples >= 1:
             raise ValueError("span_samples must be at least 1")
+        # checked here, not where the span estimate draws: a system that is not
+        # control-affine never draws, and would accept and report any value
+        if not 0 < self.span_radius < math.inf:
+            raise ValueError("span_radius must be positive and finite")
+        if not (isinstance(self.seed, numbers.Integral) and self.seed >= 0):
+            raise ValueError("seed must be a non-negative integer")
 
 
 @dataclass(frozen=True)

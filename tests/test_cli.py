@@ -693,6 +693,19 @@ def test_nonpositive_numeric_flags_exit_two(run_cli, examples_dir, argv):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("flag, message", [
+    ("--span-radius=-1", "span_radius must be positive and finite"),
+    ("--span-radius=0", "span_radius must be positive and finite"),
+    ("--seed=-1", "seed must be a non-negative integer"),
+])
+@pytest.mark.parametrize("example", ["cubic_input", "planar_cubic"])
+def test_span_flags_are_checked_whether_or_not_the_span_is_estimated(
+        run_cli, examples_dir, example, flag, message):
+    # cubic_input (u1^3) is not control-affine, so its analysis never draws a span sample
+    assert run_cli("analyze", examples_dir / f"{example}.stab", flag) == (
+        2, "", f"error: {message}\n")
+
+
 @pytest.mark.parametrize("steps", ["0", "-3"])
 def test_discrete_validation_steps_exit_two(run_cli, examples_dir, steps):
     assert run_cli("synthesize", examples_dir / "discrete_quadratic.stab", "--validate",
