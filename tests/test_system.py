@@ -1,19 +1,24 @@
 """System files, validation, linearization, and control-affine structure."""
 
+import math
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from test_expr import _random_expr
 
 from perfbench import gen
 from stabkit import expr as ex
 from stabkit import system
+from stabkit.linalg import numerical_rank
 from stabkit.synthesis import synthesize
 from stabkit.system import (
     SystemFormatError,
     SystemSpec,
     SystemValidationError,
+    degree_range,
     evaluate,
     is_affine_system,
     jacobian,
@@ -288,6 +293,81 @@ def test_control_affine_rejects_nonlinear_input():
 def test_is_affine_system():
     assert is_affine_system(system_from_strings("continuous", ["x1 + u1", "x2 - u1"], m=1))
     assert not is_affine_system(system_from_strings("continuous", ["x1^2 + u1"], m=1))
+    # a literal 0 factor makes the zero polynomial, whatever it multiplies
+    assert is_affine_system(system_from_strings("continuous", ["0*x1^2 + u1"], m=1))
+
+
+ZERO = (math.inf, -math.inf)
+# text -> (degrees in u, degrees in (x, u)); None: not a polynomial in them
+DEGREES = {
+    "0": (ZERO, ZERO),
+    "2.5": ((0, 0), (0, 0)),
+    "x1": ((0, 0), (1, 1)),
+    "u1": ((1, 1), (1, 1)),
+    "-u1": ((1, 1), (1, 1)),
+    "x1 + u1": ((0, 1), (1, 1)),
+    "x1 - x1*u1": ((0, 1), (1, 2)),
+    "u1*x2": ((1, 1), (2, 2)),
+    "(u1 - u1)*u1": ((2, 2), (2, 2)),
+    "0*u1^2": (ZERO, ZERO),
+    "u1^2*0": (ZERO, ZERO),
+    "sin(u1)*0": (None, None),
+    "u1/(2 + x1)": ((1, 1), None),
+    "x1/u1": (None, None),
+    "u1/0": (None, None),
+    "u1^0": ((0, 0), (0, 0)),
+    "sin(u1)^0": ((0, 0), (0, 0)),
+    "sin(u1)^2": (None, None),
+    "u1^1": ((1, 1), (1, 1)),
+    "(x1 + u1)^2": ((0, 2), (2, 2)),
+    "x1^0.5": ((0, 0), None),
+    "u1^0.5": (None, None),
+    "u1^-1": (None, None),
+    "0^0.5": (ZERO, ZERO),
+    "sin(x1)*u1": ((1, 1), None),
+    "cos(0*u1)": ((0, 0), (0, 0)),
+    "tanh(u1)": (None, None),
+    # the two structure changes of reading degrees: a ^0 is a constant and a 0
+    # factor the zero polynomial, so the first is control-affine and the second driftless
+    "u1^0*x1 + u1": ((0, 1), (1, 1)),
+    "0*x1 + x1*u1": ((1, 1), (2, 2)),
+}
+
+
+@pytest.mark.parametrize("text", DEGREES)
+def test_degree_range_of_every_node_kind(text):
+    tree = ex.parse_expr(text)
+    in_u, joint = DEGREES[text]
+    assert degree_range(tree, (ex.ControlVar,)) == in_u
+    assert degree_range(tree, (ex.StateVar, ex.ControlVar)) == joint
+
+
+def test_a_constant_power_and_a_zero_factor_change_the_structure():
+    assert _structure("u1^0*x1 + u1").is_control_affine
+    assert _structure("0*x1 + x1*u1").driftless
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(mode=st.sampled_from([gen.CONTINUOUS, gen.DISCRETE]), n=st.integers(1, 6),
+       m=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
+def test_span_of_f_matches_the_span_of_its_affine_fields(mode, n, m, seed):
+    g = gen.small_system(np.random.default_rng(seed), "chain", mode, n, min(m, n))
+    spec = parse_system(g.text)
+    affine = analyze(spec).affine
+    # the estimate's points x_k: seed 0, radius 0.1, max(64, 4n) of them
+    samples = max(64, 4 * n)
+    rng = np.random.default_rng(0)
+    directions = rng.standard_normal((samples, n))
+    radii = 0.1 * rng.random((samples, 1)) ** (1.0 / n)
+    points = np.asarray(spec.x_eq) + directions / np.linalg.norm(directions, axis=1,
+                                                                 keepdims=True) * radii
+    u_eq = np.broadcast_to(spec.u_eq, (samples, spec.m))
+    drift = ex.eval_field(spec.components, points, u_eq)
+    # f is affine in u, so f(x, u* + e_i) - f(x, u*) = gi(x)
+    inputs = [ex.eval_field(spec.components, points, u_eq + e) - drift for e in np.eye(spec.m)]
+    assert affine.span_dim == numerical_rank(np.vstack([drift, *inputs]))
+    assert affine.input_rank == spec.m
+    assert not affine.driftless
 
 
 def test_span_dimension_estimate():
