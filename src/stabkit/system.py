@@ -337,8 +337,9 @@ def span_dimension_estimate(
 
     x is drawn from the ball of the given radius around x* and u from a
     standard normal around u*; the result is the numerical rank of the stack
-    of f(x, u).  For f = g0 + sum gi ui these values span what g0, ..., gm
-    span at the drawn points (Brockett's condition read on f itself).
+    of f(x, u).  For f = g0 + sum gi ui and almost every draw of u, these
+    values span what g0, ..., gm span at the drawn points: Brockett's
+    condition read on f itself.
     Deterministic for a fixed seed.
     """
     n, m = system.n, system.m
