@@ -20,7 +20,8 @@ tighter than ``^`` (``base := '-' base``): ``-x1^2`` is ``(-x1)^2``, which is
 The module provides parsing with character-offset diagnostics, exact scalar
 evaluation, forward-mode derivatives, a precedence-aware unparser whose output
 reparses to the identical tree, and a vectorized numpy evaluator of component
-lists that walks each tree once per batch.
+lists that walks each tree once per batch, or reads a term plan's affine
+terms as coefficients and walks only the rest.
 """
 
 from __future__ import annotations
@@ -29,7 +30,8 @@ import math
 import operator
 import re
 from dataclasses import dataclass
-from typing import Callable, Iterator, Sequence
+from itertools import zip_longest
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -45,14 +47,17 @@ __all__ = [
     "ParseError",
     "Pow",
     "StateVar",
+    "TermPlan",
     "eval_components",
     "eval_field",
     "eval_expr",
+    "eval_gradients",
     "eval_tangent",
     "is_c1_everywhere",
     "iter_nodes",
     "max_indices",
     "parse_expr",
+    "term_plan",
     "unparse",
 ]
 
@@ -477,7 +482,7 @@ def eval_components(components: Sequence[Expr], x: np.ndarray, u: np.ndarray) ->
         yield _eval_batch(c, x, u)
 
 
-def eval_field(components: Sequence[Expr], x, u) -> np.ndarray:
+def eval_field(components: Sequence[Expr] | TermPlan, x, u) -> np.ndarray:
     """Evaluate components on a batch, by a vectorized walk of each tree.
 
     ``x`` has shape (..., n) and ``u`` shape (..., m); the result has shape
@@ -487,13 +492,204 @@ def eval_field(components: Sequence[Expr], x, u) -> np.ndarray:
     instead of raising, which is what the batch callers (integration,
     covering search, span estimate) want; wrap calls in
     ``np.errstate(all="ignore")`` to silence the floating-point warnings.
+
+    A :class:`TermPlan` with enough affine terms is read by position
+    instead, with the same result bit for bit (a nan may differ in its sign
+    bit); with fewer, the walk is the cheaper of the two and is taken.
     """
     x = np.asarray(x, dtype=float)
     u = np.asarray(u, dtype=float)
     shape = x.shape[:-1]
     if u.shape[:-1] != shape:  # every internal caller passes one batch shape for both
         shape = np.broadcast_shapes(shape, u.shape[:-1])
+    if isinstance(components, TermPlan):
+        if components.affine_terms >= _PLAN_MIN_AFFINE_TERMS:
+            out = _plan_field(components, x, u, shape)
+            if out is not None:
+                return out
+        components = components.components
     out = np.empty(shape + (len(components),))
     for i, column in enumerate(eval_components(components, x, u)):
         out[..., i] = column
     return out
+
+
+# --- term plans -----------------------------------------------------------
+#
+# Most nodes of a generated system sit in affine chains such as
+# ``c1*x1 + ... + c50*x50 + u1``, whose coefficients are the Jacobian row.  A
+# term plan unrolls each component's left-associated +/- spine into ordered
+# positions.  A term ``c*v``, ``v*c`` or a bare ``v`` (v a state or control)
+# becomes a coefficient and a column of [x | u]; every other term, a tail,
+# stays a tree and is walked at its position.  Shorter spines are padded with
+# -0.0, since a + (-0.0) is a, bit for bit.  Adding the positions in order
+# repeats the walk's left-to-right sums.
+
+# eval_field reads a plan from this many affine terms on; below it, the walk
+# is cheaper: per position, the plan pays a few numpy calls whatever the
+# number of components, which n <= 4 chains and shifted c*(xj - d) tails do
+# not repay.  Dense systems reach it from n = 6 (42 affine terms) up.
+_PLAN_MIN_AFFINE_TERMS = 32
+
+
+class TermPlan(NamedTuple):
+    """Components unrolled into spine positions; built by :func:`term_plan`.
+
+    Entry [t, i] of the (positions, k) tables describes the t-th term of
+    component i.  An affine term multiplies column ``columns[t, i]`` of
+    [x | u | -0.0] by ``coefficients[t, i]``, which is 1.0 for a bare
+    variable (``bare[t, i]``).  A tail or a pad reads the -0.0 column with
+    coefficient 1.0, and a tail's walk replaces that value.  The spine's
+    sign (+1 or -1) is kept apart in ``signs``: a derivative's signed zeros
+    depend on where it is applied.  ``tails`` lists (component, position,
+    tree) in the walk's order, and ``max_indices`` the largest state and
+    control index of each component.  A spec keeps its plan, so the tables
+    use the smallest integer types that hold them.
+    """
+
+    components: tuple[Expr, ...]
+    n: int
+    m: int
+    max_indices: tuple[tuple[int, int], ...]
+    affine_terms: int
+    columns: np.ndarray
+    bare: np.ndarray
+    coefficients: np.ndarray
+    signs: np.ndarray
+    tails: tuple[tuple[int, int, Expr], ...]
+
+
+def _spine(e: Expr) -> list[tuple[int, Expr]]:
+    """The (sign, term) pairs of e's left-associated +/- spine, in order."""
+    terms = []
+    while type(e) is BinOp and (e.op == "+" or e.op == "-"):
+        terms.append((1 if e.op == "+" else -1, e.rhs))
+        e = e.lhs
+    terms.append((1, e))
+    return terms[::-1]
+
+
+def term_plan(components: Sequence[Expr], n: int, m: int) -> TermPlan:
+    """Unroll components in x1..xn, u1..um into a :class:`TermPlan`.
+
+    A variable beyond n or m is kept as a tail; ``max_indices`` shows it, for
+    the caller to reject.
+    """
+    pad = n + m
+    # per component, then transposed into (positions, k) tables over the pad
+    columns, coefficients, signs, bare = [], [], [], []
+    tails, indices = [], []
+    for i, comp in enumerate(components):
+        spine = _spine(comp)
+        signs.append([sign for sign, _ in spine])
+        column_list, coefficient_list, bare_list = [], [], []
+        max_x = max_u = 0
+        for t, (_, term) in enumerate(spine):
+            var, coef = term, 1.0
+            if type(term) is BinOp and term.op == "*":
+                if type(term.lhs) is Const:
+                    var, coef = term.rhs, term.lhs.value
+                elif type(term.rhs) is Const:
+                    var, coef = term.lhs, term.rhs.value
+            kind = type(var)
+            if kind is StateVar and var.index <= n:
+                column = var.index - 1
+                if var.index > max_x:
+                    max_x = var.index
+            elif kind is ControlVar and var.index <= m:
+                column = n + var.index - 1
+                if var.index > max_u:
+                    max_u = var.index
+            else:
+                tails.append((i, t, term))
+                tail_x, tail_u = max_indices(term)
+                max_x, max_u = max(max_x, tail_x), max(max_u, tail_u)
+                var, column, coef = None, pad, 1.0
+            column_list.append(column)
+            coefficient_list.append(coef)
+            bare_list.append(var is term)
+        columns.append(column_list)
+        coefficients.append(coefficient_list)
+        bare.append(bare_list)
+        indices.append((max_x, max_u))
+    shape = (max(map(len, signs), default=0), len(signs))
+
+    def table(lists, fill, dtype):
+        return np.array(list(zip_longest(*lists, fillvalue=fill)), dtype=dtype).reshape(shape)
+
+    return TermPlan(tuple(components), n, m, tuple(indices), sum(map(len, columns)) - len(tails),
+                    table(columns, pad, np.min_scalar_type(pad)), table(bare, False, bool),
+                    table(coefficients, 1.0, float), table(signs, 1, np.int8), tuple(tails))
+
+
+def _by_position(plan: TermPlan, values: list) -> dict[int, list]:
+    """The tails' values as {position: [(component, value), ...]}."""
+    at: dict[int, list] = {}
+    for (i, t, _), value in zip(plan.tails, values):
+        at.setdefault(t, []).append((i, value))
+    return at
+
+
+def _plan_field(plan: TermPlan, x: np.ndarray, u: np.ndarray, shape: tuple) -> np.ndarray | None:
+    """:func:`eval_field` by the plan's positions; None where the walk must decide."""
+    n, m = plan.n, plan.m
+    z = np.empty(shape + (n + m + 1,))
+    z[..., :n] = x
+    z[..., n:-1] = u
+    z[..., -1] = -0.0
+    # tails first, in the walk's order, so that a raising constant subtree
+    # raises the walk's error
+    values = [_eval_batch(tree, x, u) for _, _, tree in plan.tails]
+    if complex in map(type, values):
+        # a negative constant to a fractional power: left to the walk's casts
+        return None
+    tails_at = _by_position(plan, values)
+    # a - b is a + (-b) bit for bit, and the field's terms, unlike their
+    # derivatives, have no part that the sign leaves alone
+    coefs = plan.coefficients * plan.signs
+    total = None
+    for t, columns in enumerate(plan.columns.astype(np.intp)):
+        terms = z[..., columns]
+        terms *= coefs[t]
+        for i, value in tails_at.get(t, ()):
+            terms[..., i] = value if plan.signs[t, i] > 0 else -value
+        if total is None:
+            total = terms
+        else:
+            total += terms
+    return total
+
+
+def eval_gradients(plan: TermPlan, x: Sequence[float], u: Sequence[float]) -> np.ndarray:
+    """The (k, n + m) gradient rows of the plan's components at one point.
+
+    Position t gives each row ``(0.0 * v) + c * e`` for a term ``c*v`` whose
+    variable has seed row e, e itself for a bare v, and the tail's
+    :func:`eval_tangent` slope for a tail.  Adding the positions with their
+    spine signs repeats the vector walk of each whole tree bit for bit,
+    signed zeros included, and raises its first error.
+    """
+    n, m = plan.n, plan.m
+    # the identity's rows, and a -0.0 row that tails and pads read
+    seeds = np.eye(n + m + 1, n + m)
+    seeds[-1] = -0.0
+    z = np.array(tuple(x) + tuple(u) + (-0.0,))
+    # the column that the 0.0 * v part of the derivative of c*v reads; a bare
+    # variable has no such part and reads the -0.0 column
+    columns = plan.columns.astype(np.intp)
+    zero_columns = np.where(plan.bare, n + m, columns)
+    slopes_at = _by_position(plan, [eval_tangent(tree, x, u, seeds[:n], seeds[n:-1])[1]
+                                    for _, _, tree in plan.tails])
+    rows = None
+    for t in range(len(columns)):
+        terms = seeds[columns[t]]
+        terms *= plan.coefficients[t, :, None]
+        terms += (0.0 * z[zero_columns[t]])[:, None]
+        for i, slope in slopes_at.get(t, ()):
+            terms[i] = slope
+        terms *= plan.signs[t, :, None]
+        if rows is None:
+            rows = terms
+        else:
+            rows += terms
+    return rows

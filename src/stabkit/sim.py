@@ -179,7 +179,7 @@ def _closed_loop(system: SystemSpec, feedback):
     fb = make_feedback(system, feedback)
 
     def g(states: np.ndarray) -> np.ndarray:
-        return ex.eval_field(system.components, states, fb(states))
+        return ex.eval_field(system.plan, states, fb(states))
 
     return fb, g
 

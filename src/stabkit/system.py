@@ -69,8 +69,7 @@ class SystemSpec:
             )
         if len(self.x_eq) != self.n or len(self.u_eq) != self.m:
             raise SystemValidationError("equilibrium dimensions do not match the system")
-        for i, comp in enumerate(self.components, start=1):
-            max_x, max_u = ex.max_indices(comp)
+        for i, (max_x, max_u) in enumerate(self.plan.max_indices, start=1):
             if max_x > self.n:
                 raise SystemValidationError(
                     f"component f{i} references x{max_x} but the system has n={self.n}"
@@ -94,6 +93,11 @@ class SystemSpec:
         # a non-finite x* or u* can still leave a zero residual (f1 = u1, x* = nan)
         if not np.isfinite(self.x_eq + self.u_eq).all():
             raise SystemValidationError("equilibrium values must be finite")
+
+    @cached_property
+    def plan(self) -> ex.TermPlan:
+        """The components' term plan, which the field and the Jacobian read."""
+        return ex.term_plan(self.components, self.n, self.m)
 
     @cached_property
     def _linearization(self) -> Linearization:
@@ -258,8 +262,10 @@ def jacobian(system: SystemSpec, x: Sequence[float] | None = None,
              u: Sequence[float] | None = None) -> Linearization:
     """Exact Jacobians at a point (default: the equilibrium), via forward mode.
 
-    Each component is walked once with the rows of the identity as seeds.  The
-    equilibrium linearization is computed once per spec instance and kept.
+    The system's term plan reads each affine term's coefficient and walks
+    each other term once with the rows of the identity as seeds; the rows
+    equal one walk of each whole tree bit for bit.  The equilibrium
+    linearization is computed once per spec instance and kept.
     """
     if x is None and u is None:
         return system._linearization
@@ -269,11 +275,8 @@ def jacobian(system: SystemSpec, x: Sequence[float] | None = None,
     if len(x) != n or len(u) != m:
         raise ValueError(f"expected a point with n={n} states and m={m} controls, "
                          f"got {len(x)} and {len(u)}")
-    seeds = np.eye(n + m)
-    rows = np.empty((n, n + m))
     with np.errstate(all="ignore"):  # overflow to inf/nan is silent, as with Python floats
-        for i, comp in enumerate(system.components):
-            rows[i] = ex.eval_tangent(comp, x, u, seeds[:n], seeds[n:])[1]
+        rows = ex.eval_gradients(system.plan, x, u)
     return Linearization(rows[:, :n].copy(), rows[:, n:].copy())
 
 
@@ -359,7 +362,7 @@ def span_dimension_estimate(
     points = np.asarray(system.x_eq) + directions / norms * radii
     inputs = np.asarray(system.u_eq) + rng.standard_normal((samples, m))
     with np.errstate(all="ignore"):
-        values = ex.eval_field(system.components, points, inputs)
+        values = ex.eval_field(system.plan, points, inputs)
     if not np.all(np.isfinite(values)):
         raise ValueError("field evaluation produced non-finite values in the sample ball")
     return numerical_rank(values, tol)

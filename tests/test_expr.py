@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from perfbench import gen
 from perfbench.workloads import cold_cli_systems, large_systems, validate_systems
 from stabkit import expr as ex
 from stabkit.system import parse_system
@@ -207,7 +208,7 @@ def test_tangent_matches_central_differences():
             checked += 1
 
 
-def test_compile_field_matches_eval():
+def test_eval_field_matches_eval_expr():
     rng = np.random.default_rng(3)
     comps = [ex.parse_expr(t) for t in ("x1^3 + x2", "sin(x1)*u1", "x2/(2 + cos(x1))")]
     xs = rng.uniform(-1.0, 1.0, (40, 2))
@@ -229,7 +230,7 @@ def test_compile_field_matches_eval():
             assert batch[row, j] == pytest.approx(ex.eval_expr(comp, xs[row], us[row]), abs=1e-14)
 
 
-def test_eval_field_gives_compile_fields_inf_and_nan_at_singular_points():
+def test_eval_field_gives_inf_and_nan_at_singular_points():
     comps = [ex.parse_expr(t) for t in ("x1/x2", "x1^0.5", "x2^-1", "exp(x1*1000)", "-2^2 + x1")]
     xs = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 0.0], [-4.0, -0.0], [2.0, 1.0]])
     with np.errstate(all="ignore"):
@@ -245,7 +246,7 @@ def test_eval_field_gives_compile_fields_inf_and_nan_at_singular_points():
     ])
 
 
-def test_eval_field_raises_where_compile_field_raises():
+def test_eval_field_raises_where_a_constant_subtree_raises():
     # a constant subtree is Python float arithmetic, which raises, as it did
     # in the generated-source evaluator this walk replaced
     for text in ("x1 + 1/0", "x1 + 0^-1"):
@@ -315,7 +316,7 @@ def _finite_eval(tree, row):
 
 @settings(derandomize=True, max_examples=300, deadline=None)
 @given(text=_expression_texts(arithmetic_only=True), points=_POINTS)
-def test_compiled_arithmetic_is_bit_identical_to_eval_expr(text, points):
+def test_eval_field_arithmetic_is_bit_identical_to_eval_expr(text, points):
     tree, points = ex.parse_expr(text), np.array(points)
     values = _field_values(tree, points)
     for k, row in enumerate(points):
@@ -375,7 +376,7 @@ def _value_and_error_bound(e, x, u):
 
 @settings(derandomize=True, max_examples=300, deadline=None)
 @given(text=_expression_texts(arithmetic_only=False), points=_POINTS)
-def test_compiled_field_agrees_with_eval_expr_within_the_error_bound(text, points):
+def test_eval_field_agrees_with_eval_expr_within_the_error_bound(text, points):
     tree, points = ex.parse_expr(text), np.array(points)
     values = _field_values(tree, points)
     for k, row in enumerate(points):
@@ -398,3 +399,138 @@ def test_is_c1_everywhere_flags_division():
 def test_max_indices():
     assert ex.max_indices(ex.parse_expr("x3 + u2*sin(x1)")) == (3, 2)
     assert ex.max_indices(ex.parse_expr("x1^2")) == (1, 0)
+
+
+# --- term plans -----------------------------------------------------------
+
+_SPECIAL_VALUES = (0.0, -0.0, math.inf, -math.inf, math.nan)
+_COEFFICIENTS = st.one_of(_NUMBERS, _NUMBERS.map("-{}".format))
+_PLAN_TERMS = st.one_of(
+    st.tuples(_COEFFICIENTS, _VARIABLES).map("*".join),
+    st.tuples(_VARIABLES, _COEFFICIENTS).map("*".join),
+    _VARIABLES,
+    _COEFFICIENTS,
+    _expression_texts(arithmetic_only=False),
+)
+
+
+def _joined(terms_and_ops):
+    terms, ops = terms_and_ops
+    return terms[0] + "".join(f" {op} {term}" for op, term in zip(ops, terms[1:]))
+
+
+_SUMS = st.tuples(st.lists(_PLAN_TERMS, min_size=1, max_size=40),
+                  st.lists(st.sampled_from("+-"), min_size=39, max_size=39)).map(_joined)
+# (x1, x2, x3, u1, u2) rows with signed zeros, infinities and nans among them
+_SPECIAL_POINTS = st.lists(
+    st.lists(st.one_of(st.floats(-3.0, 3.0), st.sampled_from(_SPECIAL_VALUES)),
+             min_size=5, max_size=5),
+    min_size=1, max_size=4)
+
+
+def _field_outcome(evaluate):
+    """The field's values, or the type of what a constant subtree raised."""
+    with np.errstate(all="ignore"), warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        try:
+            return evaluate()
+        except (ZeroDivisionError, OverflowError, TypeError) as err:
+            return type(err)
+
+
+def _assert_plan_is_the_walk(components, n, m, xs, us):
+    """The plan's field equals the walk's byte for byte; a nan may differ in sign."""
+    plan = ex.term_plan(components, n, m)
+    shape = np.broadcast_shapes(xs.shape[:-1], us.shape[:-1])
+    walked = _field_outcome(lambda: ex.eval_field(components, xs, us))
+    # None: a complex constant, which the plan leaves to the walk
+    planned = _field_outcome(lambda: ex._plan_field(plan, xs, us, shape))
+    if planned is None:
+        planned = walked
+    if isinstance(walked, type):
+        assert planned is walked
+        return
+    nan = np.isnan(walked)
+    np.testing.assert_array_equal(np.isnan(planned), nan)
+    assert planned[~nan].tobytes() == walked[~nan].tobytes()
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(texts=st.lists(_SUMS, min_size=1, max_size=3), points=_SPECIAL_POINTS)
+def test_term_plan_field_is_the_walk_bit_for_bit(texts, points):
+    points = np.array(points)
+    _assert_plan_is_the_walk([ex.parse_expr(t) for t in texts], 3, 2,
+                             points[:, :3], points[:, 3:])
+
+
+def _chain_text(rng, mode, n, m, zero_x_eq):
+    """gen.small_system's shape, without its redraw until the verdict is
+    positive, which does not end at n = 50."""
+    a = np.diag(np.round(rng.uniform(-1.5, 0.5, n), 3))
+    a[np.arange(n - 1), np.arange(1, n)] = np.round(rng.uniform(-1.5, 1.5, n - 1), 3)
+    b = np.zeros((n, m))
+    b[np.arange(n - m, n), np.arange(m)] = np.round(rng.uniform(-2.0, 2.0, m), 3)
+    x_eq = np.zeros(n) if zero_x_eq else np.round(rng.uniform(-1.0, 1.0, n), 3)
+    u_eq = np.round(rng.uniform(-1.0, 1.0, m), 3)
+    return gen.system_text("chain", mode, a, b, x_eq, u_eq, gen._small_hot(rng, n, x_eq))
+
+
+@pytest.mark.parametrize("n", [2, 4, 8, 10, 30, 50])
+def test_term_plan_field_is_the_walk_on_generator_draws(n):
+    rng = np.random.default_rng(n)
+    modes = (gen.CONTINUOUS, gen.DISCRETE)
+    texts = [gen.large_system(rng, "large", mode, n).text for mode in modes]
+    texts += [_chain_text(rng, mode, n, min(2, n), zero) for mode in modes for zero in (True, False)]
+    for text in texts:
+        spec = parse_system(text)
+        rows = rng.uniform(-2.0, 2.0, (24, spec.n + spec.m))
+        specials = rng.random(rows.shape) < 0.1
+        rows[specials] = rng.choice(_SPECIAL_VALUES, size=int(specials.sum()))
+        _assert_plan_is_the_walk(spec.components, spec.n, spec.m,
+                                 rows[:, :spec.n], rows[:, spec.n:])
+        # one control row broadcast over the states, and a single point
+        _assert_plan_is_the_walk(spec.components, spec.n, spec.m,
+                                 rows[:, :spec.n], rows[0, spec.n:])
+        _assert_plan_is_the_walk(spec.components, spec.n, spec.m,
+                                 rows[1, :spec.n], rows[1, spec.n:])
+
+
+def test_term_plan_reads_affine_terms_and_keeps_tails():
+    components = [ex.parse_expr(t) for t in (
+        "2*x1 - x2*-3 + u1 - sin(x1)*x2", "-0*u1", "x2 - 4", "x2 - (x1 + u1)")]
+    plan = ex.term_plan(components, 2, 1)
+    pad = 3
+    np.testing.assert_array_equal(plan.columns, [[0, 2, 1, 1],
+                                                 [1, pad, pad, pad],
+                                                 [2, pad, pad, pad],
+                                                 [pad, pad, pad, pad]])
+    np.testing.assert_array_equal(plan.bare, [[False, False, True, True],
+                                              [False, False, False, False],
+                                              [True, False, False, False],
+                                              [False, False, False, False]])
+    assert plan.coefficients.tobytes() == np.array([[2.0, -0.0, 1.0, 1.0],
+                                                    [-3.0, 1.0, 1.0, 1.0],
+                                                    [1.0, 1.0, 1.0, 1.0],
+                                                    [1.0, 1.0, 1.0, 1.0]]).tobytes()
+    np.testing.assert_array_equal(plan.signs, [[1, 1, 1, 1],
+                                               [-1, 1, -1, -1],
+                                               [1, 1, 1, 1],
+                                               [-1, 1, 1, 1]])
+    assert [(i, t, ex.unparse(tree)) for i, t, tree in plan.tails] == [
+        (0, 3, "sin(x1) * x2"), (2, 1, "4"), (3, 1, "x1 + u1")]
+    assert plan.max_indices == ((2, 1), (0, 1), (2, 0), (2, 1))
+    assert plan.affine_terms == 6
+
+
+def test_a_plan_raises_where_the_walk_raises():
+    chain = " + ".join(f"{k}*x{k % 3 + 1}" for k in range(1, 41))
+    # tails are walked in the walk's order: the first raising component wins
+    divide = ex.parse_expr(f"{chain} + 1/0 + sin(x1)")
+    overflow = ex.parse_expr(f"x2 - 10^400 + {chain}")
+    for components, error in (([divide, overflow], ZeroDivisionError),
+                              ([overflow, divide], OverflowError)):
+        plan = ex.term_plan(components, 3, 2)
+        assert plan.affine_terms >= ex._PLAN_MIN_AFFINE_TERMS
+        for evaluate in (plan, components):
+            with pytest.raises(error):
+                ex.eval_field(evaluate, np.zeros(3), np.zeros(2))

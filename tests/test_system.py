@@ -144,6 +144,11 @@ def test_out_of_range_variable_rejected():
         system_from_strings("continuous", ["x3", "u1"], m=1)
     with pytest.raises(SystemValidationError, match="u2"):
         system_from_strings("continuous", ["x1 - x1 + u2"], m=1)
+    # affine terms whose column would not fit the term plan's table
+    with pytest.raises(SystemValidationError, match="x300"):
+        system_from_strings("continuous", ["2*x300 + x1", "u1"], m=1)
+    with pytest.raises(SystemValidationError, match="u1000"):
+        system_from_strings("continuous", ["x1 + u1000*3", "u1"], m=1)
 
 
 def test_dimension_caps():
@@ -230,6 +235,32 @@ def test_jacobian_is_bit_identical_to_the_scalar_walks(examples_dir):
             spec = parse_system(g.text)
             _assert_bit_identical(spec)
             _assert_bit_identical(spec, rng.uniform(-1, 1, n), rng.uniform(-1, 1, spec.m))
+    # chains at x* != 0, whose shifted terms c*(xj - d) are tails
+    for n, m in ((2, 1), (3, 2), (4, 1), (8, 2)):
+        for mode in ("continuous", "discrete"):
+            spec = parse_system(gen.small_system(rng, "chain", mode, n, m).text)
+            assert any(v != 0.0 for v in spec.x_eq)
+            _assert_bit_identical(spec)
+            _assert_bit_identical(spec, rng.uniform(-1, 1, n), rng.uniform(-1, 1, m))
+    # literal negative and signed-zero coefficients on either side of the variable
+    for _ in range(20):
+        n, m = int(rng.integers(1, 5)), int(rng.integers(1, 3))
+        x0, u0 = rng.uniform(-1, 1, n), rng.uniform(-1, 1, m)
+        names = [f"x{j}" for j in range(1, n + 1)] + [f"u{j}" for j in range(1, m + 1)]
+        texts = []
+        for _ in range(n):
+            terms = []
+            for _ in range(int(rng.integers(1, 8))):
+                coef = rng.choice(["-2.5", "-1", "-0", "0", "0.5", "-0.25"])
+                var = rng.choice(names)
+                terms.append(rng.choice([f"{coef}*{var}", f"{var}*{coef}", var]))
+            ops = rng.choice([" + ", " - "], size=len(terms))
+            texts.append(terms[0] + "".join(op + t for op, t in zip(ops[1:], terms[1:])))
+        trees = [ex.parse_expr(t) for t in texts]
+        comps = [ex.BinOp("-", t, ex.Const(ex.eval_expr(t, x0, u0))) for t in trees]
+        spec = SystemSpec(n, m, "continuous", comps, x0, u0)
+        _assert_bit_identical(spec)
+        _assert_bit_identical(spec, rng.uniform(-1, 1, n), rng.uniform(-1, 1, m))
 
 
 @pytest.mark.parametrize("text, message", [
@@ -254,30 +285,57 @@ def test_underflowing_denominator_is_an_eval_error():
 
 def test_analyze_then_synthesize_linearize_once(monkeypatch, examples_dir):
     text = (examples_dir / "three_state_mixed.stab").read_text()
-    walks = []
-    scalar_walk = ex.eval_tangent
+    linearizations = []
+    compute = system.jacobian
 
-    def counted(*args):
-        walks.append(args[0])
-        return scalar_walk(*args)
+    def counted(spec, x=None, u=None):
+        if x is not None or u is not None:
+            linearizations.append(spec)
+        return compute(spec, x, u)
 
-    monkeypatch.setattr(ex, "eval_tangent", counted)
-    spec = parse_system(text)
-    jacobian(spec, spec.x_eq, spec.u_eq)
-    per_linearization = len(walks)
-    assert per_linearization > 0
-
-    walks.clear()
+    monkeypatch.setattr(system, "jacobian", counted)
     spec = parse_system(text)
     analyze(spec)
     synthesize(spec)
     assert jacobian(spec) is jacobian(spec)
-    assert len(walks) == per_linearization
+    assert len(linearizations) == 1 and linearizations[0] is spec
 
-    # the cache lives on the instance: a fresh parse of the same text walks again
-    walks.clear()
-    analyze(parse_system(text))
-    assert len(walks) == per_linearization
+    # the cache lives on the instance: a fresh parse of the same text linearizes again
+    linearizations.clear()
+    fresh = parse_system(text)
+    analyze(fresh)
+    assert len(linearizations) == 1 and linearizations[0] is fresh
+
+
+def _count_walks(monkeypatch, name):
+    """Record the node each call of the tree walk ``ex.<name>`` visits."""
+    visits = []
+    walk = getattr(ex, name)
+
+    def counted(*args):
+        visits.append(args[0])
+        return walk(*args)
+
+    monkeypatch.setattr(ex, name, counted)
+    return visits
+
+
+def test_the_span_estimate_and_the_jacobian_walk_only_the_tails(monkeypatch):
+    spec = parse_system(gen.large_system(np.random.default_rng(5), "large", "continuous", 50).text)
+    # one sin(xi)*xj tail per row, of four nodes; the rest is affine chains
+    tail_nodes = sum(len(list(ex.iter_nodes(tree))) for _, _, tree in spec.plan.tails)
+    assert tail_nodes == 4 * 50
+    batch = _count_walks(monkeypatch, "_eval_batch")
+    tangent = _count_walks(monkeypatch, "eval_tangent")
+    span_dimension_estimate(spec, 0.1, 200)
+    jacobian(spec, spec.x_eq, spec.u_eq)
+    assert len(batch) == len(tangent) == tail_nodes
+
+    # planar_cubic has too few affine terms for the plan: its field walks every node
+    spec = parse_system(gen.PLANAR_CUBIC)
+    batch.clear()
+    span_dimension_estimate(spec, 0.1, 64)
+    assert len(batch) == sum(len(list(ex.iter_nodes(c))) for c in spec.components)
 
 
 def _structure(*components, m=1):
