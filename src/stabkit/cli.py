@@ -53,8 +53,6 @@ def _add_tolerance_flags(sub: argparse.ArgumentParser) -> None:
                      help="extra margin demanded by the sufficiency tests")
     sub.add_argument("--span-radius", type=_finite_float, default=0.1,
                      help="sampling radius for the affine span estimate")
-    sub.add_argument("--span-samples", type=int, default=64,
-                     help="sample count for the affine span estimate")
     sub.add_argument("--seed", type=int, default=0, help="seed for seeded numerics")
 
 
@@ -64,7 +62,6 @@ def _config_from(args: argparse.Namespace) -> AnalysisConfig:
         tol_class=args.tol_class,
         margin=args.margin,
         span_radius=args.span_radius,
-        span_samples=args.span_samples,
         assume_bounded_perturbation=getattr(args, "assume_bounded_perturbation", False),
         seed=args.seed,
     )

@@ -419,24 +419,9 @@ def iter_nodes(e: Expr) -> Iterator[Expr]:
 
 def max_indices(e: Expr) -> tuple[int, int]:
     """Largest state and control indices referenced by the expression."""
-    max_x = max_u = 0
-    stack = [e]
-    while stack:
-        node = stack.pop()
-        kind = type(node)
-        if kind is BinOp:
-            stack += node.lhs, node.rhs
-        elif kind is StateVar:
-            if node.index > max_x:
-                max_x = node.index
-        elif kind is Neg or kind is Call:
-            stack.append(node.arg)
-        elif kind is Pow:
-            stack.append(node.base)
-        elif kind is ControlVar:
-            if node.index > max_u:
-                max_u = node.index
-    return max_x, max_u
+    nodes = list(iter_nodes(e))
+    return (max((v.index for v in nodes if type(v) is StateVar), default=0),
+            max((v.index for v in nodes if type(v) is ControlVar), default=0))
 
 
 def is_c1_everywhere(e: Expr) -> bool:
@@ -660,6 +645,18 @@ def _plan_field(plan: TermPlan, x: np.ndarray, u: np.ndarray, shape: tuple) -> n
     return total
 
 
+class _UnitRows:
+    """The width-wide identity's rows at the given columns, each made when read."""
+
+    def __init__(self, columns: range, width: int):
+        self.columns, self.width = columns, width
+
+    def __getitem__(self, i: int) -> np.ndarray:
+        row = np.zeros(self.width)
+        row[self.columns[i]] = 1.0
+        return row
+
+
 def eval_gradients(plan: TermPlan, x: Sequence[float], u: Sequence[float]) -> np.ndarray:
     """The (k, n + m) gradient rows of the plan's components at one point.
 
@@ -670,19 +667,26 @@ def eval_gradients(plan: TermPlan, x: Sequence[float], u: Sequence[float]) -> np
     signed zeros included, and raises its first error.
     """
     n, m = plan.n, plan.m
-    # the identity's rows, and a -0.0 row that tails and pads read
-    seeds = np.eye(n + m + 1, n + m)
-    seeds[-1] = -0.0
+    width = n + m
     z = np.array(tuple(x) + tuple(u) + (-0.0,))
     # the column that the 0.0 * v part of the derivative of c*v reads; a bare
     # variable has no such part and reads the -0.0 column
     columns = plan.columns.astype(np.intp)
-    zero_columns = np.where(plan.bare, n + m, columns)
-    slopes_at = _by_position(plan, [eval_tangent(tree, x, u, seeds[:n], seeds[n:-1])[1]
+    zero_columns = np.where(plan.bare, width, columns)
+    # the identity's rows for the columns in use, and a -0.0 row that tails
+    # and pads read; the whole identity would take (n + m)^2 floats, and a
+    # tail's walk makes its variables' rows as it reaches them
+    used = np.zeros(width + 1, dtype=bool)
+    used[columns] = True
+    kept = np.flatnonzero(used)
+    seeds = np.where(kept[:, None] == width, -0.0, kept[:, None] == np.arange(width))
+    seed_of = (np.cumsum(used) - 1)[columns]
+    states, controls = _UnitRows(range(n), width), _UnitRows(range(n, width), width)
+    slopes_at = _by_position(plan, [eval_tangent(tree, x, u, states, controls)[1]
                                     for _, _, tree in plan.tails])
     rows = None
     for t in range(len(columns)):
-        terms = seeds[columns[t]]
+        terms = seeds[seed_of[t]]
         terms *= plan.coefficients[t, :, None]
         terms += (0.0 * z[zero_columns[t]])[:, None]
         for i, slope in slopes_at.get(t, ()):

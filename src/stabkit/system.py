@@ -348,12 +348,10 @@ def span_dimension_estimate(
     n, m = system.n, system.m
     if not radius > 0:
         raise ValueError("radius must be positive")
-    if samples < 1:
-        raise ValueError("need at least one sample point")
     if samples * (n + m) > MAX_STORED_FLOATS:
         raise ValueError(
             f"the span estimate's {samples} points x {n + m} values "
-            f"exceed the limit of {MAX_STORED_FLOATS} stored numbers; use fewer span samples")
+            f"exceed the limit of {MAX_STORED_FLOATS} stored numbers")
     rng = np.random.default_rng(seed)
     directions = rng.standard_normal((samples, n))
     norms = np.linalg.norm(directions, axis=1, keepdims=True)

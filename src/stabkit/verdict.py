@@ -112,7 +112,6 @@ class AnalysisConfig:
     tol_class: float = TOL_CLASS
     margin: float = 0.0
     span_radius: float = 0.1
-    span_samples: int = 64
     assume_bounded_perturbation: bool = False
     seed: int = 0
 
@@ -126,11 +125,8 @@ class AnalysisConfig:
         # a negative margin lets R1-R3 fire below the spectral bound; NaN silences them
         if not 0 <= self.margin < math.inf:
             raise ValueError("margin must be non-negative and finite")
-        # below 1 the estimate would fall back to 4n points without a word
-        if not self.span_samples >= 1:
-            raise ValueError("span_samples must be at least 1")
-        # checked here, not where the span estimate draws: a system that is not
-        # control-affine never draws, and would accept and report any value
+        # checked here, not where the span estimate draws: a system that is open
+        # or not control-affine never draws, and would accept and report any value
         if not 0 < self.span_radius < math.inf:
             raise ValueError("span_radius must be positive and finite")
         if not (isinstance(self.seed, numbers.Integral) and self.seed >= 0):
@@ -161,7 +157,7 @@ class Analysis:
     perturbation_margin: float  # Lipschitz perturbation size the sufficiency margin absorbs
 
 
-def _affine_structure(system: SystemSpec, lin: Linearization,
+def _affine_structure(system: SystemSpec, lin: Linearization, rep: OpennessReport,
                       cfg: AnalysisConfig) -> AffineStructure:
     # f = g0(x) + sum gi(x) ui exactly when no term has control degree above 1,
     # and g0 = 0 when every term has at least one; column i of B is gi(x*)
@@ -170,9 +166,10 @@ def _affine_structure(system: SystemSpec, lin: Linearization,
         return AffineStructure(False, None, False, None)
     driftless = all(d[0] >= 1 for d in degrees)
     input_rank = numerical_rank(lin.b, cfg.tol_rank)
-    samples = max(cfg.span_samples, 4 * system.n)
-    span_dim = span_dimension_estimate(
-        system, cfg.span_radius, samples, tol=cfg.tol_rank, seed=cfg.seed
+    # an onto [A | B] makes f open at (x*, u*) (Lyusternik-Graves), so its
+    # values near there span R^n; only a rank-deficient one is sampled
+    span_dim = system.n if rep.linearly_open else span_dimension_estimate(
+        system, cfg.span_radius, max(64, 4 * system.n), tol=cfg.tol_rank, seed=cfg.seed
     )
     return AffineStructure(True, span_dim, driftless, input_rank)
 
@@ -260,7 +257,7 @@ def analyze(system: SystemSpec, config: AnalysisConfig | None = None) -> Analysi
     prof = spectral_profile(lin.a, system.mode, tol_class=cfg.tol_class)
     haut, full = hautus_tests(lin, prof.unstable, prof.eigenvalues, tol=cfg.tol_rank)
     kalman = controllable_subspace(lin, tol=cfg.tol_rank)[1]
-    affine = _affine_structure(system, lin, cfg)
+    affine = _affine_structure(system, lin, rep, cfg)
 
     fired, warnings = _rules(system, cfg, rep, prof, affine)
     decision = fired[0].decision if fired else INCONCLUSIVE

@@ -832,8 +832,9 @@ def test_overflowing_kalman_matrix_exits_two(run_cli, tmp_path, command):
 OVERFLOWING_RANK_SYSTEMS = {
     # sigma_max of [A | B] is inf: an infinite rank cutoff would read jacobian_rank 0 (R4)
     "rank": ("f1 = 1.5e308*x1 + 1.5e308*u1", "a singular value overflows the float range"),
-    # [A | B] is fine, f's values at the span estimate's points are not: span_dim would read 0 (R6)
-    "span": ("f1 = 1e308*x1 + 1e308*u1",
+    # [A | B] = 0 is not onto, so f is sampled, and its values there overflow: span_dim
+    # would read 0 (R6)
+    "span": ("f1 = x1*u1*1e308*1e308",
              "field evaluation produced non-finite values in the sample ball"),
     # [A | B] is fine, [A - lam I | B] at lam = 8.5e307 is not: a false Hautus failure
     "pencil": ("f1 = 8.5e307*x1 + 8.5e307*x2\nf2 = -8.5e307*x2 + u1",
@@ -862,24 +863,41 @@ def test_rank_of_an_overflowing_matrix_exits_two(run_cli, tmp_path, case, argv):
     assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
-@pytest.mark.parametrize("samples", ["0", "-5"])
-def test_span_samples_below_one_exit_two(run_cli, examples_dir, samples):
-    code, out, err = run_cli("analyze", examples_dir / "planar_cubic.stab",
-                             f"--span-samples={samples}")
-    assert (code, out) == (2, "")
-    assert err == "error: span_samples must be at least 1\n"
+def test_an_open_system_whose_values_overflow_near_the_equilibrium_is_not_sampled(run_cli,
+                                                                                 tmp_path):
+    # [A | B] is onto, so span_dim is n without sampling f, whose values near x* overflow
+    path = tmp_path / "big.stab"
+    path.write_text("mode continuous\nstates 1\ncontrols 1\neq x = 0\neq u = 0\n"
+                    "f1 = 1e308*x1 + 1e308*u1\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli("analyze", path)
+    assert (code, err) == (0, "")
+    assert "structure: control-affine (driftless=no, span_dim=1, input_rank=1)\n" in out
 
 
-def test_huge_span_sample_count_exits_two_without_allocating(examples_dir):
-    # 1e8 points x 3 values would take 2.4 GB; a 1.5 GB address-space
-    # limit turns an attempt to allocate it into a MemoryError traceback
+@pytest.mark.parametrize("command", ["analyze", "synthesize"])
+def test_span_samples_is_not_an_option(run_cli, capsys, examples_dir, command):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(command, examples_dir / "planar_cubic.stab", "--span-samples=64")
+    assert exc.value.code == 2
+    assert "error: unrecognized arguments: --span-samples=64" in capsys.readouterr().err
+
+
+def test_huge_span_sample_count_exits_two_without_allocating(tmp_path):
+    # f1 = x1*u1 has [A | B] = 0, so f is sampled: 64 points x 3 000 001 values would
+    # take 1.5 GB for the u draws alone; a 1.5 GB address-space limit turns an attempt
+    # to allocate them, or an (n + m)^2 identity in the Jacobian, into a MemoryError
+    m = 3_000_000
+    path = tmp_path / "wide.stab"
+    path.write_text(f"mode continuous\nstates 1\ncontrols {m}\neq x = 0\n"
+                    f"eq u = {' '.join(['0'] * m)}\nf1 = x1*u1\n")
     script = (
         "import resource, sys\n"
         "hard = resource.getrlimit(resource.RLIMIT_AS)[1]\n"
         "resource.setrlimit(resource.RLIMIT_AS, (1_500_000_000, hard))\n"
         "from stabkit.cli import main\n"
-        f"sys.exit(main(['analyze', {str(examples_dir / 'planar_cubic.stab')!r},\n"
-        "                '--span-samples', '100000000']))\n"
+        f"sys.exit(main(['analyze', {str(path)!r}]))\n"
     )
     src = str(Path(stabkit.__file__).resolve().parent.parent)
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
@@ -888,8 +906,8 @@ def test_huge_span_sample_count_exits_two_without_allocating(examples_dir):
                          text=True, timeout=120)
     assert (out.returncode, out.stdout) == (2, "")
     assert out.stderr == (
-        "error: the span estimate's 100000000 points x 3 values exceed the limit "
-        "of 8388608 stored numbers; use fewer span samples\n")
+        "error: the span estimate's 64 points x 3000001 values exceed the limit "
+        "of 8388608 stored numbers\n")
 
 
 TWO_INPUT_SYSTEM = """mode continuous
@@ -982,6 +1000,35 @@ def test_synthesize_classifies_with_the_tol_class_flag(run_cli, tmp_path):
     code, out, err = run_cli("synthesize", path)
     assert code == 3
     assert err == "error: uncontrollable unstable mode at lambda=-5e-09\n"
+
+
+def test_field_undefined_at_the_equilibrium_exits_two(run_cli, tmp_path):
+    path = tmp_path / "pole.stab"
+    path.write_text("mode continuous\nstates 1\ncontrols 1\neq x = 0\neq u = 0\n"
+                    "f1 = 1/x1 + u1\n")
+    assert run_cli("analyze", path) == (
+        2, "", "error: evaluation failed at the equilibrium: division by zero\n")
+
+
+def test_validation_with_no_samples_exits_two(run_cli, examples_dir):
+    assert run_cli("synthesize", examples_dir / "planar_cubic.stab", "--validate",
+                   "--samples", "0") == (2, "", "error: need at least one sample\n")
+
+
+def test_covering_with_an_empty_radius_list_exits_two(run_cli, examples_dir):
+    assert run_cli("covering", examples_dir / "cubic_input.stab", "--radius", ",") == (
+        2, "", "error: --radius expects at least one value\n")
+
+
+@pytest.mark.parametrize("doc", ['{"gain": null}', '{"gain": {"x": 1}}', '{"poles": [1]}',
+                                 "[[-1.5, -2.5]]"])
+def test_simulate_gain_file_without_a_gain_matrix_exits_two(run_cli, examples_dir, tmp_path,
+                                                            doc):
+    gain_path = tmp_path / "gain.json"
+    gain_path.write_text(doc)
+    assert run_cli("simulate", examples_dir / "planar_cubic.stab", "--gain", gain_path,
+                   "--x0", "0.1,0") == (
+        2, "", f"error: {gain_path} does not contain a gain matrix under 'k'\n")
 
 
 def test_version_flag(run_cli, capsys):

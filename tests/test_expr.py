@@ -399,6 +399,9 @@ def test_is_c1_everywhere_flags_division():
 def test_max_indices():
     assert ex.max_indices(ex.parse_expr("x3 + u2*sin(x1)")) == (3, 2)
     assert ex.max_indices(ex.parse_expr("x1^2")) == (1, 0)
+    # every node kind: a constant, a negation, a call, a power and a division
+    assert ex.max_indices(ex.parse_expr("2.5")) == (0, 0)
+    assert ex.max_indices(ex.parse_expr("-(u3)^2 + cos(x5/u1) - 7*x2")) == (5, 3)
 
 
 # --- term plans -----------------------------------------------------------

@@ -89,6 +89,15 @@ def test_stable_uncontrollable_block_is_preserved():
     assert gain.k[0, 2] == pytest.approx(0.0, abs=1e-12)
 
 
+def test_empty_controllable_block_gets_a_zero_gain():
+    # B = 0: nothing is placed, and the stable spectrum -1, -2 stays where it is
+    assert place_poles(np.zeros((0, 0)), np.zeros((0, 1)), []).shape == (1, 0)
+    gain = synthesize(system_from_strings("continuous", ["-x1 + x2", "-2*x2 + 0*u1"], m=1))
+    assert gain.k.tolist() == [[0.0, 0.0]]
+    assert gain.target_poles == ()
+    assert gain.achieved_poles == (-2.0, -1.0)
+
+
 def test_unstable_uncontrollable_mode_raises(examples_dir):
     with pytest.raises(UncontrollableError, match="lambda=1"):
         synthesize(load_system(examples_dir / "unstable_drift.stab"))

@@ -4,14 +4,14 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from perfbench import workloads
+from perfbench import gen, workloads
 from stabkit import verdict
 from stabkit.hautus import spectral_profile
 from stabkit.openness import OpennessReport
-from stabkit.system import load_system, parse_system, system_from_strings
+from stabkit.system import load_system, parse_system, span_dimension_estimate, system_from_strings
 from stabkit.verdict import (
     ASY_STABILIZABLE_CONT_FEEDBACK,
     EXP_STABILIZABLE_CONT_FEEDBACK,
@@ -107,8 +107,23 @@ def test_strict_instability_upgrades_to_asymptotic_negative():
     assert _rule(a, "R6").decision == NOT_SMOOTHLY_ASY_STABILIZABLE
 
 
-def test_collinear_input_fields_fire_span_rule():
+def _count_estimates(monkeypatch):
+    calls = []
+    estimate = verdict.span_dimension_estimate
+
+    def counted(system, *args, **kwargs):
+        calls.append(system)
+        return estimate(system, *args, **kwargs)
+
+    monkeypatch.setattr(verdict, "span_dimension_estimate", counted)
+    return calls
+
+
+def test_collinear_input_fields_fire_span_rule(monkeypatch):
+    calls = _count_estimates(monkeypatch)
     a = analyze(system_from_strings("continuous", ["u1", "2*u1"], m=1))
+    # [A | B] has rank 1 < 2, so f's values are sampled, once
+    assert calls == [a.system]
     assert a.verdict.decision == NOT_SMOOTHLY_EXP_STABILIZABLE
     assert _rules(a) == ["R4", "R6", "R7"]
     assert _rule(a, "R6").decision == NOT_SMOOTHLY_EXP_STABILIZABLE
@@ -302,9 +317,41 @@ def test_spectrum_rule_implies_controllability_flags(examples_dir):
         assert a.verdict.flags.linearized_controllable
 
 
+def test_an_open_linearization_has_its_span_read_without_sampling(monkeypatch, examples_dir):
+    calls = _count_estimates(monkeypatch)
+    names = ("discrete_quadratic", "identity_input", "planar_cubic", "three_state_mixed",
+             "unstable_drift")
+    specs = [load_system(examples_dir / f"{name}.stab") for name in names]
+    specs += [parse_system(g.text) for g in workloads.large_systems(0, smoke=False)]
+    assert len(specs) == 5 + 24
+    for spec in specs:
+        a = analyze(spec)
+        assert a.openness.linearly_open
+        assert a.affine.span_dim == spec.n
+    assert calls == []
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(mode=st.sampled_from([gen.CONTINUOUS, gen.DISCRETE]), n=st.integers(1, 6),
+       m=st.integers(1, 3), seed=st.integers(0, 2**32 - 1),
+       tol_rank=st.sampled_from([None, 0.5, 1.5]))
+def test_an_open_linearization_spans_every_direction(mode, n, m, seed, tol_rank):
+    # Lyusternik-Graves: an onto [A | B] makes f open at (x*, u*), so R6 cannot fire;
+    # a large rank cutoff makes some draws not open, and those are sampled
+    spec = parse_system(gen.small_system(np.random.default_rng(seed), "chain", mode, n,
+                                         min(m, n)).text)
+    a = analyze(spec, AnalysisConfig(tol_rank=tol_rank))
+    if a.openness.linearly_open:
+        assert a.affine.span_dim == n
+        assert "R6" not in _rules(a)
+    else:
+        assert a.affine.span_dim == span_dimension_estimate(spec, 0.1, max(64, 4 * n),
+                                                            tol=tol_rank)
+
+
 def test_analyze_compiles_no_field(examples_dir):
     specs = [load_system(path) for path in sorted(examples_dir.glob("*.stab"))]
     specs += [parse_system(g.text) for g in workloads.large_systems(0, smoke=False)]
     spans = [analyze(spec).affine.span_dim for spec in specs]
-    # every system but cubic_input (u1^3) is control-affine and had its span estimated
+    # every system but cubic_input (u1^3) is control-affine and has a span_dim
     assert spans.count(None) == 1
