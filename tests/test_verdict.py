@@ -317,20 +317,6 @@ def test_spectrum_rule_implies_controllability_flags(examples_dir):
         assert a.verdict.flags.linearized_controllable
 
 
-def test_an_open_linearization_has_its_span_read_without_sampling(monkeypatch, examples_dir):
-    calls = _count_estimates(monkeypatch)
-    names = ("discrete_quadratic", "identity_input", "planar_cubic", "three_state_mixed",
-             "unstable_drift")
-    specs = [load_system(examples_dir / f"{name}.stab") for name in names]
-    specs += [parse_system(g.text) for g in workloads.large_systems(0, smoke=False)]
-    assert len(specs) == 5 + 24
-    for spec in specs:
-        a = analyze(spec)
-        assert a.openness.linearly_open
-        assert a.affine.span_dim == spec.n
-    assert calls == []
-
-
 @settings(derandomize=True, max_examples=60, deadline=None)
 @given(mode=st.sampled_from([gen.CONTINUOUS, gen.DISCRETE]), n=st.integers(1, 6),
        m=st.integers(1, 3), seed=st.integers(0, 2**32 - 1),
@@ -349,9 +335,14 @@ def test_an_open_linearization_spans_every_direction(mode, n, m, seed, tol_rank)
                                                             tol=tol_rank)
 
 
-def test_analyze_compiles_no_field(examples_dir):
+def test_analyze_compiles_no_field(monkeypatch, examples_dir):
+    calls = _count_estimates(monkeypatch)
     specs = [load_system(path) for path in sorted(examples_dir.glob("*.stab"))]
     specs += [parse_system(g.text) for g in workloads.large_systems(0, smoke=False)]
-    spans = [analyze(spec).affine.span_dim for spec in specs]
-    # every system but cubic_input (u1^3) is control-affine and has a span_dim
-    assert spans.count(None) == 1
+    assert len(specs) == 6 + 24
+    spans = [(analyze(spec).affine.span_dim, spec.n) for spec in specs]
+    # every system but cubic_input (u1^3) is control-affine, and each of those has an
+    # onto [A | B], so its span_dim is n and f is never sampled
+    assert [span for span, _ in spans].count(None) == 1
+    assert all(span in (None, n) for span, n in spans)
+    assert calls == []
