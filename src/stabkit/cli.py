@@ -18,9 +18,14 @@ import numpy as np
 
 from . import __version__
 from .expr import EvalError
+from .hautus import TOL_CLASS
 from .openness import CoveringGrid, empirical_covering_modulus
 from .report import build_report, report_json, report_text
 from .sim import (
+    DEFAULT_DT,
+    DEFAULT_HORIZON,
+    DEFAULT_SAMPLES,
+    DEFAULT_STEPS,
     estimate_decay,
     integrate_closed_loop,
     iterate_closed_loop,
@@ -47,13 +52,14 @@ def _finite_float(text: str) -> float:
 def _add_tolerance_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--tol-rank", type=_finite_float, default=None,
                      help="rank cutoff for singular values (default: adaptive)")
-    sub.add_argument("--tol-class", type=_finite_float, default=1e-8,
+    sub.add_argument("--tol-class", type=_finite_float, default=TOL_CLASS,
                      help="spectral classification tolerance")
-    sub.add_argument("--margin", type=_finite_float, default=0.0,
+    sub.add_argument("--margin", type=_finite_float, default=AnalysisConfig.margin,
                      help="extra margin demanded by the sufficiency tests")
-    sub.add_argument("--span-radius", type=_finite_float, default=0.1,
+    sub.add_argument("--span-radius", type=_finite_float, default=AnalysisConfig.span_radius,
                      help="sampling radius for the affine span estimate")
-    sub.add_argument("--seed", type=int, default=0, help="seed for seeded numerics")
+    sub.add_argument("--seed", type=int, default=AnalysisConfig.seed,
+                     help="seed for seeded numerics")
 
 
 def _config_from(args: argparse.Namespace) -> AnalysisConfig:
@@ -131,7 +137,8 @@ def cmd_covering(args: argparse.Namespace) -> int:
     for r, kappa in zip(radii, kappas):
         sys.stdout.write(f"{r:>14.9g} {kappa:>16.9g} {kappa / r:>16.9g}\n")
     # open at a linear rate means kappa stays bounded away from zero as r shrinks
-    if len(kappas) >= 2 and (kappas[-1] <= 0.0 or kappas[0] / kappas[-1] > 2.0):
+    smallest, largest = (kappas[radii.index(pick(radii))] for pick in (min, max))
+    if len(kappas) >= 2 and (smallest <= 0.0 or largest / smallest > 2.0):
         sys.stdout.write(
             "suspect: kappa decreased by more than 2x across the sweep; "
             "openness at a linear rate is doubtful at these scales\n"
@@ -229,13 +236,13 @@ def build_parser() -> argparse.ArgumentParser:
                          help="run the local stability verification on the result")
     p_synth.add_argument("--delta", type=_finite_float, default=0.05,
                          help="shell radius for --validate")
-    p_synth.add_argument("--samples", type=int, default=100,
+    p_synth.add_argument("--samples", type=int, default=DEFAULT_SAMPLES,
                          help="sample count for --validate")
-    p_synth.add_argument("--horizon", type=_finite_float, default=20.0,
+    p_synth.add_argument("--horizon", type=_finite_float, default=DEFAULT_HORIZON,
                          help="integration horizon for --validate (continuous)")
-    p_synth.add_argument("--dt", type=_finite_float, default=1e-3,
+    p_synth.add_argument("--dt", type=_finite_float, default=DEFAULT_DT,
                          help="sampling step of the decay fit for --validate (continuous)")
-    p_synth.add_argument("--steps", type=int, default=200,
+    p_synth.add_argument("--steps", type=int, default=DEFAULT_STEPS,
                          help="iteration count for --validate (discrete)")
     _add_tolerance_flags(p_synth)
     p_synth.set_defaults(func=cmd_synthesize)
@@ -243,12 +250,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_cov = sub.add_parser("covering", help="empirical covering-rate sweep")
     p_cov.add_argument("path")
     p_cov.add_argument("--radius", required=True,
-                       help="comma-separated ball radii, largest first")
-    p_cov.add_argument("--directions", type=int, default=48,
+                       help="comma-separated ball radii")
+    p_cov.add_argument("--directions", type=int, default=CoveringGrid.directions,
                        help="target directions per shell (a 1-state system always "
                             "uses the two signs)")
-    p_cov.add_argument("--levels", type=int, default=4, help="radial shells per target ball")
-    p_cov.add_argument("--axis-points", type=int, default=15,
+    p_cov.add_argument("--levels", type=int, default=CoveringGrid.radial_levels,
+                       help="radial shells per target ball")
+    p_cov.add_argument("--axis-points", type=int, default=CoveringGrid.axis_points,
                        help="coarse grid points per axis")
     p_cov.set_defaults(func=cmd_covering)
 
@@ -260,11 +268,12 @@ def build_parser() -> argparse.ArgumentParser:
     source.add_argument("--feedback", default=None,
                         help="semicolon-separated feedback expressions in x1..xn")
     p_sim.add_argument("--x0", required=True, help="comma-separated initial state")
-    p_sim.add_argument("--horizon", type=_finite_float, default=20.0,
+    p_sim.add_argument("--horizon", type=_finite_float, default=DEFAULT_HORIZON,
                        help="integration horizon (continuous)")
-    p_sim.add_argument("--dt", type=_finite_float, default=1e-3,
+    p_sim.add_argument("--dt", type=_finite_float, default=DEFAULT_DT,
                        help="grid of output samples; the step size is adaptive")
-    p_sim.add_argument("--steps", type=int, default=200, help="iteration count (discrete)")
+    p_sim.add_argument("--steps", type=int, default=DEFAULT_STEPS,
+                       help="iteration count (discrete)")
     p_sim.add_argument("--out", default=None, help="write CSV here instead of stdout")
     p_sim.set_defaults(func=cmd_simulate)
     return parser

@@ -77,7 +77,7 @@ def _document(
         "hautus": {
             "asymptotic_holds": analysis.hautus.holds,
             "failures": analysis.hautus.failures,
-            "full_spectrum_controllable": analysis.hautus_full,
+            "full_spectrum_controllable": verdict.flags.linearized_controllable,
             "kalman_rank": analysis.kalman_rank,
         },
         "structure": {

@@ -16,7 +16,7 @@ through the inverse normal transform, on shells of radius delta, delta/2,
 delta/4 around x*.  The transform is a numpy port of the Cephes ndtri
 (Moshier 1989) that scipy ships, with its tail logarithms taken by math.log
 as Cephes takes them from the C library, so it matches scipy.special.ndtri
-bit for bit and validation runs on numpy alone.
+bit for bit on every point validation draws, and validation runs on numpy alone.
 """
 
 from __future__ import annotations
@@ -36,6 +36,7 @@ DIVERGENCE_NORM = 1e6
 DEFAULT_HORIZON = 20.0
 DEFAULT_DT = 1e-3
 DEFAULT_STEPS = 200
+DEFAULT_SAMPLES = 100
 STEP_ERROR_TOL = 1e-8
 # absolute part of the adaptive error test, about the round-off of O(1)
 # numbers: the relative part alone asks for digits the field cannot deliver
@@ -469,9 +470,9 @@ def _halton(count: int, dim: int) -> np.ndarray:
 
 # Cephes ndtri (Moshier, Methods and Programs for Mathematical Functions,
 # 1989), the inverse normal CDF that scipy.special.ndtri ships.  P0/Q0 serve
-# the centre y = min(p, 1 - p) > exp(-2); P1/Q1 and P2/Q2 the tails where
-# x = sqrt(-2 log y) is below and above 8, at z = 1/x.  The Q tables omit
-# their leading 1.
+# the centre y = min(p, 1 - p) > exp(-2), P1/Q1 the tails at z = 1/x with
+# x = sqrt(-2 log y) < 8; Cephes' pair for x >= 8 is left out, as no
+# validation start comes near it.  The Q tables omit their leading 1.
 _NDTRI_P0 = (-5.99633501014107895267e1, 9.80010754185999661536e1, -5.66762857469070293439e1,
              1.39312609387279679503e1, -1.23916583867381258016e0)
 _NDTRI_Q0 = (1.95448858338141759834e0, 4.67627912898881538453e0, 8.63602421390890590575e1,
@@ -484,12 +485,6 @@ _NDTRI_P1 = (4.05544892305962419923e0, 3.15251094599893866154e1, 5.7162819224642
 _NDTRI_Q1 = (1.57799883256466749731e1, 4.53907635128879210584e1, 4.13172038254672030440e1,
              1.50425385692907503408e1, 2.50464946208309415979e0, -1.42182922854787788574e-1,
              -3.80806407691578277194e-2, -9.33259480895457427372e-4)
-_NDTRI_P2 = (3.23774891776946035970e0, 6.91522889068984211695e0, 3.93881025292474443415e0,
-             1.33303460815807542389e0, 2.01485389549179081538e-1, 1.23716634817820021358e-2,
-             3.01581553508235416007e-4, 2.65806974686737550832e-6, 6.23974539184983293730e-9)
-_NDTRI_Q2 = (6.02427039364742014255e0, 3.67983563856160859403e0, 1.37702099489081330271e0,
-             2.16236993594496635890e-1, 1.34204006088543189037e-2, 3.28014464682127739104e-4,
-             2.89247864745380683936e-6, 6.79019408009981274425e-9)
 _EXP_MINUS_2 = 0.13533528323661269189
 _SQRT_2PI = 2.50662827463100050242
 
@@ -510,7 +505,7 @@ def _ratio(x: np.ndarray, p: tuple, q: tuple) -> np.ndarray:
 
 
 def _ndtri(p: np.ndarray) -> np.ndarray:
-    """Cephes' inverse normal CDF on (0, 1), operation for operation."""
+    """Cephes' inverse normal CDF, operation for operation, where min(p, 1 - p) > exp(-32)."""
     p = np.asarray(p, dtype=float)
     upper = p > 1.0 - _EXP_MINUS_2
     y = np.where(upper, 1.0 - p, p)
@@ -521,13 +516,7 @@ def _ndtri(p: np.ndarray) -> np.ndarray:
     out[central] = (yc + yc * _ratio(y2, _NDTRI_P0, _NDTRI_Q0)) * _SQRT_2PI
     tail = ~central
     x = np.array([math.sqrt(-2.0 * math.log(v)) for v in y[tail]])
-    x0 = x - np.array([math.log(v) for v in x]) / x
-    z = 1.0 / x
-    x1 = np.empty_like(z)
-    near = x < 8.0
-    x1[near] = _ratio(z[near], _NDTRI_P1, _NDTRI_Q1)
-    x1[~near] = _ratio(z[~near], _NDTRI_P2, _NDTRI_Q2)
-    value = x0 - x1
+    value = x - np.array([math.log(v) for v in x]) / x - _ratio(1.0 / x, _NDTRI_P1, _NDTRI_Q1)
     out[tail] = np.where(upper[tail], value, -value)
     return out
 
@@ -541,16 +530,19 @@ def _halton_directions(count: int, dim: int) -> np.ndarray:
     numpy's vectorized log, which rounds a few of them differently and would
     move ``worst_x0`` in the last bits.
 
+    A Halton coordinate lies in [1/(p count), 1 - 1/(p count)], p <= 229 the
+    dim-th prime, and ``_time_grid`` caps count at 2^22: none comes within
+    1e-9 of 0 or 1, or near ``_ndtri``'s x >= 8 tail.  Only base 2 yields
+    0.5, the point ``_ndtri`` maps to 0, so no row is zero.
+
     Not merged with ``openness._covering_directions``: that one is a fixed
     lattice for dim <= 3, so sharing either generator would move
     validation's ``worst_x0`` or the README covering table.
     """
     if dim == 1:
         return np.array([[1.0 if i % 2 == 0 else -1.0] for i in range(count)])
-    z = _ndtri(np.clip(_halton(count, dim), 1e-12, 1.0 - 1e-12))
-    norms = np.linalg.norm(z, axis=1, keepdims=True)
-    norms[norms == 0.0] = 1.0
-    return z / norms
+    z = _ndtri(_halton(count, dim))
+    return z / np.linalg.norm(z, axis=1, keepdims=True)
 
 
 def _initial_states(system: SystemSpec, delta: float, samples: int) -> np.ndarray:
@@ -564,7 +556,7 @@ def verify_local_stability(
     system: SystemSpec,
     feedback,
     delta: float,
-    samples: int = 100,
+    samples: int = DEFAULT_SAMPLES,
     horizon: float = DEFAULT_HORIZON,
     dt: float = DEFAULT_DT,
     steps: int = DEFAULT_STEPS,

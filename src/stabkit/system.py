@@ -329,23 +329,18 @@ def is_affine_system(system: SystemSpec) -> bool:
                for comp in system.components)
 
 
-def span_dimension_estimate(
-    system: SystemSpec,
-    radius: float,
-    samples: int,
-    tol: float | None = None,
-    seed: int = 0,
-) -> int:
+def span_dimension_estimate(system: SystemSpec, radius: float, seed: int = 0) -> int:
     """Numerical dimension of the span of f's values near the equilibrium.
 
-    x is drawn from the ball of the given radius around x* and u from a
-    standard normal around u*; the result is the numerical rank of the stack
-    of f(x, u).  For f = g0 + sum gi ui and almost every draw of u, these
-    values span what g0, ..., gm span at the drawn points: Brockett's
-    condition read on f itself.
-    Deterministic for a fixed seed.
+    x is drawn at max(64, 4n) points of the ball of the given radius around
+    x* and u from a standard normal around u*; the result is the numerical
+    rank of the stack of f(x, u) on its own scale, the same for f and c f.
+    For f = g0 + sum gi ui and almost every draw of u, these values span
+    what g0, ..., gm span at the drawn points: Brockett's condition read on
+    f itself.  Deterministic for a fixed seed.
     """
     n, m = system.n, system.m
+    samples = max(64, 4 * n)
     if not radius > 0:
         raise ValueError("radius must be positive")
     if samples * (n + m) > MAX_STORED_FLOATS:
@@ -363,4 +358,4 @@ def span_dimension_estimate(
         values = ex.eval_field(system.plan, points, inputs)
     if not np.all(np.isfinite(values)):
         raise ValueError("field evaluation produced non-finite values in the sample ball")
-    return numerical_rank(values, tol)
+    return numerical_rank(values)

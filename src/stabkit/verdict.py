@@ -49,14 +49,6 @@ NOT_SMOOTHLY_EXP_STABILIZABLE = "NOT_SMOOTHLY_EXP_STABILIZABLE"
 NOT_SMOOTHLY_ASY_STABILIZABLE = "NOT_SMOOTHLY_ASY_STABILIZABLE"
 INCONCLUSIVE = "INCONCLUSIVE"
 
-DECISIONS = (
-    EXP_STABILIZABLE_CONT_FEEDBACK,
-    ASY_STABILIZABLE_CONT_FEEDBACK,
-    NOT_SMOOTHLY_EXP_STABILIZABLE,
-    NOT_SMOOTHLY_ASY_STABILIZABLE,
-    INCONCLUSIVE,
-)
-
 POSITIVE_DECISIONS = (EXP_STABILIZABLE_CONT_FEEDBACK, ASY_STABILIZABLE_CONT_FEEDBACK)
 
 RULE_CITATIONS = {
@@ -150,7 +142,6 @@ class Analysis:
     openness: OpennessReport
     profile: SpectralProfile
     hautus: HautusResult
-    hautus_full: bool
     kalman_rank: int
     affine: AffineStructure
     verdict: Verdict
@@ -168,9 +159,8 @@ def _affine_structure(system: SystemSpec, lin: Linearization, rep: OpennessRepor
     input_rank = numerical_rank(lin.b, cfg.tol_rank)
     # an onto [A | B] makes f open at (x*, u*) (Lyusternik-Graves), so its
     # values near there span R^n; only a rank-deficient one is sampled
-    span_dim = system.n if rep.linearly_open else span_dimension_estimate(
-        system, cfg.span_radius, max(64, 4 * system.n), tol=cfg.tol_rank, seed=cfg.seed
-    )
+    span_dim = (system.n if rep.linearly_open
+                else span_dimension_estimate(system, cfg.span_radius, cfg.seed))
     return AffineStructure(True, span_dim, driftless, input_rank)
 
 
@@ -302,7 +292,6 @@ def analyze(system: SystemSpec, config: AnalysisConfig | None = None) -> Analysi
         openness=rep,
         profile=prof,
         hautus=haut,
-        hautus_full=full,
         kalman_rank=kalman,
         affine=affine,
         verdict=verdict,

@@ -284,6 +284,18 @@ def test_covering_table_cubic(run_cli, examples_dir):
     assert lines[4].startswith("suspect: kappa decreased by more than 2x")
 
 
+@pytest.mark.parametrize("radius", ["0.025,0.05,0.1", "0.05,0.1,0.025", "0.1,0.05,0.025"])
+def test_covering_suspect_line_does_not_depend_on_the_radius_order(run_cli, examples_dir,
+                                                                   radius):
+    # kappa at r = 0.1 over kappa at r = 0.025 is about 16, whatever order lists them
+    code, out, _ = run_cli("covering", examples_dir / "cubic_input.stab", "--radius", radius)
+    assert code == 0
+    lines = out.strip().splitlines()
+    assert [float(line.split()[0]) for line in lines[1:4]] == [float(r) for r in
+                                                               radius.split(",")]
+    assert lines[4].startswith("suspect: kappa decreased by more than 2x")
+
+
 def test_covering_rate_shrinking_like_r_is_suspect(run_cli, tmp_path):
     # the complex square z -> z^2 keeps kappa/r near 1 while kappa itself halves with r
     path = tmp_path / "complex_square.stab"
@@ -450,6 +462,12 @@ def test_simulate_measures_decay_to_the_equilibrium(run_cli, examples_dir, tmp_p
     assert got["certified"] == "yes" and got["diverged"] == "no"
     assert float(got["alpha_hat"]) == pytest.approx(float(ref["alpha_hat"]), abs=1e-6)
     assert float(got["final_norm"]) == pytest.approx(float(ref["final_norm"]), abs=1e-9)
+
+
+def test_simulate_feedback_of_the_wrong_length_exits_two(run_cli, examples_dir):
+    code, out, err = run_cli("simulate", examples_dir / "planar_cubic.stab",
+                             "--feedback", "-x1; -x2", "--x0", "0.1,0")
+    assert (code, out, err) == (2, "", "error: expected 1 feedback components, got 2\n")
 
 
 def test_simulate_x0_length_error(run_cli, examples_dir):

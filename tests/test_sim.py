@@ -14,6 +14,7 @@ from scipy.stats import qmc
 
 from stabkit import sim
 from stabkit.expr import eval_field
+from stabkit.linalg import MAX_DIM
 from stabkit.synthesis import synthesize
 from stabkit.system import load_system, system_from_strings
 
@@ -107,8 +108,19 @@ def test_divergence_truncates_and_flags():
     assert traj.times[-1] < 20.0
     assert np.linalg.norm(traj.states[-1]) > sim.DIVERGENCE_NORM
     assert traj.times[-1] == pytest.approx(math.log(sim.DIVERGENCE_NORM / 0.1), abs=0.1)
-    with pytest.raises(ValueError, match="divergent"):
+    with pytest.raises(ValueError,
+                       match="^cannot fit a decay envelope on a divergent trajectory$"):
         sim.estimate_decay(traj)
+
+
+def test_each_runner_refuses_the_other_mode():
+    cont = system_from_strings("continuous", ["x1 + u1"], m=1)
+    disc = system_from_strings("discrete", ["0.5*x1 + u1"], m=1)
+    with pytest.raises(ValueError,
+                       match="^integrate_closed_loop requires a continuous-mode system$"):
+        sim.integrate_closed_loop(disc, ["-0.5*x1"], [1.0])
+    with pytest.raises(ValueError, match="^iterate_closed_loop requires a discrete-mode system$"):
+        sim.iterate_closed_loop(cont, ["-2*x1"], [1.0])
 
 
 def test_finite_time_blow_up_ends_on_the_last_finite_grid_sample(examples_dir):
@@ -639,32 +651,61 @@ def test_halton_matches_scipy(dim):
     assert np.array_equal(sim._halton(100, dim), sampler.random(100))
 
 
-def _clipped_halton(count, dim):
-    return np.clip(sim._halton(count, dim), 1e-12, 1.0 - 1e-12)
+# the largest count validation draws: _time_grid stores (steps + 1) x samples norms,
+# steps >= 1, within MAX_STORED_FLOATS
+MAX_HALTON_COUNT = sim.MAX_STORED_FLOATS // 2
+# the lowest Halton coordinate at that count, in the MAX_DIM-th prime base (229)
+HALTON_FLOOR = 1.0 / (sim._first_primes(MAX_DIM)[-1] * MAX_HALTON_COUNT)
+
+
+def test_validation_draws_at_most_max_halton_count_starts():
+    disc = system_from_strings("discrete", ["u1"], m=1)
+    assert len(sim._time_grid(disc, None, None, 1, MAX_HALTON_COUNT)) == 2
+    with pytest.raises(ValueError, match="exceeds the limit"):
+        sim._time_grid(disc, None, None, 1, MAX_HALTON_COUNT + 1)
+
+
+@pytest.mark.parametrize("dim", [2, 3, 10, 50])
+def test_halton_coordinates_keep_a_gap_of_one_over_p_count_to_both_ends(dim):
+    # a coordinate in base b <= p has at most D digits, b^(D - 1) <= count, so it lies
+    # in [b^-D, 1 - b^-D], inside [1/(p count), 1 - 1/(p count)]; the accumulated
+    # weights round, so the lower end holds to a few ulps.  Every prefix is checked:
+    # _halton(c, dim) is the first c rows of _halton(N, dim)
+    count = 10**5
+    p = sim._first_primes(dim)[-1]
+    points = sim._halton(count, dim)
+    assert np.array_equal(sim._halton(1000, dim), points[:1000])
+    gap = 1.0 / (p * np.arange(1, count + 1))
+    assert (np.minimum.accumulate(points.min(axis=1)) >= gap * (1.0 - 4e-16)).all()
+    assert (np.maximum.accumulate(points.max(axis=1)) <= 1.0 - gap).all()
+    # only base 2 yields 0.5, so with dim >= 2 no row maps to the zero vector
+    assert (points[:, 1:] != 0.5).all()
 
 
 @pytest.mark.parametrize("dim", range(2, 51))
 def test_ndtri_matches_scipy_on_the_halton_points(dim):
     for count in (1, 7, 100, 1000):
-        p = _clipped_halton(count, dim)
+        p = sim._halton(count, dim)
         assert np.array_equal(sim._ndtri(p), ndtri(p)), count
 
 
 def test_ndtri_matches_scipy_on_every_branch_and_edge():
+    # on [HALTON_FLOOR, 1 - HALTON_FLOOR], where every coordinate validation draws lies,
+    # so its x = sqrt(-2 log min(p, 1 - p)) stays below Cephes' x >= 8 tail
     rng = np.random.default_rng(15)
     e2 = math.exp(-2.0)
-    edges = [0.5, e2, 1.0 - e2, math.exp(-32.0), 1e-12, 1.0 - 1e-12]
-    edges += [np.nextafter(v, d) for v in edges for d in (0.0, 1.0)]
+    floor = HALTON_FLOOR
+    edges = [0.5, e2, 1.0 - e2, floor, 1.0 - floor]
+    edges += [np.nextafter(v, 0.5) for v in edges]
     p = np.concatenate([
         rng.uniform(e2, 1.0 - e2, 2000),        # central rational
-        np.exp(-rng.uniform(2.0, 32.0, 2000)),  # lower tail, z < 8
-        np.exp(-rng.uniform(32.0, 700.0, 2000)),  # lower tail, z >= 8
-        1.0 - np.exp(-rng.uniform(2.0, 32.0, 2000)),  # upper tail
-        1.0 - np.exp(-rng.uniform(32.0, 36.0, 200)),  # upper tail, z >= 8
+        np.exp(-rng.uniform(2.0, -math.log(floor), 2000)),  # lower tail
+        1.0 - np.exp(-rng.uniform(2.0, -math.log(floor), 2000)),  # upper tail
         edges,
     ])
-    z = np.sqrt(-2.0 * np.log(np.minimum(p, 1.0 - p)))
-    assert (z < 2.0).any() and ((z > 2.0) & (z < 8.0)).any() and (z > 8.0).any()
+    assert ((floor <= p) & (p <= 1.0 - floor)).all()
+    x = np.sqrt(-2.0 * np.log(np.minimum(p, 1.0 - p)))
+    assert (x < 2.0).any() and (x > 6.0).any() and x.max() < 8.0
     assert np.array_equal(sim._ndtri(p), ndtri(p))
     assert np.array_equal(sim._ndtri(p.reshape(2, -1)), ndtri(p).reshape(2, -1))
 
@@ -675,7 +716,7 @@ def test_halton_directions_match_the_scipy_formula(dim):
     if dim == 1:
         expected = np.array([[1.0], [-1.0]] * 50)
     else:
-        z = ndtri(_clipped_halton(100, dim))
+        z = ndtri(sim._halton(100, dim))
         expected = z / np.linalg.norm(z, axis=1, keepdims=True)
     assert np.array_equal(directions, expected)
 

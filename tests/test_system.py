@@ -27,7 +27,7 @@ from stabkit.system import (
     span_dimension_estimate,
     system_from_strings,
 )
-from stabkit.verdict import analyze
+from stabkit.verdict import AnalysisConfig, analyze
 
 WELL_FORMED = """\
 # comment line
@@ -327,14 +327,14 @@ def test_the_span_estimate_and_the_jacobian_walk_only_the_tails(monkeypatch):
     assert tail_nodes == 4 * 50
     batch = _count_walks(monkeypatch, "_eval_batch")
     tangent = _count_walks(monkeypatch, "eval_tangent")
-    span_dimension_estimate(spec, 0.1, 200)
+    span_dimension_estimate(spec, 0.1)
     jacobian(spec, spec.x_eq, spec.u_eq)
     assert len(batch) == len(tangent) == tail_nodes
 
     # planar_cubic has too few affine terms for the plan: its field walks every node
     spec = parse_system(gen.PLANAR_CUBIC)
     batch.clear()
-    span_dimension_estimate(spec, 0.1, 64)
+    span_dimension_estimate(spec, 0.1)
     assert len(batch) == sum(len(list(ex.iter_nodes(c))) for c in spec.components)
 
 
@@ -415,7 +415,7 @@ def test_span_of_f_matches_the_span_of_its_affine_fields(mode, n, m, seed):
     # the estimate's points x_k: seed 0, radius 0.1, max(64, 4n) of them, as analyze
     # draws them where [A | B] is not onto
     samples = max(64, 4 * n)
-    span_dim = span_dimension_estimate(spec, 0.1, samples)
+    span_dim = span_dimension_estimate(spec, 0.1)
     rng = np.random.default_rng(0)
     directions = rng.standard_normal((samples, n))
     radii = 0.1 * rng.random((samples, 1)) ** (1.0 / n)
@@ -433,21 +433,48 @@ def test_span_of_f_matches_the_span_of_its_affine_fields(mode, n, m, seed):
 def test_span_dimension_estimate():
     # f = g0 + g1 u1 with g0 = (x2, 0) and g1 = (0, 1)
     spec = system_from_strings("continuous", ["x2", "u1"], m=1)
-    assert span_dimension_estimate(spec, 0.1, 64) == 2
+    assert span_dimension_estimate(spec, 0.1) == 2
     # a single direction spans one dimension
     spec = system_from_strings("continuous", ["x1 - x1", "u1"], m=1)
-    assert span_dimension_estimate(spec, 0.1, 64) == 1
+    assert span_dimension_estimate(spec, 0.1) == 1
+
+
+# fields that vanish at the origin and are affine in u
+SPAN_FIELDS = ("x{i}", "u{j}", "x{i}*u{j}", "sin(x{i})", "x{i}^2", "x{i}*x{k}")
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(n=st.integers(2, 5), m=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
+def test_span_estimate_reads_the_same_for_f_and_for_a_multiple_of_f(n, m, seed):
+    # f = P h with h r < n such fields: [A | B] = P Dh is not onto, so f is sampled
+    rng = np.random.default_rng(seed)
+    r = int(rng.integers(1, n))
+    fields = [SPAN_FIELDS[rng.integers(len(SPAN_FIELDS))].format(
+        i=rng.integers(1, n + 1), j=rng.integers(1, m + 1), k=rng.integers(1, n + 1))
+        for _ in range(r)]
+    mix = rng.integers(-3, 4, (n, r))
+    texts = [" + ".join(f"{w}*({h})" for w, h in zip(row, fields)) for row in mix]
+    span_dim = span_dimension_estimate(system_from_strings("continuous", texts, m=m), 0.1)
+    assert span_dim <= r
+    for c in (1e-6, 1e6):
+        scaled = system_from_strings("continuous", [f"{c!r}*({t})" for t in texts], m=m)
+        assert span_dimension_estimate(scaled, 0.1) == span_dim
+        # a rank cutoff chosen for [A | B] does not reach the estimate
+        a = analyze(scaled, AnalysisConfig(tol_rank=0.5))
+        assert not a.openness.linearly_open
+        assert a.affine.span_dim == span_dim
 
 
 def test_span_estimate_refuses_a_stack_over_the_cap_before_drawing(monkeypatch):
     spec = system_from_strings("continuous", ["x2", "u1"], m=1)
     # 64 points x (2 states + 1 control) stored
     monkeypatch.setattr(system, "MAX_STORED_FLOATS", 64 * 3)
-    assert span_dimension_estimate(spec, 0.1, 64) == 2
+    assert span_dimension_estimate(spec, 0.1) == 2
 
     def no_draws(*args, **kwargs):
         raise AssertionError("sampled points for an estimate over the cap")
 
     monkeypatch.setattr(system.np.random, "default_rng", no_draws)
-    with pytest.raises(ValueError, match="65 points x 3 values exceed the limit"):
-        span_dimension_estimate(spec, 0.1, 65)
+    monkeypatch.setattr(system, "MAX_STORED_FLOATS", 64 * 3 - 1)
+    with pytest.raises(ValueError, match="64 points x 3 values exceed the limit of 191 "):
+        span_dimension_estimate(spec, 0.1)
