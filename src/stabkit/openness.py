@@ -70,19 +70,24 @@ def openness_report(lin, tol: float | None = None) -> OpennessReport:
 # --- empirical covering search --------------------------------------------
 
 
-def _covering_directions(dim: int, count: int) -> np.ndarray:
-    """Target directions on a fixed lattice: both signs for dim 1 (``count`` is
-    not used there), a regular ``count``-gon for dim 2.  The search caps
-    n + m at 3 with m >= 1, so dim is never larger.
+def _direction_count(dim: int, directions: int) -> int:
+    """How many target directions ``_covering_directions`` returns, allocating nothing:
+    both signs for dim 1 (``directions`` is not used there), ``directions`` for dim 2."""
+    return 2 if dim == 1 else directions
+
+
+def _covering_directions(dim: int, directions: int) -> np.ndarray:
+    """Target directions on a fixed lattice: a regular gon of ``_direction_count``
+    corners, read on its first coordinate for dim 1 (cos 0 = 1, cos pi = -1).  The
+    search caps n + m at 3 with m >= 1, so dim is never larger.
 
     Not merged with ``sim._halton_directions``: the covering search needs
     this fixed lattice, and sharing either generator would move the README
     covering table or validation's ``worst_x0``.
     """
-    if dim == 1:
-        return np.array([[1.0], [-1.0]])
+    count = _direction_count(dim, directions)
     angles = 2.0 * np.pi * np.arange(count) / count
-    return np.column_stack([np.cos(angles), np.sin(angles)])
+    return np.column_stack([np.cos(angles), np.sin(angles)][:dim])
 
 
 def _cube_grid(dim: int, radius: float, axis_points: int) -> np.ndarray:
@@ -156,6 +161,41 @@ def _nearest_images(values: np.ndarray) -> Callable[[np.ndarray], tuple[np.ndarr
     return nearest
 
 
+def _hopeless_rows(components: Sequence[ex.Expr], center: np.ndarray, points: np.ndarray,
+                   dist: np.ndarray, step: np.ndarray, targets: np.ndarray, radius: float,
+                   floor: float, passes_left: int) -> np.ndarray:
+    """Which rows have no improving move from their point in the passes they have left.
+
+    A row that keeps its point halves every step each pass, so in pass j it
+    faces each coordinate k moved by ``step[k] * 2**-j``, + then -, clipped
+    to the cube, until its largest step is at most ``floor`` or
+    ``passes_left`` runs out (one count for all rows, from the largest step).
+    Every such candidate of every row is mapped, walked and scored as
+    ``_refine`` scores a move, bit for bit, in blocks of at most
+    ``MAX_STORED_FLOATS`` coordinates.
+    """
+    n, (dim, rows) = len(components), points.shape
+    top, passes = step.max(), 0
+    while passes < passes_left and math.ldexp(top, -passes) > floor:
+        passes += 1
+    per_row = passes * 2 * dim
+    block = max(1, MAX_STORED_FLOATS // dim)
+    improves = np.zeros(rows, dtype=bool)
+    for first in range(0, rows * per_row, block):
+        row, rest = np.divmod(np.arange(first, min(first + block, rows * per_row)), per_row)
+        halvings, move = np.divmod(rest, 2 * dim)
+        k, minus = np.divmod(move, 2)
+        shift = np.ldexp(step[k, row], -halvings)
+        column = np.where(minus == 1, points[k, row] - shift, points[k, row] + shift)
+        candidate = points[:, row]
+        candidate[k, np.arange(row.size)] = np.minimum(np.maximum(column, -radius), radius)
+        ball = _cube_to_ball(candidate, np.abs(candidate), candidate * candidate)
+        ball += center
+        trial = distances(ex.eval_components(components, ball[:n].T, ball[n:].T), targets[row])
+        improves[row[trial < dist[row]]] = True
+    return ~improves
+
+
 def _refine(components: Sequence[ex.Expr], center: np.ndarray, points: np.ndarray,
             dist: np.ndarray, targets: np.ndarray, radius: float, tol: float,
             initial_step: float) -> bool:
@@ -175,6 +215,17 @@ def _refine(components: Sequence[ex.Expr], center: np.ndarray, points: np.ndarra
     evaluated.  A row with all steps below the floor could move less than
     1e-9 * radius per coordinate in the remaining passes, far short of
     ``tol``, so the first such row outside ``tol`` decides the answer.
+
+    The rows that no move has improved are probed once, at the first pass
+    start where they are some but not all of the live rows and one pass
+    brought none of them a gain: ``_hopeless_rows`` evaluates in one batch
+    every move each of them still faces, down to the floor or the pass
+    limit.  The probe is exact.  Such a row keeps its point until it
+    improves, and halving a step is exact, so the batch scores the very
+    moves the search would make.  A row with no improving move among them
+    stays outside ``tol`` until the floor check or the pass limit ends the
+    search, which then returns False whatever the other rows do, so the
+    search returns False at once.  Otherwise it goes on unchanged.
     """
     n = len(components)
     points, dist = points.copy(), dist.copy()
@@ -182,16 +233,26 @@ def _refine(components: Sequence[ex.Expr], center: np.ndarray, points: np.ndarra
     squares = [column * column for column in points]
     step = np.full(points.shape, initial_step)
     floor = 1e-12 * radius
-    for _ in range(400):
+    stuck = np.ones(dist.size, dtype=bool)  # live rows no move has improved and no probe cleared
+    before = 0
+    for done in range(400):
         live = dist > tol
         if not live.all():
             points, step, dist, targets = points[:, live], step[:, live], dist[live], targets[live]
             mags = [mag[live] for mag in mags]
             squares = [square[live] for square in squares]
+            stuck = stuck[live]
         if (step.max(axis=0) <= floor).any():
             return False
         if not dist.size:
             return True
+        count = np.count_nonzero(stuck)
+        if 0 < count < dist.size and count >= before:
+            if _hopeless_rows(components, center, points[:, stuck], dist[stuck], step[:, stuck],
+                              targets[stuck], radius, floor, 400 - done).any():
+                return False
+            stuck[:] = False  # probed: a row that can improve is not probed again
+        before = count
         for k in range(len(points)):
             improved = np.zeros(dist.size, dtype=bool)
             for move in (np.add, np.subtract):
@@ -211,6 +272,7 @@ def _refine(components: Sequence[ex.Expr], center: np.ndarray, points: np.ndarra
                 np.copyto(dist, trial, where=better)
                 improved |= better
             np.multiply(step[k], 0.5, out=step[k], where=~improved)
+            stuck &= ~improved
     return bool(np.all(dist <= tol))
 
 
@@ -244,7 +306,7 @@ def empirical_covering_modulus(
         raise ValueError(
             f"covering grid of {grid.axis_points}^{joint} points x {joint} coordinates "
             f"exceeds the limit of {MAX_STORED_FLOATS} stored numbers; use fewer axis points")
-    count = 2 if n == 1 else grid.directions  # _covering_directions' target directions
+    count = _direction_count(n, grid.directions)
     if grid.radial_levels * count * joint > MAX_STORED_FLOATS:
         raise ValueError(
             f"covering target set of {grid.radial_levels} levels x {count} directions x "

@@ -1,5 +1,6 @@
 """Openness bounds and the empirical covering-rate estimator."""
 
+import contextlib
 import functools
 import math
 import time
@@ -182,6 +183,66 @@ def test_seeding_in_row_blocks_keeps_kappa(examples_dir, monkeypatch):
     monkeypatch.setattr(openness, "MAX_STORED_FLOATS", 5 * 7**3)
     kappa = empirical_covering_modulus(spec, radius=0.1, grid=CoveringGrid(16, 2, 7))
     assert repr(kappa) == "0.9990234384082033"
+
+
+@contextlib.contextmanager
+def _recorded_probes():
+    """The batch size of every field walk, and each probe's arguments, verdict and
+    the batch sizes of its own walks."""
+    sizes, probes = [], []
+    walk, probe = openness.ex.eval_components, openness._hopeless_rows
+
+    def counted_walk(components, x, u):
+        sizes.append(x.shape[0])
+        return walk(components, x, u)
+
+    def recorded_probe(*args):
+        first = len(sizes)
+        hopeless = probe(*args)
+        probes.append((args, hopeless, sizes[first:]))
+        return hopeless
+
+    with mock.patch.object(openness.ex, "eval_components", counted_walk), \
+            mock.patch.object(openness, "_hopeless_rows", recorded_probe):
+        yield sizes, probes
+
+
+def test_hopeless_searches_end_at_the_probe():
+    # 2161-2185 walks per call without the probe, 1059-1106 with it
+    spec = parse_system(gen.planar_systems()[0].text)
+    for radius in (0.1, 0.05, 0.025):
+        with _recorded_probes() as (sizes, _):
+            assert repr(empirical_covering_modulus(spec, radius=radius)) == "0.9990234384082035"
+        assert len(sizes) <= 1200
+
+
+def test_probe_in_blocks_keeps_kappa(examples_dir, monkeypatch):
+    # a cap of 1715 numbers, 571 candidates of 3 coordinates, splits every probe
+    spec = load_system(examples_dir / "planar_cubic.stab")
+    cap = 5 * 7**3
+    monkeypatch.setattr(openness, "MAX_STORED_FLOATS", cap)
+    with _recorded_probes() as (_, probes):
+        kappa = empirical_covering_modulus(spec, radius=0.1, grid=CoveringGrid(16, 2, 7))
+    assert repr(kappa) == "0.9990234384082033"
+    assert probes and all(len(blocks) > 1 for _, _, blocks in probes)
+    assert max(max(blocks) for _, _, blocks in probes) * 3 <= cap
+
+
+def test_the_probe_tries_every_step_down_to_the_floor_and_no_further():
+    # f = x1 from (x1, u1) = 0 toward the target delta: moving x1 by s gives |s - delta|,
+    # a gain only for s < 2 delta, and moving u1 leaves the image at 0
+    step, floor = 0.1, 1e-12
+    last, passes = step, 1
+    while last / 2 > floor:
+        last, passes = last / 2, passes + 1
+    # the last step above the floor gains at 0.75 * last, the step after it at 0.4 * last
+    for delta, passes_left, hopeless in ((0.75 * last, passes, False),
+                                         (0.75 * last, passes - 1, True),
+                                         (0.4 * last, passes + 1, True)):
+        got = openness._hopeless_rows((parse_expr("x1"),), np.zeros((2, 1)), np.zeros((2, 1)),
+                                      np.array([delta]), np.full((2, 1), step),
+                                      np.array([[delta]]), 1.0, floor, passes_left)
+        assert got.tolist() == [hopeless]
 
 
 def test_distance_matrix_matches_norm_bit_for_bit():
@@ -382,9 +443,10 @@ REFINE_FIELDS = {
 }
 
 
-@settings(derandomize=True, max_examples=60, deadline=None)
-@given(data=st.data())
-def test_column_refine_follows_the_row_form(data):
+def _draw_refine_case(data):
+    """A search to run both ways: components, cube starts (one per row), their
+    distances, targets, radius, tol and initial step, and the row-form objective
+    with its call counter."""
     components, n = REFINE_FIELDS[data.draw(st.sampled_from(sorted(REFINE_FIELDS)))]
     dim = n + 1
     radius = data.draw(st.floats(1e-3, 0.5))
@@ -399,27 +461,68 @@ def test_column_refine_follows_the_row_form(data):
     shifts = radius * np.array(data.draw(noises))
     tol = radius * 10.0 ** data.draw(st.floats(-8.0, -1.0))
     initial_step = radius * data.draw(st.floats(1e-3, 0.5))
-    calls = {"rows": 0, "columns": 0}
+    calls = {"rows": 0}
 
     def objective(cube):  # one point per row
         calls["rows"] += 1
         offsets = _cube_to_ball_rows(cube)
         return eval_field(components, offsets[:, :n], offsets[:, n:])
 
-    walk = openness.ex.eval_components
-
-    def counted_walk(*args):  # the column search's field call
-        calls["columns"] += 1
-        return walk(*args)
-
     with np.errstate(all="ignore"):
         # images of ball points, some of them attained, moved by up to a radius
         images = objective(ends)
         targets = np.where(np.isfinite(images), images, 0.0) + shifts
         dist = _row_distances(objective(starts), targets)
-        calls["rows"] = 0
+    calls["rows"] = 0
+    return components, starts, dist, targets, radius, tol, initial_step, objective, calls
+
+
+def _probed_refine(components, starts, dist, targets, radius, tol, initial_step):
+    """``_refine`` from row starts: its answer, its field walks and its probes."""
+    with _recorded_probes() as (sizes, probes):
+        got = openness._refine(components, np.zeros((starts.shape[1], 1)), starts.T.copy(),
+                               dist, targets, radius, tol, initial_step)
+    return got, len(sizes), probes
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(data=st.data())
+def test_column_refine_follows_the_row_form(data):
+    components, starts, dist, targets, radius, tol, initial_step, objective, calls = (
+        _draw_refine_case(data))
+    with np.errstate(all="ignore"):
         expected = _refine_rows(objective, starts, dist, targets, radius, tol, initial_step)
-        with mock.patch.object(openness.ex, "eval_components", counted_walk):
-            got = openness._refine(components, np.zeros((dim, 1)), starts.T.copy(), dist,
-                                   targets, radius, tol, initial_step)
-    assert (got, calls["columns"]) == (expected, calls["rows"])
+        got, walks, probes = _probed_refine(components, starts, dist, targets, radius, tol,
+                                            initial_step)
+    assert got == expected
+    assert len(probes) <= 1
+    search_walks = walks - sum(len(own) for _, _, own in probes)
+    if probes and probes[0][1].any():  # the probe ended the search
+        assert not got
+        assert search_walks < calls["rows"]
+    else:
+        assert search_walks == calls["rows"]
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(data=st.data())
+def test_a_row_the_probe_calls_hopeless_fails_on_its_own(data):
+    # the probe on the drawn rows outside tol, from their starts, and each probe the search ran
+    components, starts, dist, targets, radius, tol, initial_step, objective, _ = (
+        _draw_refine_case(data))
+    live = dist > tol
+    points = starts[live].T.copy()
+    with np.errstate(all="ignore"):
+        _, _, probes = _probed_refine(components, starts, dist, targets, radius, tol,
+                                      initial_step)
+        # a probed row has kept its start point, its distance and its first step
+        cases = [(args[2], args[3], args[5], verdict) for args, verdict, _ in probes]
+        if live.any():
+            cases.append((points, dist[live], targets[live], openness._hopeless_rows(
+                components, np.zeros((len(points), 1)), points, dist[live],
+                np.full(points.shape, initial_step), targets[live], radius, 1e-12 * radius,
+                400)))
+        for probed, row_dist, row_targets, verdict in cases:
+            for row in np.flatnonzero(verdict):
+                assert not _refine_rows(objective, probed[:, [row]].T, row_dist[[row]],
+                                        row_targets[[row]], radius, tol, initial_step)
