@@ -97,9 +97,8 @@ def _cube_grid(dim: int, radius: float, axis_points: int) -> np.ndarray:
     return np.array([m.ravel() for m in mesh])
 
 
-def _cube_to_ball(columns: np.ndarray, mags: Sequence[np.ndarray],
-                  squares: Sequence[np.ndarray]) -> np.ndarray:
-    """Map the cube [-r, r]^dim radially onto the ball of radius r.
+def _cube_to_ball(columns: np.ndarray, center: np.ndarray) -> np.ndarray:
+    """Map the cube [-r, r]^dim radially onto the ball of radius r around ``center``.
 
     Each point keeps its direction and takes its max-norm as Euclidean norm,
     so the cube boundary lands exactly on the sphere and the map is
@@ -107,17 +106,27 @@ def _cube_to_ball(columns: np.ndarray, mags: Sequence[np.ndarray],
     separable: feasibility is a per-coordinate clip, and no move can drag
     the other coordinates along the way a projection onto the sphere would.
 
-    ``columns`` holds one coordinate c_j per row, ``mags`` and ``squares``
-    its |c_j| and c_j^2, so a move recomputes only its own coordinate's.
-    The norms are max |c_j| and sqrt((c_0^2 + c_1^2) + c_2^2), the order of
-    ``np.max(np.abs(p), axis=1)`` and ``np.linalg.norm(p, axis=1)`` on rows p.
+    ``columns`` holds one coordinate c_j per row.  The norms are max |c_j|
+    and sqrt((c_0^2 + c_1^2) + c_2^2), the order of ``np.max(np.abs(p), axis=1)``
+    and ``np.linalg.norm(p, axis=1)`` on rows p.
     """
-    inf_norms, two_norms = mags[0], squares[0]
-    for mag, square in zip(mags[1:], squares[1:]):
-        inf_norms = np.maximum(inf_norms, mag)
-        two_norms = two_norms + square
+    inf_norms, two_norms = np.abs(columns[0]), columns[0] * columns[0]
+    for column in columns[1:]:
+        inf_norms = np.maximum(inf_norms, np.abs(column))
+        two_norms = two_norms + column * column
     two_norms = np.sqrt(two_norms)
-    return columns * (inf_norms / np.where(two_norms > 0.0, two_norms, 1.0))
+    ball = columns * (inf_norms / np.where(two_norms > 0.0, two_norms, 1.0))
+    ball += center
+    return ball
+
+
+def _scores(components: Sequence[ex.Expr], center: np.ndarray, columns: np.ndarray,
+            targets: np.ndarray) -> np.ndarray:
+    """Distances to ``targets`` (one per row) of the images of the cube points
+    ``columns`` (one coordinate per row), mapped by ``_cube_to_ball``."""
+    n = len(components)
+    ball = _cube_to_ball(columns, center)
+    return distances(ex.eval_components(components, ball[:n].T, ball[n:].T), targets)
 
 
 def _nearest_images(values: np.ndarray) -> Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]:
@@ -170,11 +179,10 @@ def _hopeless_rows(components: Sequence[ex.Expr], center: np.ndarray, points: np
     faces each coordinate k moved by ``step[k] * 2**-j``, + then -, clipped
     to the cube, until its largest step is at most ``floor`` or
     ``passes_left`` runs out (one count for all rows, from the largest step).
-    Every such candidate of every row is mapped, walked and scored as
-    ``_refine`` scores a move, bit for bit, in blocks of at most
-    ``MAX_STORED_FLOATS`` coordinates.
+    Every such candidate of every row is scored by ``_scores``, the search's
+    own scorer, in blocks of at most ``MAX_STORED_FLOATS`` coordinates.
     """
-    n, (dim, rows) = len(components), points.shape
+    dim, rows = points.shape
     top, passes = step.max(), 0
     while passes < passes_left and math.ldexp(top, -passes) > floor:
         passes += 1
@@ -189,9 +197,7 @@ def _hopeless_rows(components: Sequence[ex.Expr], center: np.ndarray, points: np
         column = np.where(minus == 1, points[k, row] - shift, points[k, row] + shift)
         candidate = points[:, row]
         candidate[k, np.arange(row.size)] = np.minimum(np.maximum(column, -radius), radius)
-        ball = _cube_to_ball(candidate, np.abs(candidate), candidate * candidate)
-        ball += center
-        trial = distances(ex.eval_components(components, ball[:n].T, ball[n:].T), targets[row])
+        trial = _scores(components, center, candidate, targets[row])
         improves[row[trial < dist[row]]] = True
     return ~improves
 
@@ -206,8 +212,8 @@ def _refine(components: Sequence[ex.Expr], center: np.ndarray, points: np.ndarra
     coordinate: a nearly flat coordinate that keeps yielding microscopic gains
     must not pin the step of the others.  Each move starts from the point the
     move before it accepted (coordinates in order, + before -), so the moves
-    cannot be batched into one field call; a move builds only its coordinate's
-    column, |c| and c^2, and folds each component's walk into the distances.
+    cannot be batched into one field call; ``_scores`` folds each component's
+    walk into the distances.
     A NaN distance fails ``trial < dist`` as inf does: ``dist`` holds no NaN.
 
     A row within ``tol`` is dropped: distances only shrink, and rows do not
@@ -227,10 +233,7 @@ def _refine(components: Sequence[ex.Expr], center: np.ndarray, points: np.ndarra
     search, which then returns False whatever the other rows do, so the
     search returns False at once.  Otherwise it goes on unchanged.
     """
-    n = len(components)
     points, dist = points.copy(), dist.copy()
-    mags = [np.abs(column) for column in points]
-    squares = [column * column for column in points]
     step = np.full(points.shape, initial_step)
     floor = 1e-12 * radius
     stuck = np.ones(dist.size, dtype=bool)  # live rows no move has improved and no probe cleared
@@ -239,8 +242,6 @@ def _refine(components: Sequence[ex.Expr], center: np.ndarray, points: np.ndarra
         live = dist > tol
         if not live.all():
             points, step, dist, targets = points[:, live], step[:, live], dist[live], targets[live]
-            mags = [mag[live] for mag in mags]
-            squares = [square[live] for square in squares]
             stuck = stuck[live]
         if (step.max(axis=0) <= floor).any():
             return False
@@ -256,19 +257,11 @@ def _refine(components: Sequence[ex.Expr], center: np.ndarray, points: np.ndarra
         for k in range(len(points)):
             improved = np.zeros(dist.size, dtype=bool)
             for move in (np.add, np.subtract):
-                # the moved coordinate, clipped to the cube
-                column = np.minimum(np.maximum(move(points[k], step[k]), -radius), radius)
-                candidate = points.copy()
-                candidate[k] = column
-                mag, square = mags[:], squares[:]
-                mag[k], square[k] = np.abs(column), column * column
-                ball = _cube_to_ball(candidate, mag, square)
-                ball += center
-                trial = distances(ex.eval_components(components, ball[:n].T, ball[n:].T), targets)
+                candidate = points.copy()  # with coordinate k moved and clipped to the cube
+                candidate[k] = np.minimum(np.maximum(move(points[k], step[k]), -radius), radius)
+                trial = _scores(components, center, candidate, targets)
                 better = trial < dist
-                np.copyto(points[k], column, where=better)
-                np.copyto(mags[k], mag[k], where=better)
-                np.copyto(squares[k], square[k], where=better)
+                np.copyto(points[k], candidate[k], where=better)
                 np.copyto(dist, trial, where=better)
                 improved |= better
             np.multiply(step[k], 0.5, out=step[k], where=~improved)
@@ -317,8 +310,7 @@ def empirical_covering_modulus(
     center = np.concatenate([x0, u0])[:, None]
     f_center = evaluate(system, x0, u0)
     cube = _cube_grid(joint, radius, grid.axis_points)
-    ball = _cube_to_ball(cube, np.abs(cube), cube * cube)
-    ball += center
+    ball = _cube_to_ball(cube, center)
     values = ex.eval_field(system.components, ball[:n].T, ball[n:].T)
     finite = np.all(np.isfinite(values), axis=1)
     if not finite.any():

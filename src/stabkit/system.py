@@ -147,6 +147,12 @@ def parse_system(text: str) -> SystemSpec:
     x_eq: tuple[float, ...] | None = None
     u_eq: tuple[float, ...] | None = None
     component_lines: dict[int, tuple[str, int]] = {}
+    seen: set[str] = set()  # each directive may appear once: a repeat is no override
+
+    def claim(directive: str, lineno: int) -> None:
+        if directive in seen:
+            raise SystemFormatError(f"duplicate {directive}", lineno)
+        seen.add(directive)
 
     def parse_floats(payload: str, lineno: int) -> tuple[float, ...]:
         try:
@@ -160,6 +166,8 @@ def parse_system(text: str) -> SystemSpec:
             continue
         key, _, rest = line.partition(" ")
         rest = rest.strip()
+        if key in ("mode", "states", "controls"):
+            claim(f"{key} line", lineno)
         if key == "mode":
             if rest not in (CONTINUOUS, DISCRETE):
                 raise SystemFormatError(f"mode must be continuous or discrete, got {rest!r}", lineno)
@@ -179,6 +187,7 @@ def parse_system(text: str) -> SystemSpec:
             which = which.strip()
             if not eq or which not in ("x", "u"):
                 raise SystemFormatError("expected 'eq x = ...' or 'eq u = ...'", lineno)
+            claim(f"eq {which} line", lineno)
             values = parse_floats(payload, lineno)
             if which == "x":
                 x_eq = values
@@ -189,15 +198,13 @@ def parse_system(text: str) -> SystemSpec:
             if not eq:
                 raise SystemFormatError(f"expected '{key} = <expression>'", lineno)
             index = int(key[1:])
-            if index in component_lines:
-                raise SystemFormatError(f"duplicate component f{index}", lineno)
+            claim(f"component f{index}", lineno)
             component_lines[index] = (payload.strip(), lineno)
         else:
             raise SystemFormatError(f"unrecognized directive {key!r}", lineno)
 
-    for field, value in (("mode", mode), ("states", n), ("controls", m),
-                         ("eq x", x_eq), ("eq u", u_eq)):
-        if value is None:
+    for field in ("mode", "states", "controls", "eq x", "eq u"):
+        if f"{field} line" not in seen:
             raise SystemFormatError(f"missing {field} line", len(text.splitlines()) or 1)
     assert mode is not None and n is not None and m is not None
     assert x_eq is not None and u_eq is not None

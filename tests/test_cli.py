@@ -352,6 +352,14 @@ def test_simulate_stdout_csv_and_summary(run_cli, examples_dir):
     assert "certified=yes" in err
 
 
+def test_simulate_notes_a_feedback_not_recognized_as_smooth(run_cli, examples_dir):
+    # a quotient is not read as continuously differentiable, even x2/1
+    code, _, err = run_cli("simulate", examples_dir / "planar_cubic.stab",
+                           "--feedback=-x1 - 2*x2/1", "--x0", "0.1,0", "--horizon", "1")
+    assert code == 0
+    assert err.endswith("\nnote: feedback is not recognized as continuously differentiable\n")
+
+
 def test_simulate_out_file(run_cli, examples_dir, tmp_path):
     target = tmp_path / "traj.csv"
     code, out, err = run_cli(
@@ -547,6 +555,17 @@ def test_evaluation_error_exits_two(run_cli, tmp_path):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("states, lines, message", [
+    (1, "eq x = 0\nf1 = exp(x1 + 1000) - exp(1000) + u1",
+     "evaluation failed at the equilibrium: overflow in exp"),
+    (2, "eq x = 0\nf1 = x2\nf2 = u1", "equilibrium dimensions do not match the system"),
+])
+def test_invalid_system_exits_two(run_cli, tmp_path, states, lines, message):
+    path = tmp_path / "invalid.stab"
+    path.write_text(f"mode continuous\nstates {states}\ncontrols 1\neq u = 0\n{lines}\n")
+    assert run_cli("analyze", path) == (2, "", f"error: {message}\n")
+
+
 EXAMPLE_TEXTS = [path.read_bytes() for path in
                  sorted((Path(__file__).resolve().parent.parent / "examples").glob("*.stab"))]
 
@@ -694,6 +713,13 @@ def test_nonfinite_numeric_flags_exit_two(run_cli, capsys, examples_dir, command
     assert exc.value.code == 2
     assert f"error: argument {flag}: must be a finite number" in err
     assert "Traceback" not in err
+
+
+def test_numeric_flag_that_is_not_a_number_exits_two(run_cli, capsys, examples_dir):
+    with pytest.raises(SystemExit) as exc:
+        run_cli("analyze", examples_dir / "planar_cubic.stab", "--margin", "abc")
+    assert exc.value.code == 2
+    assert "error: argument --margin: invalid float value: 'abc'" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv", [

@@ -113,6 +113,12 @@ def test_empirical_constant_map_is_zero():
     assert empirical_covering_modulus(spec, radius=0.1) == 0.0
 
 
+def test_empirical_no_finite_grid_image_is_zero():
+    # the square root of -(x1^2) is nan off x1 = 0, which 16 axis points miss
+    spec = system_from_strings("continuous", ["(-(x1^2))^0.5 + 0*u1"], m=1)
+    assert empirical_covering_modulus(spec, grid=CoveringGrid(axis_points=16)) == 0.0
+
+
 def test_empirical_dimension_cap():
     spec = system_from_strings(
         "continuous", ["u1", "u2"], m=2
@@ -396,6 +402,25 @@ def _cube_to_ball_rows(points):
     two_norms = np.linalg.norm(points, axis=1)
     safe = np.where(two_norms > 0.0, two_norms, 1.0)
     return points * (inf_norms / safe)[:, None]
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(data=st.data())
+def test_cube_to_ball_follows_the_row_form(data):
+    # the map every covering candidate goes through, bit for bit: the all-zero
+    # point, a -0.0 point and a cube corner, drawn points on the boundary, and
+    # uniform points, whose norms round differently when summed out of order
+    dim = data.draw(st.integers(1, 3))
+    radius = data.draw(st.floats(openness.MIN_RADIUS, openness.MAX_RADIUS))
+    edge = st.lists(st.sampled_from([-1.0, -0.0, 0.0, 1.0]), min_size=dim, max_size=dim)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    unit = np.vstack([[0.0] * dim, [-0.0] * dim, [1.0, -1.0, 1.0][:dim],
+                      *data.draw(st.lists(edge, max_size=8)), rng.uniform(-1.0, 1.0, (32, dim))])
+    points = radius * unit
+    center = np.array(data.draw(st.lists(st.floats(-1e3, 1e3), min_size=dim, max_size=dim)))
+    expected = _cube_to_ball_rows(points) + center
+    got = openness._cube_to_ball(points.T.copy(), center[:, None]).T
+    assert got.view(np.int64).tolist() == expected.view(np.int64).tolist()
 
 
 def _row_distances(values, targets):

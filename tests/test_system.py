@@ -69,6 +69,14 @@ def test_load_fixture_files(examples_dir):
         ("mode continuous\nstates 2\ncontrols 1\neq x = 0 0\neq u = 0\nf1 = u1\nf2 = u1\nf3 = u1\n",
          "out of range", 8),
         ("mode continuous\nstates 1\ncontrols 1\neq x = 0\neq u = 0\nf1 = u1 +\n", "in f1", 6),
+        # a repeated header line is an error, not an override
+        ("mode continuous\nmode discrete\n", "duplicate mode line", 2),
+        ("mode continuous\nstates 1\nstates 2\n", "duplicate states line", 3),
+        ("states 1\ncontrols 1\ncontrols 2\neq x = 0\neq u = 0 0\nf1 = u1\n",
+         "duplicate controls line", 3),
+        ("mode continuous\nstates 1\ncontrols 1\neq x = 0\neq x=0\n", "duplicate eq x line", 5),
+        ("mode continuous\nstates 1\ncontrols 1\neq u = 0\neq x = 0\neq u = 1\n",
+         "duplicate eq u line", 6),
     ],
 )
 def test_format_errors_carry_line_numbers(text, message_part, line):
@@ -88,6 +96,15 @@ def test_a_huge_states_count_is_rejected_without_allocating():
     finally:
         tracemalloc.stop()
     assert peak < 1e6
+
+
+@pytest.mark.parametrize("n, mode, message", [
+    (1, "sideways", "mode must be continuous or discrete, got 'sideways'"),
+    (2, "continuous", "expected 2 components, got 1"),
+])
+def test_spec_built_directly_is_validated(n, mode, message):
+    with pytest.raises(SystemValidationError, match=message):
+        SystemSpec(n, 1, mode, (ex.parse_expr("u1"),), (0.0,) * n, (0.0,))
 
 
 def test_missing_sections_reported():
@@ -189,6 +206,13 @@ def test_jacobian_rejects_points_of_the_wrong_length(examples_dir, x, u):
     spec = load_system(examples_dir / "planar_cubic.stab")
     with pytest.raises(ValueError, match="n=2 states and m=1 controls"):
         jacobian(spec, x=x, u=u)
+
+
+def test_jacobian_overflow_is_an_eval_error():
+    # exp(710) overflows in the tangent walk at a point the equilibrium check never sees
+    spec = system_from_strings("continuous", ["exp(x1) - 1 + u1"], m=1)
+    with pytest.raises(ex.EvalError, match="overflow in exp"):
+        jacobian(spec, (710.0,), (0.0,))
 
 
 def _scalar_jacobian(spec, x, u):
