@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .expr import EvalError
+from .expr import EvalError, is_c1_everywhere, parse_expr
 from .hautus import TOL_CLASS
 from .openness import CoveringGrid, empirical_covering_modulus
 from .report import build_report, report_json, report_text
@@ -173,10 +173,10 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         if not np.linalg.norm(np.subtract(x0, system.x_eq), axis=-1):  # as the decay fit measures
             raise ValueError("--x0 lies on the equilibrium x* (its distance rounds to 0)")
     if args.gain:
-        feedback = make_feedback(system, _load_gain_file(args.gain, system))
+        feedback, smooth = _load_gain_file(args.gain, system), True
     else:
-        parts = [p.strip() for p in args.feedback.split(";") if p.strip()]
-        feedback = make_feedback(system, parts)
+        parts = [parse_expr(p.strip()) for p in args.feedback.split(";") if p.strip()]
+        feedback, smooth = make_feedback(system, parts), all(is_c1_everywhere(e) for e in parts)
     if system.mode == CONTINUOUS:
         traj = integrate_closed_loop(system, feedback, x0, horizon=args.horizon, dt=args.dt)
     else:
@@ -200,7 +200,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             f"alpha_hat={fit.alpha_hat:.12g} m_hat={fit.m_hat:.12g} "
             f"residual={fit.residual:.12g} certified={'yes' if fit.certified else 'no'}\n"
         )
-    if not feedback.smooth:
+    if not smooth:
         summary_stream.write(
             "note: feedback is not recognized as continuously differentiable\n"
         )

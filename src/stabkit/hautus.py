@@ -33,7 +33,6 @@ def format_eigenvalue(z: complex) -> str:
 class SpectralProfile:
     """Classified spectrum of the state Jacobian."""
 
-    mode: str
     eigenvalues: tuple[complex, ...]
     unstable: tuple[complex, ...]
     unstable_real_only: bool
@@ -70,7 +69,6 @@ def spectral_profile(a, mode: str, tol_class: float = TOL_CLASS) -> SpectralProf
     eta_tilde = max((abs(v) for v in eigenvalues), default=0.0)
     unstable_real_only = all(abs(v.imag) <= tol_class for v in unstable)
     return SpectralProfile(
-        mode=mode,
         eigenvalues=eigenvalues,
         unstable=unstable,
         unstable_real_only=unstable_real_only,

@@ -29,7 +29,7 @@ import numpy as np
 
 from . import expr as ex
 from .linalg import MAX_STORED_FLOATS, distances
-from .synthesis import FeedbackGain, gain_expressions
+from .synthesis import FeedbackGain
 from .system import CONTINUOUS, DISCRETE, SystemSpec
 
 DIVERGENCE_NORM = 1e6
@@ -62,26 +62,18 @@ class DecayFit:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Sampled closed-loop states; decay is measured to x_eq (default: the origin)."""
+    """Sampled closed-loop states; decay is measured to x_eq."""
 
     times: np.ndarray
     states: np.ndarray
-    feedback_used: str
     diverged: bool
-    x_eq: np.ndarray | None = None
+    x_eq: np.ndarray
 
     def __post_init__(self):
-        times = np.asarray(self.times, dtype=float)
-        states = np.asarray(self.states, dtype=float)
-        if self.x_eq is None:
-            x_eq = np.zeros(states.shape[-1])
-        else:
-            x_eq = np.asarray(self.x_eq, dtype=float)
-        for arr in (times, states, x_eq):
+        for name in ("times", "states", "x_eq"):
+            arr = np.asarray(getattr(self, name), dtype=float)
             arr.setflags(write=False)
-        object.__setattr__(self, "times", times)
-        object.__setattr__(self, "states", states)
-        object.__setattr__(self, "x_eq", x_eq)
+            object.__setattr__(self, name, arr)
 
 
 @dataclass(frozen=True)
@@ -95,21 +87,9 @@ class StabilityCheck:
     failures: tuple[tuple[float, ...], ...]
 
 
-@dataclass(frozen=True)
-class Feedback:
-    """Normalized feedback law: a batch state-to-control map plus metadata."""
-
-    fn: Callable[[np.ndarray], np.ndarray]
-    description: str
-    smooth: bool
-
-    def __call__(self, states: np.ndarray) -> np.ndarray:
-        return self.fn(states)
-
-
-def make_feedback(system: SystemSpec, fb) -> Feedback:
-    """Normalize a gain, expression list, or callable into a Feedback."""
-    if isinstance(fb, Feedback):
+def make_feedback(system: SystemSpec, fb) -> Callable[[np.ndarray], np.ndarray]:
+    """The batch state-to-control map of a callable, a gain or an expression list."""
+    if callable(fb):
         return fb
     if isinstance(fb, FeedbackGain):
         k = np.asarray(fb.k, dtype=float)
@@ -119,9 +99,7 @@ def make_feedback(system: SystemSpec, fb) -> Feedback:
         def gain_fn(states: np.ndarray) -> np.ndarray:
             return u_eq + (np.asarray(states, dtype=float) - x_eq) @ k.T
 
-        return Feedback(gain_fn, "; ".join(gain_expressions(fb, system)), True)
-    if callable(fb):
-        return Feedback(fb, "custom callable", True)
+        return gain_fn
     parsed: list[ex.Expr] = []
     for item in fb:
         parsed.append(ex.parse_expr(item) if isinstance(item, str) else item)
@@ -146,8 +124,7 @@ def make_feedback(system: SystemSpec, fb) -> Feedback:
         # the law reads no control, so an empty one carries the batch shape
         return ex.eval_field(parsed, states, states[..., :0])
 
-    smooth = all(ex.is_c1_everywhere(e) for e in parsed)
-    return Feedback(expr_fn, "; ".join(ex.unparse(e) for e in parsed), smooth)
+    return expr_fn
 
 
 def _time_grid(system: SystemSpec, horizon, dt, steps, floats_per_sample: int) -> np.ndarray:
@@ -176,13 +153,13 @@ def _time_grid(system: SystemSpec, horizon, dt, steps, floats_per_sample: int) -
 
 
 def _closed_loop(system: SystemSpec, feedback):
-    """The normalized feedback and the closed-loop field x -> f(x, u(x))."""
+    """The closed-loop field x -> f(x, u(x))."""
     fb = make_feedback(system, feedback)
 
     def g(states: np.ndarray) -> np.ndarray:
         return ex.eval_field(system.plan, states, fb(states))
 
-    return fb, g
+    return g
 
 
 # Dormand & Prince (1980) 5(4) pair.  Row s of _DP_A gives stage s + 1 from
@@ -218,7 +195,7 @@ def _dp54(g, x0s: np.ndarray, x_eq: np.ndarray, times: np.ndarray, states: bool)
     Stores the grid states if ``states``, else their distances ||x - x*||.  One
     adaptive step size serves the batch; a step is accepted when every
     controlled row's local error is within STEP_ERROR_TOL ||x - x*|| plus
-    STEP_ERROR_FLOOR.  A row whose step ends outside the ball of radius
+    STEP_ERROR_FLOOR.  A row whose accepted step ends outside the ball of radius
     DIVERGENCE_NORM is marked diverged and leaves step control, and ends on
     its first grid sample outside the ball; a row that turns non-finite is
     marked and ends on its last grid sample.  The continuous extension is
@@ -253,8 +230,8 @@ def _dp54(g, x0s: np.ndarray, x_eq: np.ndarray, times: np.ndarray, states: bool)
             scale = STEP_ERROR_TOL * np.maximum(dist, dist_new) + STEP_ERROR_FLOOR
             err = np.linalg.norm(h * _weigh(_DP_E, k), axis=1) / scale
             bad = ~np.isfinite(err)
-            diverged[rows[bad | ~(dist_new <= DIVERGENCE_NORM)]] = True
             if bad.any():
+                diverged[rows[bad]] = True
                 last[rows[bad]] = recorded - 1
                 keep = ~bad
                 rows, y, k, stage, dist, dist_new, err = (
@@ -265,6 +242,8 @@ def _dp54(g, x0s: np.ndarray, x_eq: np.ndarray, times: np.ndarray, states: bool)
             if worst > 1.0:
                 h *= max(0.2, factor)
                 continue
+            # only an accepted step can leave the ball: a rejected trial says nothing
+            diverged[rows[dist_new > DIVERGENCE_NORM]] = True
             t_new = end if final else t + h
             stop = int(np.searchsorted(times, t_new, side="right"))
             if stop > recorded:
@@ -344,11 +323,9 @@ def _trajectory(system: SystemSpec, feedback, x0, horizon, dt, steps) -> Traject
     """One run from x0, cut after its last valid sample."""
     x0s = np.asarray(x0, dtype=float)[None, :]
     times = _time_grid(system, horizon, dt, steps, x0s.shape[1])
-    fb, g = _closed_loop(system, feedback)
-    states, diverged, last = _run(system, g, x0s, times, states=True)
+    states, diverged, last = _run(system, _closed_loop(system, feedback), x0s, times, states=True)
     end = int(last[0]) + 1
-    return Trajectory(times[:end], states[0, :end], fb.description, bool(diverged[0]),
-                      system.x_eq)
+    return Trajectory(times[:end], states[0, :end], bool(diverged[0]), system.x_eq)
 
 
 def integrate_closed_loop(
@@ -580,8 +557,7 @@ def verify_local_stability(
     with np.errstate(over="ignore"):
         if not np.linalg.norm(x0s - system.x_eq, axis=1).all():  # the distance the fit divides by
             raise ValueError(f"delta={float(delta)} puts a start on x* (its distance rounds to 0)")
-    _, g = _closed_loop(system, feedback)
-    norms, diverged, _ = _run(system, g, x0s, times, states=False)
+    norms, diverged, _ = _run(system, _closed_loop(system, feedback), x0s, times, states=False)
     fits = iter(_fit_decays(times, norms, np.flatnonzero(~diverged), TRANSIENT_SKIP))
 
     failures: list[tuple[float, ...]] = []

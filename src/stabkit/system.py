@@ -9,6 +9,7 @@ actually satisfy to 1e-9.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -164,8 +165,9 @@ def parse_system(text: str) -> SystemSpec:
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        key, _, rest = line.partition(" ")
-        rest = rest.strip()
+        # a key ends at whitespace or '=', as the expression grammar ignores whitespace
+        key = re.match(r"[^\s=]*", line).group()
+        rest = line[len(key):].strip()
         if key in ("mode", "states", "controls"):
             claim(f"{key} line", lineno)
         if key == "mode":

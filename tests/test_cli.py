@@ -472,6 +472,28 @@ def test_simulate_measures_decay_to_the_equilibrium(run_cli, examples_dir, tmp_p
     assert float(got["final_norm"]) == pytest.approx(float(ref["final_norm"]), abs=1e-9)
 
 
+def test_a_coarse_simulate_grid_does_not_change_the_trajectory(run_cli, examples_dir):
+    # the first step is one grid spacing long; at --dt 5 its trial left the
+    # ball of radius 1e6 and read as divergence
+    def last_row(dt):
+        code, out, err = run_cli("simulate", examples_dir / "planar_cubic.stab",
+                                 "--feedback=-x1 - 2*x2", "--x0=0.1,0", "--horizon", "10",
+                                 "--dt", dt)
+        assert code == 0 and "diverged=no" in err
+        return np.array([float(v) for v in out.splitlines()[-1].split(",")])
+
+    coarse, fine = last_row("5"), last_row("1")
+    assert coarse[0] == fine[0] == 10.0
+    assert np.linalg.norm(coarse[1:] - fine[1:]) <= 1e-8 * np.linalg.norm(fine[1:])
+
+
+def test_a_coarse_validation_grid_still_passes(run_cli, examples_dir):
+    code, out, _ = run_cli("synthesize", examples_dir / "planar_cubic.stab", "--validate",
+                           "--dt", "5")
+    assert code == 0
+    assert "validation: passed=yes" in out
+
+
 def test_simulate_feedback_of_the_wrong_length_exits_two(run_cli, examples_dir):
     code, out, err = run_cli("simulate", examples_dir / "planar_cubic.stab",
                              "--feedback", "-x1; -x2", "--x0", "0.1,0")

@@ -35,6 +35,18 @@ def test_distances_match_norm_bit_for_bit(n):
         assert (got.view(np.int64) == expected.view(np.int64)).all()
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: spectrum([1.0, 2.0]), r"matrix must be 2-dimensional, got shape \(2,\)"),
+    (lambda: singular_values(np.ones(3)), r"expected a matrix, got shape \(3,\)"),
+    (lambda: complex_pencil_rank(np.ones((2, 3)), 0.0, np.ones((2, 1))), "a must be square"),
+    (lambda: complex_pencil_rank(np.eye(2), 0.0, np.ones((3, 1))),
+     "a and b must have the same number of rows"),
+])
+def test_malformed_matrices_are_rejected(call, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call()
+
+
 def test_spectrum_known_matrices():
     np.testing.assert_allclose(spectrum([[0.0, 1.0], [0.0, 0.0]]), [0.0, 0.0], atol=1e-12)
     a = [[0.0, 0.0, 1.0], [1.0, 0.0, 1.0], [0.1, 0.0, 0.0]]

@@ -49,6 +49,17 @@ def test_parse_well_formed():
     assert ex.unparse(spec.components[0]) == "x1^3 + x2"
 
 
+SPACED = "mode continuous\nstates 1\ncontrols 1\neq x = 0\neq u = 0\nf1 = u1\n"
+
+
+@pytest.mark.parametrize("old, new", [("f1 = u1", "f1=u1"), ("f1 = u1", "f1\t= u1"),
+                                      ("states 1", "states\t1")])
+def test_a_directive_name_ends_at_whitespace_or_equals(old, new):
+    spaced, packed = parse_system(SPACED), parse_system(SPACED.replace(old, new))
+    assert packed == spaced
+    assert [ex.unparse(c) for c in packed.components] == ["u1"]
+
+
 def test_load_fixture_files(examples_dir):
     for name in ("planar_cubic", "three_state_mixed", "unstable_drift",
                  "cubic_input", "identity_input", "discrete_quadratic"):
@@ -461,6 +472,13 @@ def test_span_dimension_estimate():
     # a single direction spans one dimension
     spec = system_from_strings("continuous", ["x1 - x1", "u1"], m=1)
     assert span_dimension_estimate(spec, 0.1) == 1
+
+
+@pytest.mark.parametrize("radius", [0.0, -1.0, math.nan])
+def test_span_dimension_estimate_rejects_a_radius_that_is_not_positive(radius):
+    spec = system_from_strings("continuous", ["x2", "u1"], m=1)
+    with pytest.raises(ValueError, match="^radius must be positive$"):
+        span_dimension_estimate(spec, radius)
 
 
 # fields that vanish at the origin and are affine in u
