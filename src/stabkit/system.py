@@ -166,7 +166,7 @@ def parse_system(text: str) -> SystemSpec:
         if not line:
             continue
         # a key ends at whitespace or '=', as the expression grammar ignores whitespace
-        key = re.match(r"[^\s=]*", line).group()
+        key = re.match(r"[^\s=]+|=", line).group()
         rest = line[len(key):].strip()
         if key in ("mode", "states", "controls"):
             claim(f"{key} line", lineno)
